@@ -27,7 +27,7 @@ Python:
     scan-pruning metrics — including the compressed-domain kernel counters
     (``--no-kernels`` restores the decode baseline for A/B runs);
     ``--agg``/``--group-by`` compute (grouped)
-    aggregates (``count``/``sum``/``min``/``max``/``avg``/``var``/``std``),
+    aggregates ({AGGREGATES}),
     ``--select``/``--limit`` materialise qualifying rows,
     ``--order-by COL[:desc]`` sorts them (with ``--limit`` the pair runs
     as a fused zone-map-driven top-k), and
@@ -68,20 +68,14 @@ from .datasets import available_datasets, dataset_by_name
 from .errors import CorraError
 from .query import (
     And,
-    Avg,
     Between,
-    Count,
     EngineConfig,
     Eq,
     In,
-    Max,
-    Min,
     Predicate,
-    Std,
-    Sum,
-    Var,
     resolve_workers,
 )
+from .query.aggregates import AGGREGATES, AggregateFunction, parse_aggregate
 from .query.tracing import QueryTrace, Tracer
 from .storage import (
     DEFAULT_BLOCK_SIZE,
@@ -94,6 +88,11 @@ from .storage import (
 from .storage.catalog import TABLE_SUFFIX
 
 __all__ = ["main", "build_parser"]
+
+# The aggregate function list of the ``query`` section above comes from the
+# one mapping that also drives ``--agg`` parsing and its help text.
+if __doc__:
+    __doc__ = __doc__.replace("{AGGREGATES}", "/".join(f"``{name}``" for name in AGGREGATES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME:FUNC[:COLUMN]",
         help="add a named aggregate output, e.g. n:count, total:sum:fare, "
-        "v:var:tip (may be repeated; FUNC is count/sum/min/max/avg/var/std)",
+        f"v:var:tip (may be repeated; FUNC is {'/'.join(AGGREGATES)})",
     )
     query.add_argument(
         "--group-by",
@@ -586,35 +585,11 @@ def _build_predicate(args: argparse.Namespace) -> Predicate | None:
     return terms[0] if len(terms) == 1 else And(*terms)
 
 
-#: CLI aggregate function names -> constructors (count takes no column).
-_AGG_FUNCTIONS = {
-    "count": Count,
-    "sum": Sum,
-    "min": Min,
-    "max": Max,
-    "avg": Avg,
-    "var": Var,
-    "std": Std,
-}
-
-
-def _parse_aggregate(spec: str) -> tuple[str, "Count | Sum | Min | Max | Avg | Var | Std"]:
+def _parse_aggregate(spec: str) -> tuple[str, AggregateFunction]:
     parts = spec.split(":")
     if len(parts) not in (2, 3) or not all(parts):
         raise CorraError(f"expected NAME:FUNC[:COLUMN], got {spec!r}")
-    name, func = parts[0], parts[1].lower()
-    if func not in _AGG_FUNCTIONS:
-        raise CorraError(
-            f"unknown aggregate function {parts[1]!r}; "
-            f"choose from {', '.join(sorted(_AGG_FUNCTIONS))}"
-        )
-    if func == "count":
-        if len(parts) == 3:
-            raise CorraError(f"count takes no input column, got {spec!r}")
-        return name, Count()
-    if len(parts) != 3:
-        raise CorraError(f"{func} needs an input column: NAME:{func}:COLUMN")
-    return name, _AGG_FUNCTIONS[func](parts[2])
+    return parts[0], parse_aggregate(parts[1].lower(), parts[2] if len(parts) == 3 else None)
 
 
 def _print_metrics(metrics, workers: int) -> None:

@@ -37,8 +37,8 @@ Layers, bottom to top:
         │
         └─ KernelRegistry[encoding_name(c)]
              ├─ rle ────────▶ run space: evaluate per (value, length) run,
-             │                fan out with np.repeat; run-weighted
-             │                aggregates and run-space group-by
+             │                fan out with np.repeat; selected runs for
+             │                aggregation, run-space group-by
              ├─ for_bitpack ─▶ word space: shift constants by the frame,
              │                compare the packed words (zero-copy lane
              │                views for 8/16/32/64-bit widths)
@@ -59,13 +59,21 @@ Layers, bottom to top:
   ``Project``/``Aggregate``/``Sort``/``TopK``/``Limit`` nodes, the fluent
   :class:`LazyQuery` builder, and the :class:`QueryCompiler`, which pushes
   work down before anything is materialised: projections decode only
-  referenced columns, ``count``/``min``/``max``/``sum`` over fully-covered
-  blocks are answered from
-  :class:`~repro.storage.statistics.ColumnStatistics` without decoding
-  a row, group-by on dictionary columns aggregates in code space (one heap
-  decode per distinct group), limits truncate row ids before
-  materialisation, and ``order_by().limit(k)`` fuses into a zone-map-driven
-  top-k that stops visiting (and fetching) blocks early.
+  referenced columns, group-by on dictionary columns aggregates in code
+  space (one heap decode per distinct group), limits truncate row ids
+  before materialisation, and ``order_by().limit(k)`` fuses into a
+  zone-map-driven top-k that stops visiting (and fetching) blocks early.
+* **How an aggregate is computed** (:mod:`~repro.query.aggregates`) — the
+  one module that knows what an aggregate is.  Five *moments* (``count``,
+  ``sum``, ``sumsq``, ``min``, ``max``) are each defined once as
+  ``(from_values, from_runs, scatter_by_group, merge)``, and the seven
+  aggregates are ``(moments, finalize)`` over them.  Per block the
+  compiler resolves each distinct ``(column, moment)`` pair through one
+  cascade — *zone map* of a fully-covered block → *selected runs* of an
+  RLE column → *gathered values*, scattered by group id when grouping —
+  merges the exact partials (Σx and Σx² never wrap) and finalises once at
+  output.  Adding an aggregate is a subclass declaring ``moments`` and
+  ``finalize``; see that module's docstring.
 * **Imperative facade** (:mod:`~repro.query.executor`) —
   :class:`QueryExecutor` keeps the pre-plan ``scan``/``filter``/``select``/
   ``count`` surface as a thin layer that builds the equivalent plans.

@@ -7,9 +7,10 @@ remaining vertical encodings, each exploiting its own physical layout:
 * **RLE — run space.**  Any single-column subtree of element-wise nodes
   (``Eq``/``Between``/``In`` composed with ``And``/``Or``/``Not``) is
   evaluated once per *run* over the (value, length) arrays and fanned out to
-  a row mask with ``np.repeat``.  Aggregates become run-weighted sums
-  (Σ value·run_length over surviving runs), group-by keys are the
-  surviving run values, and top-k walks the runs best-first — pushing each
+  a row mask with ``np.repeat``.  Aggregation receives the selection as
+  ``(run_values, selected count per run)`` and reduces it run-weighted
+  (:mod:`~repro.query.aggregates`), group-by keys are the surviving run
+  values, and top-k walks the runs best-first — pushing each
   (value, run-length) pair once per run — so the row values are never
   materialised.
 * **FOR/bit-packing — word space.**  Constant comparisons are shifted by the
@@ -89,15 +90,16 @@ class ColumnKernel:
         """Row mask for ``node`` over the encoded column, or ``None``."""
         return None
 
-    def aggregate(self, column, mask: np.ndarray, kind: str):
-        """Partial aggregate of ``kind`` over the rows selected by ``mask``.
+    def selected_runs(self, column, mask: "np.ndarray | None"):
+        """``(run_values, counts)`` of the rows selected by ``mask``, or ``None``.
 
-        Only called with at least one selected row, so ``None`` always means
-        *unsupported* (never an empty-selection result).
+        ``counts[i]`` is how many selected rows fall in run ``i``;
+        ``mask=None`` selects every row.  What is reduced over the runs is
+        not the kernel's business — :mod:`~repro.query.aggregates` owns that.
         """
         return None
 
-    def group_keys(self, column, mask: np.ndarray):
+    def group_keys(self, column, mask: "np.ndarray | None"):
         """``(keys, inverse)`` for grouping the selected rows, or ``None``.
 
         ``keys`` are the distinct selected values (sorted, as Python ints)
@@ -135,47 +137,30 @@ class RleKernel(ColumnKernel):
         run_mask = np.asarray(node.evaluate({name: column.run_values()}), dtype=bool)
         return column.expand_run_mask(run_mask)
 
-    def _selected_per_run(self, column, mask: np.ndarray) -> np.ndarray:
-        """How many selected rows fall in each run.
+    def _selected_per_run(self, column, mask: "np.ndarray | None") -> np.ndarray:
+        """How many selected rows fall in each run (``mask=None``: all of them).
 
         The ``int64`` cast matters: ``np.add.reduceat`` over a boolean array
         computes logical OR per segment, not a sum.
         """
+        if mask is None:
+            return column.run_lengths()
         if column.n_runs == 0:
             return np.zeros(0, dtype=np.int64)
         return np.add.reduceat(np.asarray(mask, dtype=np.int64), column.run_starts)
 
-    def aggregate(self, column, mask: np.ndarray, kind: str):
+    def selected_runs(self, column, mask: "np.ndarray | None"):
         if not isinstance(column, RleEncodedColumn):
             return None
-        counts = self._selected_per_run(column, mask)
-        selected = int(counts.sum())
-        if kind == "count":
-            return selected
-        run_values = column.run_values()
-        if kind == "sum":
-            return int(np.sum(run_values * counts, dtype=np.int64))
-        if kind in ("min", "max"):
-            surviving = run_values[counts > 0]
-            if surviving.size == 0:
-                return None
-            return int(surviving.min()) if kind == "min" else int(surviving.max())
-        if kind == "avg":
-            return (int(np.sum(run_values * counts, dtype=np.int64)), selected)
-        if kind in ("var", "std"):
-            total = int(np.sum(run_values * counts, dtype=np.int64))
-            total_sq = int(np.sum(run_values * run_values * counts, dtype=np.int64))
-            return (selected, total, total_sq)
-        return None
+        return column.run_values(), self._selected_per_run(column, mask)
 
-    def group_keys(self, column, mask: np.ndarray):
-        if not isinstance(column, RleEncodedColumn):
+    def group_keys(self, column, mask: "np.ndarray | None"):
+        runs = self.selected_runs(column, mask)
+        if runs is None:
             return None
-        counts = self._selected_per_run(column, mask)
+        run_values, counts = runs
         survivors = counts > 0
-        unique_values, run_inverse = np.unique(
-            column.run_values()[survivors], return_inverse=True
-        )
+        unique_values, run_inverse = np.unique(run_values[survivors], return_inverse=True)
         # Rows expand run by run (runs are in row order), so repeating each
         # run's group id by its selected count yields the inverse in the same
         # ascending row order as ``np.flatnonzero(mask)``.
@@ -317,7 +302,7 @@ class KernelRegistry:
     """Dispatch table from ``encoding_name`` to its compressed-domain kernel.
 
     Consulted by :func:`~repro.query.scan.evaluate_block_predicate` (masks),
-    the aggregation layer (run-weighted aggregates) and the group-by layer
+    the aggregation layer (selected runs) and the group-by layer
     (run-space group keys).  Horizontally encoded columns never dispatch — a
     kernel sees only self-contained vertical columns.  Dictionary columns are
     deliberately *not* registered here: their code-space path predates this
@@ -377,21 +362,17 @@ class KernelRegistry:
         current_tracer().annotate(kernel=kernel.encoding_name)
         return np.asarray(mask, dtype=bool)
 
-    def aggregate(self, block, name: str, mask: np.ndarray, kind: str):
-        """Partial aggregate over the selected rows, or ``None``.
-
-        Must only be called with a non-empty selection (see
-        :meth:`ColumnKernel.aggregate`).
-        """
+    def selected_runs(self, block, name: str, mask: "np.ndarray | None"):
+        """Run-space ``(run_values, counts)`` of the selected rows, or ``None``."""
         kernel, column = self._lookup(block, name)
         if kernel is None:
             return None
-        value = kernel.aggregate(column, mask, kind)
-        if value is not None:
+        runs = kernel.selected_runs(column, mask)
+        if runs is not None:
             current_tracer().annotate(kernel=kernel.encoding_name)
-        return value
+        return runs
 
-    def group_keys(self, block, name: str, mask: np.ndarray):
+    def group_keys(self, block, name: str, mask: "np.ndarray | None"):
         """Run-space ``(keys, inverse)`` for a group-by column, or ``None``."""
         kernel, column = self._lookup(block, name)
         if kernel is None:

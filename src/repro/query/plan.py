@@ -27,10 +27,12 @@ before any value is materialised:
 * **projection pushdown** — only the columns a node actually references
   are ever decoded; a plan without a projection materialises nothing but
   row ids;
-* **aggregation pushdown** — ``count``/``min``/``max``/``sum`` over blocks
-  the planner proves *fully covered* are answered from the per-block
-  :class:`~repro.storage.statistics.ColumnStatistics` without decoding a
-  single row, and a group-by on a dictionary-encoded column aggregates in
+* **aggregation pushdown** — every aggregate is a finalisation over the
+  exactly-mergeable moments of :mod:`~repro.query.aggregates`, and each
+  moment is resolved per block through one cascade: the per-block
+  :class:`~repro.storage.statistics.ColumnStatistics` of a *fully covered*
+  block (no row decoded), then the selected runs of an RLE column, then
+  gathered values; a group-by on a dictionary-encoded column aggregates in
   code space, deferring the string-heap materialisation to one decode per
   distinct group;
 * **limit pushdown** — ``limit(k)`` truncates the row-id stream *before*
@@ -51,7 +53,6 @@ pushdown is visible before (or without) running the query.
 from __future__ import annotations
 
 import heapq
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -62,6 +63,19 @@ from ..encodings.dictionary import DictEncodedIntColumn, DictEncodedStringColumn
 from ..errors import UnknownColumnError, ValidationError
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
+from .aggregates import (
+    AggregateFunction,
+    AggregateSpec,
+    Avg,
+    Count,
+    Max,
+    Min,
+    Moment,
+    Std,
+    Sum,
+    Var,
+    moment_slots,
+)
 from .kernels import DEFAULT_KERNELS, KernelRegistry
 from .parallel import ParallelEngine, resolve_workers
 from .predicates import And, Predicate
@@ -102,115 +116,6 @@ __all__ = [
     "QueryCompiler",
     "LazyQuery",
 ]
-
-
-# ---------------------------------------------------------------------------
-# aggregate functions
-# ---------------------------------------------------------------------------
-
-
-class AggregateFunction:
-    """Base of the aggregate function descriptors.
-
-    ``kind`` names the reduction (``count``/``sum``/``min``/``max``/``avg``)
-    and ``column`` the input column (``None`` for ``count``, which reduces
-    the qualifying rows themselves).  Instances are immutable descriptors;
-    the compiler decides per block whether the reduction is answered from
-    statistics, in dictionary code space, or by gather-and-reduce.
-    """
-
-    kind: str = ""
-    column: str | None = None
-
-    def describe(self) -> str:
-        return f"{self.kind}({self.column if self.column is not None else '*'})"
-
-    def __repr__(self) -> str:
-        return self.describe()
-
-
-@dataclass(frozen=True, repr=False)
-class Count(AggregateFunction):
-    """``count(*)`` — the number of qualifying rows."""
-
-    kind = "count"
-
-
-class _ColumnAggregate(AggregateFunction):
-    def __post_init__(self) -> None:
-        if not self.column:
-            raise ValidationError(f"{self.kind} needs a non-empty input column name")
-
-
-@dataclass(frozen=True, repr=False)
-class Sum(_ColumnAggregate):
-    """``sum(column)`` over the qualifying rows (integer columns only)."""
-
-    column: str
-    kind = "sum"
-
-
-@dataclass(frozen=True, repr=False)
-class Min(_ColumnAggregate):
-    """``min(column)`` over the qualifying rows."""
-
-    column: str
-    kind = "min"
-
-
-@dataclass(frozen=True, repr=False)
-class Max(_ColumnAggregate):
-    """``max(column)`` over the qualifying rows."""
-
-    column: str
-    kind = "max"
-
-
-@dataclass(frozen=True, repr=False)
-class Avg(_ColumnAggregate):
-    """``avg(column)`` over the qualifying rows (float result).
-
-    Internally carried as an exact ``(sum, count)`` integer pair and divided
-    only at output time, so parallel merges lose no precision and a
-    fully-covered block is answered from its ``sum_value``/row-count
-    statistics exactly like ``sum`` — including diff-encoded columns, whose
-    sums are derived from the reference and the stored deltas.  An empty
-    selection yields ``None``.
-    """
-
-    column: str
-    kind = "avg"
-
-
-@dataclass(frozen=True, repr=False)
-class Var(_ColumnAggregate):
-    """``var(column)`` — population variance over the qualifying rows.
-
-    Carried as an exact ``(count, sum, sum of squares)`` integer triple
-    that merges across blocks and morsels by plain addition, and finalised
-    as ``(n·Σx² − (Σx)²) / n²`` only at output time — the inputs are
-    integers, so every partial is exact and parallel merge order cannot
-    change the result.  An empty selection yields ``None``.
-    """
-
-    column: str
-    kind = "var"
-
-
-@dataclass(frozen=True, repr=False)
-class Std(_ColumnAggregate):
-    """``std(column)`` — population standard deviation (√ of :class:`Var`).
-
-    Shares :class:`Var`'s exact ``(count, sum, sum of squares)`` partials;
-    only the final square root is floating point.
-    """
-
-    column: str
-    kind = "std"
-
-
-#: (output name, function) pairs, in output order.
-AggregateSpec = tuple[tuple[str, AggregateFunction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +395,6 @@ class PlanResult:
 # physical execution
 # ---------------------------------------------------------------------------
 
-#: Sentinel marking "no rows seen" in min/max partials.
-_NO_VALUE = None
-
-
 def _combine_filters(predicates: list[Predicate]) -> Predicate | None:
     """Stacked Filter nodes (root -> leaf order) as one conjunction.
 
@@ -504,73 +405,6 @@ def _combine_filters(predicates: list[Predicate]) -> Predicate | None:
     if len(predicates) == 1:
         return predicates[0]
     return And(*reversed(predicates))
-
-
-def _merge_partial(kind: str, a: Any, b: Any) -> Any:
-    """Fold two per-block partial aggregate values (either may be None).
-
-    ``avg`` partials are exact ``(sum, count)`` pairs and ``var``/``std``
-    partials exact ``(count, sum, sum of squares)`` triples; the division
-    (and square root) happens once, at output time.
-    """
-    if b is None:
-        return a
-    if a is None:
-        return b
-    if kind in ("count", "sum"):
-        return a + b
-    if kind == "avg":
-        return (a[0] + b[0], a[1] + b[1])
-    if kind in ("var", "std"):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-    if kind == "min":
-        return a if a <= b else b
-    return a if a >= b else b
-
-
-def _reduce_values(kind: str, values: "np.ndarray | list") -> "int | str | tuple | None":
-    """Reduce gathered values (an int64 array or a string list) directly."""
-    if len(values) == 0:
-        return 0 if kind in ("count", "sum") else _NO_VALUE
-    if isinstance(values, np.ndarray):
-        if kind == "sum":
-            return int(np.sum(values, dtype=np.int64))
-        if kind == "avg":
-            return (int(np.sum(values, dtype=np.int64)), int(values.size))
-        if kind in ("var", "std"):
-            as_int64 = values.astype(np.int64, copy=False)
-            return (
-                int(values.size),
-                int(np.sum(as_int64, dtype=np.int64)),
-                int(np.sum(as_int64 * as_int64, dtype=np.int64)),
-            )
-        if kind == "min":
-            return int(values.min())
-        return int(values.max())
-    if kind == "min":
-        return min(values)
-    if kind == "max":
-        return max(values)
-    raise ValidationError(f"cannot {kind} a string column")
-
-
-def _finalize_partial(kind: str, value: Any) -> Any:
-    """Turn a merged partial into its output value (divides avg pairs,
-    resolves var/std triples)."""
-    if kind == "avg":
-        return None if value is None or value[1] == 0 else value[0] / value[1]
-    if kind in ("var", "std"):
-        if value is None or value[0] == 0:
-            return None
-        n, total, total_sq = value
-        # All-integer numerator keeps the computation exact until the one
-        # final division; the max() guards the float rounding of that
-        # division from producing a tiny negative variance.
-        variance = max((n * total_sq - total * total) / (n * n), 0.0)
-        return variance if kind == "var" else math.sqrt(variance)
-    if value is None and kind in ("count", "sum"):
-        return 0
-    return value
 
 
 class QueryCompiler:
@@ -771,7 +605,7 @@ class QueryCompiler:
             if name in output_names:
                 raise ValidationError(f"duplicate output column {name!r} in aggregation")
             output_names.append(name)
-            if fn.kind in ("sum", "avg", "var", "std") and schema.dtype(fn.column).is_string:
+            if fn.needs_int and fn.column is not None and schema.dtype(fn.column).is_string:
                 raise ValidationError(
                     f"{fn.kind}() needs an integer column, {fn.column!r} is a string"
                 )
@@ -1197,138 +1031,13 @@ class QueryCompiler:
     def _execute_aggregate(self, compiled: CompiledQuery) -> PlanResult:
         tasks, metrics = self._classify_blocks(compiled.predicate)
         prefetcher = self._make_prefetcher(compiled, tasks)
-        if compiled.group_by:
-            return self._run_grouped(compiled, tasks, metrics, prefetcher)
-        return self._run_ungrouped(compiled, tasks, metrics, prefetcher)
-
-    # .. ungrouped ..............................................................
-
-    def _run_ungrouped(
-        self,
-        compiled: CompiledQuery,
-        tasks: list[tuple[int, bool]],
-        metrics: ScanMetrics,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> PlanResult:
-        aggs = compiled.aggregates
+        pairs, slots = moment_slots(compiled.aggregates)
         results = self._engine.map_items(
-            tasks, lambda task: self._ungrouped_block(compiled, task[0], task[1], prefetcher)
+            tasks,
+            lambda task: self._aggregate_block(compiled, pairs, task[0], task[1], prefetcher),
         )
-        totals: list = [None] * len(aggs)
-        for state, partial in results:
-            metrics.merge(partial)
-            for slot, (_, fn) in enumerate(aggs):
-                totals[slot] = _merge_partial(fn.kind, totals[slot], state[slot])
-        columns: dict[str, "np.ndarray | list"] = {}
-        for slot, (name, fn) in enumerate(aggs):
-            columns[name] = [_finalize_partial(fn.kind, totals[slot])]
-        if compiled.having is not None:
-            # HAVING filters the aggregated output — here a single row.
-            columns = _apply_having(columns, compiled.having)
-        if compiled.limit is not None:
-            columns = {name: values[: compiled.limit] for name, values in columns.items()}
-        return PlanResult(columns=columns, row_ids=None, metrics=metrics)
-
-    def _ungrouped_block(
-        self,
-        compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[list, ScanMetrics]:
-        """Worker body: one block's partial aggregate values plus metrics."""
-        tracer = current_tracer()
-        with tracer.span("aggregate", block=index) as span:
-            state, partial = self._ungrouped_block_inner(compiled, index, full, prefetcher)
-            if tracer.enabled:
-                span.annotate(rows=partial.rows_matched)
-            return state, partial
-
-    def _ungrouped_block_inner(
-        self,
-        compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[list, ScanMetrics]:
-        if prefetcher is not None:
-            prefetcher(index)
-        block = self._relation.block(index)
-        partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
-        aggs = compiled.aggregates
-        state: list = [None] * len(aggs)
-        pending: list[int] = []
-        for slot, (_, fn) in enumerate(aggs):
-            if fn.kind == "count":
-                state[slot] = n_selected
-            elif n_selected == 0:
-                state[slot] = 0 if fn.kind == "sum" else _NO_VALUE
-            elif full and self._use_statistics:
-                # Aggregation pushdown: a fully-covered block aggregates all
-                # of its rows, so exact zone-map statistics answer the
-                # reduction without decoding anything.  An avg is the block's
-                # exact sum paired with its row count.
-                stats = block.column_statistics(fn.column)
-                if fn.kind == "avg":
-                    total = stats.aggregate_value("sum") if stats is not None else None
-                    value = None if total is None else (total, stats.row_count)
-                else:
-                    value = stats.aggregate_value(fn.kind) if stats is not None else None
-                state[slot] = value
-                if value is None:
-                    pending.append(slot)
-            else:
-                pending.append(slot)
-        if pending and self._use_kernels:
-            # Run-weighted aggregation: an RLE input column answers each
-            # pending reduction as Σ value·selected_count over its runs —
-            # nothing is gathered.  Pending slots always have a non-empty
-            # selection, so ``None`` unambiguously means "kernel declined"
-            # (0 is a valid sum).
-            names = []
-            for slot in pending:
-                column = aggs[slot][1].column
-                if column not in names:
-                    names.append(column)
-            block = resolve_block(block, columns=names)
-            kernel_mask = mask if mask is not None else np.ones(block.n_rows, dtype=bool)
-            remaining = []
-            for slot in pending:
-                fn = aggs[slot][1]
-                value = self._kernels.aggregate(block, fn.column, kernel_mask, fn.kind)
-                if value is None:
-                    remaining.append(slot)
-                else:
-                    state[slot] = value
-                    partial.rows_kernel_aggregated += n_selected
-            pending = remaining
-        if pending:
-            names = []
-            for slot in pending:
-                column = aggs[slot][1].column
-                if column not in names:
-                    names.append(column)
-            positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
-            gathered = self._gather_inputs(block, names, positions, partial)
-            for slot in pending:
-                fn = aggs[slot][1]
-                state[slot] = _reduce_values(fn.kind, gathered[fn.column])
-        return state, partial
-
-    # .. grouped ................................................................
-
-    def _run_grouped(
-        self,
-        compiled: CompiledQuery,
-        tasks: list[tuple[int, bool]],
-        metrics: ScanMetrics,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> PlanResult:
-        aggs = compiled.aggregates
-        results = self._engine.map_items(
-            tasks, lambda task: self._grouped_block(compiled, task[0], task[1], prefetcher)
-        )
+        # A group's state is one partial per (column, moment) pair; the
+        # ungrouped query is the single group ``()``.
         merged: dict = {}
         any_code_space = False
         for groups, used_code_space, partial in results:
@@ -1339,8 +1048,10 @@ class QueryCompiler:
                 if existing is None:
                     merged[key] = state
                 else:
-                    for slot, (_, fn) in enumerate(aggs):
-                        existing[slot] = _merge_partial(fn.kind, existing[slot], state[slot])
+                    for slot, (_, moment) in enumerate(pairs):
+                        existing[slot] = moment.merge(existing[slot], state[slot])
+        if not compiled.group_by and not merged:
+            merged[()] = [moment.empty for _, moment in pairs]  # no row qualified
 
         keys = sorted(merged)
         if compiled.having is None and compiled.limit is not None:
@@ -1348,132 +1059,183 @@ class QueryCompiler:
             # decoded; a HAVING must see every group first.
             keys = keys[: compiled.limit]
         single = len(compiled.group_by) == 1
-        group_is_string = [
-            self._relation.schema.dtype(name).is_string for name in compiled.group_by
-        ]
-        if single and group_is_string[0] and any_code_space:
+        if (
+            single
+            and any_code_space
+            and self._relation.schema.dtype(compiled.group_by[0]).is_string
+        ):
             # The group keys travelled as raw heap byte slices; this is the
             # one decode per distinct group the code-space path deferred.
             metrics.string_heap_decodes += len(keys)
         columns: dict[str, "np.ndarray | list"] = {}
         for position, name in enumerate(compiled.group_by):
-            if single:
-                values = [_output_key(key) for key in keys]
-            else:
-                values = [_output_key(key[position]) for key in keys]
-            columns[name] = values
-        for slot, (name, fn) in enumerate(aggs):
-            columns[name] = [_finalize_partial(fn.kind, merged[key][slot]) for key in keys]
+            columns[name] = [_output_key(key if single else key[position]) for key in keys]
+        for (name, fn), wiring in zip(compiled.aggregates, slots):
+            columns[name] = [fn.finalize(*[merged[key][slot] for slot in wiring]) for key in keys]
         if compiled.having is not None:
             columns = _apply_having(columns, compiled.having)
             if compiled.limit is not None:
-                columns = {
-                    name: values[: compiled.limit] for name, values in columns.items()
-                }
+                columns = {name: values[: compiled.limit] for name, values in columns.items()}
         return PlanResult(columns=columns, row_ids=None, metrics=metrics)
 
-    def _grouped_block(
+    def _aggregate_block(
         self,
         compiled: CompiledQuery,
+        pairs: "list[tuple[str | None, Moment]]",
         index: int,
         full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
+        prefetcher: "Callable[[int], None] | None",
     ) -> tuple[dict, bool, ScanMetrics]:
-        """Worker body: one block's per-group partial states plus metrics."""
+        """Worker body: one block's per-group moment partials plus metrics."""
         tracer = current_tracer()
         with tracer.span("aggregate", block=index) as span:
-            groups, used_code_space, partial = self._grouped_block_inner(
-                compiled, index, full, prefetcher
-            )
+            if prefetcher is not None:
+                prefetcher(index)
+            block = self._relation.block(index)
+            partial = ScanMetrics()
+            mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
+            groups: dict = {}
+            used_code_space = False
+            if n_selected:
+                groups, used_code_space = self._reduce_block(
+                    compiled, pairs, block, mask, n_selected, full, partial
+                )
             if tracer.enabled:
                 span.annotate(rows=partial.rows_matched, groups=len(groups))
             return groups, used_code_space, partial
 
-    def _grouped_block_inner(
+    def _reduce_block(
         self,
         compiled: CompiledQuery,
-        index: int,
+        pairs: "list[tuple[str | None, Moment]]",
+        block: CompressedBlock,
+        mask: "np.ndarray | None",
+        n_selected: int,
         full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[dict, bool, ScanMetrics]:
-        if prefetcher is not None:
-            prefetcher(index)
-        block = self._relation.block(index)
-        partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
-        if n_selected == 0:
-            return {}, False, partial
-        # Grouping always touches block data from here on; materialise an
-        # out-of-core proxy once — column-granular tables fetch only the
-        # group keys and aggregate inputs.
-        block = resolve_block(block, columns=compiled.gather_columns())
-        aggs = compiled.aggregates
-        group_by = compiled.group_by
+        partial: ScanMetrics,
+    ) -> tuple[dict, bool]:
+        """Every needed moment of one block's (non-empty) selection, per group.
 
-        # Group keys: a single dictionary-encoded column groups in code
-        # space — unique packed codes, keys as raw dictionary entries (byte
-        # slices for strings, so no heap entry is decoded here at all).
-        encoded = block.code_space_column(group_by[0]) if len(group_by) == 1 else None
-        if not self._use_dictionary:
-            encoded = None
+        Each ``(column, moment)`` pair goes down one cascade — zone map,
+        selected runs, gathered values — taking the first stage that
+        answers.  The first two reduce the selection as a whole, so they
+        apply to the ungrouped query only; ``use_statistics`` and
+        ``use_kernels`` gate them once per block.  Whatever is left shares
+        a single gather with the group-key columns.
+        """
+        source = block  # zone maps are read off the (possibly out-of-core) original
+        group_by = compiled.group_by
+        keys: list = []
+        inverse: np.ndarray | None = None  # row -> group index; None: one group
         used_code_space = False
-        keys: list
+        gather_names: list[str] = []
+        if group_by:
+            # Grouping always touches block data; materialise an out-of-core
+            # proxy once — column-granular tables fetch only the group keys
+            # and aggregate inputs.
+            block = resolve_block(block, columns=compiled.gather_columns())
+            grouping = self._compressed_group_keys(block, group_by, mask, n_selected, partial)
+            if grouping is None:
+                gather_names = list(group_by)
+            else:
+                keys, inverse, used_code_space = grouping
+
+        # slot -> the group's partial (ungrouped) or one partial per group;
+        # ``None`` marks "not answered yet" — no group is ever empty here.
+        resolved: list = [None] * len(pairs)
+        # Zone map: a fully-covered block reduces all of its rows, so exact
+        # statistics answer without decoding anything.
+        lift = not group_by and full and self._use_statistics
+        pending = []
+        for slot, (column, moment) in enumerate(pairs):
+            if column is None:
+                continue
+            stats = source.column_statistics(column) if lift else None
+            if stats is not None:
+                resolved[slot] = stats.aggregate_value(moment.name)
+            if resolved[slot] is None:
+                pending.append(slot)
+        # max|x| off the zone map keeps Σx and Σx² exact without a pass over
+        # the data (None: the moment measures the values itself).
+        bounds: dict = {}
+        for slot in pending:
+            stats = source.column_statistics(pairs[slot][0])
+            bounds[pairs[slot][0]] = None if stats is None else stats.magnitude
+        if pending and not group_by and self._use_kernels:
+            # Run space: an RLE input hands back (run values, selected
+            # count per run) once per column; nothing is gathered.
+            block = resolve_block(block, columns=list(bounds))
+            runs = {name: self._kernels.selected_runs(block, name, mask) for name in bounds}
+            for slot in pending[:]:
+                column, moment = pairs[slot]
+                if runs[column] is not None:
+                    resolved[slot] = moment.from_runs(*runs[column], bounds[column])
+                    pending.remove(slot)
+            for answered in runs.values():
+                if answered is not None:
+                    partial.rows_kernel_aggregated += n_selected
+        gathered: dict = {}
+        if pending or gather_names:
+            names = list(dict.fromkeys(gather_names + [pairs[slot][0] for slot in pending]))
+            positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
+            gathered = self._gather_inputs(block, names, positions, partial)
+            if gather_names:
+                keys, inverse = _python_group_keys(group_by, gathered)
+        for slot, (column, moment) in enumerate(pairs):
+            if resolved[slot] is not None:
+                continue
+            # A column-less moment reduces the selected rows themselves.
+            if inverse is None:
+                values: Any = range(n_selected) if column is None else gathered[column]
+                resolved[slot] = moment.from_values(values, bounds.get(column))
+            else:
+                values = inverse if column is None else gathered[column]
+                resolved[slot] = moment.scatter_by_group(
+                    values, inverse, len(keys), bounds.get(column)
+                )
+        if inverse is None:
+            return {(): resolved}, False
+        return dict(zip(keys, map(list, zip(*resolved)))), used_code_space
+
+    def _compressed_group_keys(
+        self,
+        block: CompressedBlock,
+        group_by: tuple[str, ...],
+        mask: "np.ndarray | None",
+        n_selected: int,
+        partial: ScanMetrics,
+    ) -> "tuple[list, np.ndarray, bool] | None":
+        """``(keys, inverse, used code space)`` without gathering, or ``None``.
+
+        A single dictionary-encoded column groups in code space — unique
+        packed codes, keys as raw dictionary entries (byte slices for
+        strings, so no heap entry is decoded here at all).  A single RLE
+        column groups in run space: its groups are the surviving run
+        values, and the per-row inverse repeats each run's group id by its
+        selected count, in the ascending row order a gather would use.
+        """
+        if len(group_by) != 1:
+            return None
+        encoded = block.code_space_column(group_by[0]) if self._use_dictionary else None
         if isinstance(encoded, (DictEncodedIntColumn, DictEncodedStringColumn)):
             codes = encoded.codes()
-            selected_codes = codes if mask is None else codes[mask]
-            unique_codes, inverse = np.unique(selected_codes, return_inverse=True)
+            unique_codes, inverse = np.unique(
+                codes if mask is None else codes[mask], return_inverse=True
+            )
+            keys: list
             if isinstance(encoded, DictEncodedStringColumn):
                 heap = encoded.heap
                 keys = [heap.key_bytes(int(code)) for code in unique_codes]
             else:
                 keys = [int(value) for value in encoded.dictionary[unique_codes]]
-            used_code_space = True
-            gather_names: list[str] = []
-        else:
-            run_groups = None
-            if self._use_kernels and len(group_by) == 1:
-                # Run-space group-by: an RLE group column's groups are its
-                # surviving run values; the per-row inverse comes from
-                # repeating each run's group id by its selected count, in
-                # the same ascending row order the gather path would use.
-                kernel_mask = mask if mask is not None else np.ones(block.n_rows, dtype=bool)
-                run_groups = self._kernels.group_keys(block, group_by[0], kernel_mask)
-            if run_groups is not None:
-                keys, inverse = run_groups
-                partial.rows_kernel_aggregated += n_selected
-                gather_names = []
-            else:
-                gather_names = list(group_by)
-
-        value_names = []
-        for _, fn in aggs:
-            if fn.kind != "count" and fn.column not in gather_names + value_names:
-                value_names.append(fn.column)
-
-        gathered = {}
-        if gather_names or value_names:
-            positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
-            gathered = self._gather_inputs(block, gather_names + value_names, positions, partial)
-        if gather_names:
-            keys, inverse = _python_group_keys(group_by, gathered)
-
-        n_groups = len(keys)
-        states = [[None] * len(aggs) for _ in range(n_groups)]
-        for slot, (_, fn) in enumerate(aggs):
-            if fn.kind == "count":
-                counts = np.bincount(inverse, minlength=n_groups)
-                for g in range(n_groups):
-                    states[g][slot] = int(counts[g])
-                continue
-            values = gathered[fn.column]
-            if isinstance(values, np.ndarray):
-                reduced = _grouped_reduce_ints(fn.kind, values, inverse, n_groups)
-                for g in range(n_groups):
-                    states[g][slot] = reduced[g]
-            else:
-                for g, value in zip(inverse, values):
-                    states[g][slot] = _merge_partial(fn.kind, states[g][slot], value)
-        return dict(zip(keys, states)), used_code_space, partial
+            return keys, inverse, True
+        run_groups = (
+            self._kernels.group_keys(block, group_by[0], mask) if self._use_kernels else None
+        )
+        if run_groups is None:
+            return None
+        partial.rows_kernel_aggregated += n_selected
+        return (*run_groups, False)
 
 
 def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list, np.ndarray]:
@@ -1503,33 +1265,6 @@ def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list,
     for i, key in enumerate(zip(*columns)):
         inverse[i] = mapping.setdefault(key, len(mapping))
     return list(mapping), inverse
-
-
-def _grouped_reduce_ints(kind: str, values: np.ndarray, inverse: np.ndarray, n_groups: int) -> list:
-    """Exact per-group int64 reduction via unbuffered ufunc scatter."""
-    if kind == "avg":
-        sums = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(sums, inverse, values)
-        counts = np.bincount(inverse, minlength=n_groups)
-        return [(int(s), int(c)) for s, c in zip(sums, counts)]
-    if kind in ("var", "std"):
-        as_int64 = values.astype(np.int64, copy=False)
-        sums = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(sums, inverse, as_int64)
-        squares = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(squares, inverse, as_int64 * as_int64)
-        counts = np.bincount(inverse, minlength=n_groups)
-        return [(int(c), int(s), int(q)) for c, s, q in zip(counts, sums, squares)]
-    if kind == "sum":
-        out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(out, inverse, values)
-    elif kind == "min":
-        out = np.full(n_groups, np.iinfo(np.int64).max)
-        np.minimum.at(out, inverse, values)
-    else:
-        out = np.full(n_groups, np.iinfo(np.int64).min)
-        np.maximum.at(out, inverse, values)
-    return [int(v) for v in out]
 
 
 def _topk_pairs(

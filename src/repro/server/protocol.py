@@ -15,7 +15,9 @@ The request body is a small JSON object that lowers 1:1 onto a
     }
 
 ``select`` (a list of column names) and ``aggregates``/``group_by`` are
-mutually exclusive, exactly as in the fluent API.  ``order_by`` (a column
+mutually exclusive, exactly as in the fluent API.  An aggregate's ``fn`` is
+one of ``count`` (which takes no ``column``), ``sum``, ``min``, ``max``,
+``avg``, ``var`` and ``std``.  ``order_by`` (a column
 name, or ``{"column": ..., "desc": true}``) orders the output rows; with
 ``k`` (a row count that requires ``order_by`` and replaces ``limit``) the
 pair lowers onto the engine's fused top-k path.  ``having`` is a predicate
@@ -33,23 +35,12 @@ the engine never sees a malformed request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..query.plan import (
-    AggregateFunction,
-    Avg,
-    Count,
-    LazyQuery,
-    Max,
-    Min,
-    PlanResult,
-    Std,
-    Sum,
-    Var,
-)
+from ..query.aggregates import AggregateFunction, parse_aggregate
+from ..query.plan import LazyQuery, PlanResult
 from ..query.predicates import And, Between, Eq, In, Not, Or, Predicate
 
 __all__ = ["QueryRequest", "build_query", "encode_result", "parse_predicate", "parse_request"]
@@ -65,17 +56,6 @@ _REQUEST_KEYS = {
     "k",
     "limit",
     "trace",
-}
-
-#: JSON ``fn`` name -> aggregate constructor (count takes no column).
-_AGGREGATES: dict[str, Callable[..., AggregateFunction]] = {
-    "count": Count,
-    "sum": Sum,
-    "min": Min,
-    "max": Max,
-    "avg": Avg,
-    "var": Var,
-    "std": Std,
 }
 
 
@@ -145,21 +125,10 @@ def parse_predicate(node: object) -> Predicate:
 def _parse_aggregate(name: str, node: object) -> AggregateFunction:
     _expect(isinstance(node, dict), f"aggregate {name!r} must be a JSON object")
     assert isinstance(node, dict)
-    fn = node.get("fn")
-    _expect(
-        fn in _AGGREGATES,
-        f"aggregate {name!r}: unknown fn {fn!r} (expected one of {sorted(_AGGREGATES)})",
-    )
-    assert isinstance(fn, str)
-    if fn == "count":
-        _expect("column" not in node, f"aggregate {name!r}: count takes no column")
-        return Count()
-    column = node.get("column")
-    _expect(
-        isinstance(column, str) and column != "",
-        f"aggregate {name!r}: {fn!r} needs a 'column' string",
-    )
-    return _AGGREGATES[fn](column)
+    try:
+        return parse_aggregate(node.get("fn"), node.get("column"))
+    except ValidationError as error:
+        raise ValidationError(f"aggregate {name!r}: {error}") from None
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,21 @@ import numpy as np
 
 from ..errors import ValidationError
 
-__all__ = ["ColumnStatistics", "BlockStatistics", "LazyBlockStatistics"]
+__all__ = ["ColumnStatistics", "BlockStatistics", "LazyBlockStatistics", "fits_int64"]
 
 #: Bytes charged per column for min/max/sum (3 x 8), counts (2 x 4) and flags.
 _BYTES_PER_COLUMN = 8 + 8 + 8 + 4 + 4 + 4
+
+
+def fits_int64(n: int, magnitude: int, power: int = 1) -> bool:
+    """Whether ``n`` terms of at most ``magnitude ** power`` sum within int64.
+
+    The one overflow guard of the tree: a vectorised int64 reduction of
+    ``Σ x**power`` is exact iff this holds for ``magnitude >= max|x|``;
+    otherwise the reduction must run in Python integers (or, for a
+    zone-map statistic, not be recorded at all).
+    """
+    return n * magnitude**power < 1 << 63
 
 
 def _comparable(a, b) -> bool:
@@ -91,7 +102,11 @@ class ColumnStatistics:
             return cls(row_count=0)
         if isinstance(values, np.ndarray):
             lo, hi = int(values.min()), int(values.max())
-            total = int(values.sum(dtype=np.int64))
+            total = (
+                int(values.sum(dtype=np.int64))
+                if fits_int64(n, max(abs(lo), abs(hi)))
+                else None
+            )
         else:
             lo, hi = min(values), max(values)
             total = None
@@ -142,6 +157,15 @@ class ColumnStatistics:
         if outlier_values is not None and len(outlier_values):
             lo = min(lo, int(np.min(outlier_values)))
             hi = max(hi, int(np.max(outlier_values)))
+        # The caller sums the reference, the differences and the outlier
+        # corrections in int64; each term is bounded by one of these.
+        magnitude = (
+            max(abs(lo), abs(hi))
+            + (reference.magnitude or 0)
+            + max(abs(int(delta_min)), abs(int(delta_max)))
+        )
+        if sum_value is not None and not fits_int64(row_count, magnitude):
+            sum_value = None
         return cls(
             row_count=row_count,
             min_value=lo,
@@ -158,6 +182,17 @@ class ColumnStatistics:
     @property
     def has_bounds(self) -> bool:
         return self.min_value is not None
+
+    @property
+    def magnitude(self) -> int | None:
+        """``max|x|`` over the block from the integer bounds, or ``None``.
+
+        Derived bounds over-report the range, never under-report it, so
+        the magnitude is always safe as an overflow bound.
+        """
+        if self.min_value is None or isinstance(self.min_value, str):
+            return None
+        return max(abs(int(self.min_value)), abs(int(self.max_value)))
 
     def may_contain(self, value) -> bool:
         """Whether the block can contain ``value`` (False prunes the block)."""
@@ -231,14 +266,16 @@ class ColumnStatistics:
     def aggregate_value(self, kind: str):
         """The exact value of an aggregate over *every* row, or ``None``.
 
-        ``kind`` is one of ``"count"``, ``"min"``, ``"max"``, ``"sum"``.
-        Used by the query compiler to answer aggregates over blocks the
-        planner classified *fully covered* without decoding a value.  Only
-        exact statistics can affirm a value: derived zone maps over-report
-        the *range*, so conservative bounds never answer ``min``/``max``,
-        but ``sum_value`` is only ever recorded when it is exact (including
-        the ``sum(reference) + sum(deltas)`` derivation for diff-encoded
-        columns), so it may affirm even alongside conservative bounds.
+        ``kind`` names a moment of :mod:`repro.query.aggregates`
+        (``"count"``, ``"sum"``, ``"min"``, ``"max"``; ``"sumsq"`` is never
+        recorded).  Used by the query compiler to answer aggregates over
+        blocks the planner classified *fully covered* without decoding a
+        value.  Only exact statistics can affirm a value: derived zone
+        maps over-report the *range*, so they never answer ``min``/``max``,
+        but ``sum_value`` is only ever recorded when it is exact (within
+        int64, see :func:`fits_int64`; including the ``sum(reference) +
+        sum(deltas)`` derivation for diff-encoded columns), so it may
+        affirm even alongside conservative bounds.
         Unknown kinds and missing statistics return ``None``, which the
         caller treats as "decode and reduce".
         """
