@@ -32,7 +32,7 @@ import pytest
 
 from repro.core import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Count, Max, Min, Sum
+from repro.query import Between, Count, EngineConfig, Max, Min, Sum
 from repro.storage.table import Table
 
 N_BLOCKS = 16
@@ -78,7 +78,7 @@ def _time(fn, repeats: int = 5) -> float:
 
 def _agg_query(relation, low, high, **options):
     return (
-        relation.query(**options)
+        relation.query(config=EngineConfig(**options))
         .where(Between("ship", low, high))
         .agg(n=Count(), total=Sum("fare"), lo=Min("fare"), hi=Max("fare"))
     )
@@ -158,7 +158,9 @@ def test_print_group_by_code_space_trajectory(sorted_relation):
 
     code_query = relation.query().group_by("tag").agg(n=Count(), total=Sum("fare"))
     decode_query = (
-        relation.query(use_dictionary=False).group_by("tag").agg(n=Count(), total=Sum("fare"))
+        relation.query(config=EngineConfig(use_dictionary=False))
+        .group_by("tag")
+        .agg(n=Count(), total=Sum("fare"))
     )
     code_result = code_query.execute()
     decode_result = decode_query.execute()

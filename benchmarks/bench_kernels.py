@@ -29,7 +29,7 @@ import pytest
 
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64
-from repro.query import Avg, Between, Count, Eq, Max, Min, Not, Or, Sum
+from repro.query import Avg, Between, Count, EngineConfig, Eq, Max, Min, Not, Or, Sum
 from repro.storage.table import Table
 
 N_BLOCKS = 16
@@ -39,6 +39,9 @@ N_BLOCKS = 16
 #: decoded by the baseline).
 N_DISTINCT = 50
 RUN_LENGTH = 64
+
+#: The decode-then-compare baseline the kernels are timed against.
+DECODE = EngineConfig(use_kernels=False)
 
 
 def kernel_rows() -> int:
@@ -89,7 +92,7 @@ class TestKernelLatency:
     def test_rle_compound_predicate(self, benchmark, kernel_relation, use_kernels):
         relation, _ = kernel_relation
         query = (
-            relation.query(use_kernels=use_kernels)
+            relation.query(config=EngineConfig(use_kernels=use_kernels))
             .where(Or(Eq("grade", 7), Not(Between("grade", 3, 40))))
             .agg(n=Count())
         )
@@ -106,7 +109,7 @@ def test_print_rle_run_space_trajectory(kernel_relation):
     expected = int(np.count_nonzero(expected_mask))
 
     kernel_query = relation.query().where(predicate).agg(n=Count())
-    decode_query = relation.query(use_kernels=False).where(predicate).agg(n=Count())
+    decode_query = relation.query(config=DECODE).where(predicate).agg(n=Count())
     kernel_result = kernel_query.execute()
     decode_result = decode_query.execute()
     assert kernel_result.scalar("n") == expected
@@ -142,7 +145,7 @@ def test_print_for_word_space_trajectory(kernel_relation):
     expected = int(np.count_nonzero((word >= 10_000) & (word <= 20_000)))
 
     kernel_query = relation.query().where(predicate).agg(n=Count())
-    decode_query = relation.query(use_kernels=False).where(predicate).agg(n=Count())
+    decode_query = relation.query(config=DECODE).where(predicate).agg(n=Count())
     kernel_result = kernel_query.execute()
     decode_result = decode_query.execute()
     assert kernel_result.scalar("n") == expected
@@ -181,7 +184,7 @@ def test_print_run_weighted_aggregate_trajectory(kernel_relation):
 
     aggs = dict(n=Count(), s=Sum("grade"), lo=Min("grade"), hi=Max("grade"), a=Avg("grade"))
     kernel_query = relation.query().where(predicate).agg(**aggs)
-    decode_query = relation.query(use_kernels=False).where(predicate).agg(**aggs)
+    decode_query = relation.query(config=DECODE).where(predicate).agg(**aggs)
     kernel_result = kernel_query.execute()
     decode_result = decode_query.execute()
     for name, value in expected.items():
@@ -192,7 +195,7 @@ def test_print_run_weighted_aggregate_trajectory(kernel_relation):
 
     print()
     for workers in worker_counts():
-        query = relation.query(workers=workers).where(predicate).agg(**aggs)
+        query = relation.query(config=EngineConfig(workers=workers)).where(predicate).agg(**aggs)
         result = query.execute()
         for name, value in expected.items():
             assert result.scalar(name) == value

@@ -30,7 +30,7 @@ import pytest
 
 from repro.core import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Eq, In, QueryExecutor
+from repro.query import Between, EngineConfig, Eq, In, QueryExecutor
 from repro.storage.table import Table
 
 N_BLOCKS = 16
@@ -78,7 +78,7 @@ def _time(fn, repeats: int = 3) -> float:
 class TestParallelScan:
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_count_at_workers(self, benchmark, unsorted_relation, workers):
-        executor = QueryExecutor(unsorted_relation, workers=workers)
+        executor = QueryExecutor(unsorted_relation, config=EngineConfig(workers=workers))
         predicate = Between("v", 0, 100_000)
         benchmark(executor.count, predicate)
 
@@ -87,14 +87,14 @@ def test_print_parallel_scan_trajectory(unsorted_relation):
     """Record scan throughput per worker count on the unsorted relation."""
     relation = unsorted_relation
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
-    baseline = QueryExecutor(relation, workers=1)
+    baseline = QueryExecutor(relation, config=EngineConfig(workers=1))
     expected = baseline.count(predicate)
     assert baseline.last_scan_metrics.blocks_pruned == 0
 
     print()
     seconds_by_workers = {}
     for workers in worker_counts():
-        executor = QueryExecutor(relation, workers=workers)
+        executor = QueryExecutor(relation, config=EngineConfig(workers=workers))
         assert executor.count(predicate) == expected
         seconds = _time(lambda: executor.count(predicate))
         seconds_by_workers[workers] = seconds
@@ -126,7 +126,7 @@ def test_print_dictionary_domain_trajectory(unsorted_relation):
     relation = unsorted_relation
     assert relation.block(0).encoding_of("tag") == "dictionary"
     dict_executor = QueryExecutor(relation)
-    decode_executor = QueryExecutor(relation, use_dictionary=False)
+    decode_executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
 
     print()
     for predicate in (

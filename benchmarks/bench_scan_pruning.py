@@ -17,7 +17,7 @@ import pytest
 
 from _bench_config import latency_rows
 from repro.bench.experiments import _sorted_dates_relations
-from repro.query import Between, QueryExecutor
+from repro.query import Between, EngineConfig, QueryExecutor
 
 SELECTIVITIES = (0.001, 0.01, 0.05, 0.1)
 N_BLOCKS = 16
@@ -48,7 +48,7 @@ class TestPrunedScan:
     @pytest.mark.parametrize("selectivity", SELECTIVITIES)
     def test_count_full_decode(self, benchmark, sorted_relation, selectivity):
         relation, ship = sorted_relation
-        executor = QueryExecutor(relation, use_statistics=False)
+        executor = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         predicate = _predicate(ship, selectivity)
         benchmark(executor.count, predicate)
 
@@ -57,7 +57,7 @@ def test_print_pruning_trajectory(sorted_relation):
     """Record blocks pruned / rows decoded / speedup per selectivity."""
     relation, ship = sorted_relation
     pruned_executor = QueryExecutor(relation)
-    full_executor = QueryExecutor(relation, use_statistics=False)
+    full_executor = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
 
     def _time(executor, predicate, repeats=5) -> float:
         executor.count(predicate)  # warm-up

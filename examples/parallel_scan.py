@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Eq, QueryExecutor
+from repro.query import Between, EngineConfig, Eq, QueryExecutor
 from repro.storage import Table
 
 
@@ -56,11 +56,11 @@ def main(n_rows: int = 400_000) -> None:
 
     # 3. The same scan, serial vs morsel-driven parallel.
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
-    reference = QueryExecutor(relation, workers=1)
+    reference = QueryExecutor(relation, config=EngineConfig(workers=1))
     expected = reference.count(predicate)
     print(f"\nscan {predicate.describe()} -> {expected:,} rows")
     for workers in (1, 2, os.cpu_count() or 1):
-        executor = QueryExecutor(relation, workers=workers)
+        executor = QueryExecutor(relation, config=EngineConfig(workers=workers))
         assert executor.count(predicate) == expected  # identical to serial
         start = time.perf_counter()
         executor.count(predicate)
@@ -74,7 +74,7 @@ def main(n_rows: int = 400_000) -> None:
     predicate = Eq("tag", "cat_042")
     print(f"\nscan {predicate.describe()}")
     for use_dictionary, label in ((False, "decode-then-compare"), (True, "code-space")):
-        executor = QueryExecutor(relation, use_dictionary=use_dictionary)
+        executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=use_dictionary))
         start = time.perf_counter()
         count = executor.count(predicate)
         seconds = time.perf_counter() - start

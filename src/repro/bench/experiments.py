@@ -651,6 +651,7 @@ def scan_pruning_experiment(
 
     import numpy as np
 
+    from ..query.engine import EngineConfig
     from ..query.executor import QueryExecutor
     from ..query.predicates import Between
 
@@ -670,7 +671,7 @@ def scan_pruning_experiment(
         ),
     )
     pruned_executor = QueryExecutor(relation)
-    full_executor = QueryExecutor(relation, use_statistics=False)
+    full_executor = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
 
     def _time(executor, predicate) -> float:
         executor.count(predicate)  # warm-up

@@ -49,7 +49,8 @@ Layers, bottom to top:
              └─ (no kernel, or kernel declines) ─▶ decode then compare
 
   Every kernel is exact — bit-identical to the decode baseline — and
-  ``use_kernels=False`` (CLI ``--no-kernels``) disables the registry.
+  ``EngineConfig(use_kernels=False)`` (CLI ``--no-kernels``) disables the
+  registry.
 * **Morsel-driven parallelism** (:mod:`~repro.query.parallel`) — post-
   pruning blocks are dealt into per-worker deques over a persistent thread
   pool, and drained workers steal from the back of a sibling's deque, so
@@ -75,13 +76,16 @@ Layers, bottom to top:
   output.  Adding an aggregate is a subclass declaring ``moments`` and
   ``finalize``; see that module's docstring.
 * **Imperative facade** (:mod:`~repro.query.executor`) —
-  :class:`QueryExecutor` keeps the pre-plan ``scan``/``filter``/``select``/
-  ``count`` surface as a thin layer that builds the equivalent plans.
-* **Shared engine** (:mod:`~repro.query.engine`) — :class:`Engine` owns
-  all cross-query state (one worker pool, one prefetch pool, one block
-  cache, one kernel registry, one memoized compiler/planner per relation)
-  behind an immutable :class:`EngineConfig`; ``LazyQuery``, the executor
-  and the query service (:mod:`repro.server`) are thin adapters over it.
+  :class:`QueryExecutor` offers ``scan``/``filter``/``select``/``count``
+  as direct calls, each a thin layer that builds the equivalent plan.
+* **Engine** (:mod:`~repro.query.engine`) — every query runs through an
+  :class:`Engine`, which owns all cross-query state (one worker pool, one
+  prefetch pool, one block cache, one kernel registry, one memoized
+  compiler/planner per relation) and is configured by one immutable
+  :class:`EngineConfig` — the only spelling of ``workers`` and the
+  ``use_*`` switches.  ``relation.query(config=...)`` and
+  ``QueryExecutor(relation, config=...)`` build a private engine;
+  ``engine=`` shares one, as the query service (:mod:`repro.server`) does.
 
 :mod:`~repro.query.selection` and :mod:`~repro.query.latency` carry the
 paper's selection-vector workload and its latency harness unchanged.

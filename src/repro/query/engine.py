@@ -1,10 +1,7 @@
-"""The shared query engine: one object owning all cross-query state.
+"""The query engine: one object owning all cross-query state.
 
-Before this module, every entry point (``QueryExecutor``, a
-``relation.query()`` chain, the CLI) re-created its own planner memo,
-worker pool, prefetch threads and cache on every call, and configured them
-through a sprawl of repeated keyword arguments.  :class:`Engine` inverts
-that: it owns **one** of each shared resource —
+Every query runs through an :class:`Engine`, which owns **one** of each
+shared resource —
 
 * one worker :class:`~concurrent.futures.ThreadPoolExecutor` fanning every
   query's morsels and aggregation tasks;
@@ -21,9 +18,11 @@ that: it owns **one** of each shared resource —
 start from :meth:`Engine.query` (a :class:`~repro.query.plan.LazyQuery`
 bound to the engine) or :meth:`Engine.executor`; tables open by name via
 :meth:`Engine.table` when the engine fronts a
-:class:`~repro.storage.catalog.Catalog`.  The engine is thread-safe: the
-query service calls it from many request threads at once, and results are
-bit-identical to serial, per-call execution.
+:class:`~repro.storage.catalog.Catalog`.  ``relation.query()`` and
+``QueryExecutor(relation)`` called without ``engine=`` run on a private
+engine of their own (see :func:`resolve_engine`).  The engine is
+thread-safe: the query service calls it from many request threads at once,
+and results are bit-identical to serial, per-call execution.
 """
 
 from __future__ import annotations
@@ -54,14 +53,17 @@ __all__ = ["Engine", "EngineConfig"]
 DEFAULT_PREFETCH_WORKERS = 2
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and value >= 0
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    """The engine's knobs, consolidated from the legacy keyword sprawl.
+    """Every knob of query execution, as one immutable value.
 
-    One immutable object replaces the ``workers``/``use_statistics``/
-    ``use_dictionary``/``use_kernels``/``cache_bytes``/``prefetch_workers``
-    keywords that used to be repeated (inconsistently) across
-    ``QueryExecutor``, ``Relation.query``, ``DiskRelation`` and the CLI.
+    Handed to :class:`Engine` directly, or as ``config=`` to
+    ``relation.query()`` / ``QueryExecutor`` (which build a private engine
+    from it).  Invalid values are rejected here, at construction.
     """
 
     #: Morsel-driven parallelism per query (``None``/``0`` = all cores).
@@ -76,6 +78,17 @@ class EngineConfig:
     cache_bytes: int | None = DEFAULT_CACHE_BYTES
     #: Threads of the shared read-ahead pool (``0`` disables prefetch).
     prefetch_workers: int = DEFAULT_PREFETCH_WORKERS
+
+    def __post_init__(self) -> None:
+        # ``cache_bytes`` is validated by the BlockCache it budgets.
+        if self.workers is not None and not _is_count(self.workers):
+            raise ValidationError(
+                f"workers must be None or an int >= 0 (0 = all cores), got {self.workers!r}"
+            )
+        if not _is_count(self.prefetch_workers):
+            raise ValidationError(
+                f"prefetch_workers must be an int >= 0, got {self.prefetch_workers!r}"
+            )
 
     def resolved_workers(self) -> int:
         from .parallel import resolve_workers
@@ -209,7 +222,6 @@ class Engine:
         A bounded LRU of compilers caps the memo footprint; evicted
         compilers cost only re-planning, never correctness.
         """
-        cfg = self._config
         with self._lock:
             self._check_open()
             token = relation.cache_token
@@ -218,13 +230,7 @@ class Engine:
                 self._compilers.move_to_end(token)
                 return compiler
             compiler = QueryCompiler(
-                relation,
-                use_statistics=cfg.use_statistics,
-                workers=cfg.workers,
-                use_dictionary=cfg.use_dictionary,
-                use_kernels=cfg.use_kernels,
-                kernels=self._kernels,
-                pool=self._worker_pool(),
+                relation, self._config, kernels=self._kernels, pool=self._worker_pool()
             )
             self._compilers[token] = compiler
             while len(self._compilers) > self.MAX_CACHED_COMPILERS:
@@ -358,3 +364,19 @@ class Engine:
             f"Engine(workers={self._config.resolved_workers()}, catalog={catalog}, "
             f"tables={len(self._tables)}, compilers={len(self._compilers)})"
         )
+
+
+def resolve_engine(
+    engine: Engine | None = None, config: EngineConfig | None = None
+) -> tuple[Engine, bool]:
+    """The engine a ``relation.query()`` chain or ``QueryExecutor`` runs on.
+
+    Returns ``(engine, owned)``: the caller's shared ``engine`` (never the
+    callee's to close), or a private ``Engine(config)`` the callee created
+    and therefore closes.
+    """
+    if engine is not None and config is not None:
+        raise ValidationError("pass engine= or config=, not both")
+    if engine is not None:
+        return engine, False
+    return Engine(config), True

@@ -1,10 +1,9 @@
 """Imperative query facade over the lazy logical-plan pipeline.
 
-:class:`QueryExecutor` is the pre-plan API (``scan``/``filter``/``select``/
-``count``) kept as a thin compatibility facade: every call now builds a
-small logical plan (:mod:`repro.query.plan`) and hands it to the shared
-:class:`~repro.query.plan.QueryCompiler`, which lowers it onto the
-structured scan pipeline — the memoizing
+:class:`QueryExecutor` offers ``scan``/``filter``/``select``/``count`` as
+direct calls: each builds a small logical plan (:mod:`repro.query.plan`)
+and hands it to its engine's :class:`~repro.query.plan.QueryCompiler`,
+which lowers it onto the structured scan pipeline — the memoizing
 :class:`~repro.query.scan.ScanPlanner` prunes blocks against their zone
 maps, the morsel-driven :class:`~repro.query.parallel.ParallelEngine`
 evaluates the surviving blocks (``workers=1`` inline, ``workers > 1`` on a
@@ -12,9 +11,9 @@ persistent thread pool, bit-identical either way), and ``count`` is lowered
 to an :class:`~repro.query.plan.Aggregate` node so fully-covered blocks are
 answered from metadata alone.
 
-New code should prefer the fluent lazy API
-(:meth:`~repro.storage.relation.Relation.query`), which exposes the same
-pipeline plus aggregation, group-by, limits and ``explain()``.
+The fluent lazy API (:meth:`~repro.storage.relation.Relation.query`)
+exposes the same pipeline plus aggregation, group-by, limits and
+``explain()``.
 
 Every predicate scan produces a :class:`~repro.query.scan.ScanMetrics`
 describing how much work the zone maps and the code-space paths saved; the
@@ -23,37 +22,20 @@ most recent one is available as :attr:`QueryExecutor.last_scan_metrics`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import UnknownColumnError, ValidationError
+from ..errors import UnknownColumnError
 from ..storage.relation import Relation
-from .engine import EngineConfig
+from .engine import Engine, EngineConfig, resolve_engine
 from .plan import Aggregate, Count, Filter, LogicalNode, Project, QueryCompiler, Scan
 from .predicates import Predicate
 from .scan import QueryOutput, ScanMetrics, materialize_columns
 from .selection import SelectionVector
 
 __all__ = ["Predicate", "QueryExecutor", "QueryResult"]
-
-#: Distinguishes "caller passed the old default explicitly" from "caller
-#: did not pass the keyword at all" — only the former deserves a warning.
-_UNSET = object()
-
-
-def warn_legacy_query_kwargs(site: str, legacy: dict) -> None:
-    """One shared ``DeprecationWarning`` for the pre-EngineConfig keywords."""
-    names = ", ".join(sorted(legacy))
-    warnings.warn(
-        f"{site}({names}=...) is deprecated; pass config=EngineConfig(...) "
-        "or bind the query to a shared repro.query.Engine instead "
-        "(behaviour is unchanged)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -77,62 +59,22 @@ class QueryResult:
 class QueryExecutor:
     """Filter + project queries over a compressed relation.
 
-    Configuration now lives on :class:`~repro.query.engine.EngineConfig`
-    (``config=``), or comes from a shared :class:`~repro.query.engine.
-    Engine` (``engine=``), whose memoized compiler and worker pool the
-    executor then adopts.  The pre-Engine keywords (``use_statistics``,
-    ``workers``, ``use_dictionary``, ``use_kernels``) keep working
-    bit-identically but emit a ``DeprecationWarning``:
-    ``use_statistics=False`` disables zone-map pruning and stat-answered
-    aggregation (the decode-everything baseline), ``workers`` sets the
-    morsel-driven parallelism (``None``/``0`` = all cores, ``1`` inline),
-    ``use_dictionary=False`` forces decode-then-compare instead of
-    dictionary code space, and ``use_kernels=False`` disables the
-    compressed-domain kernels (:mod:`repro.query.kernels`).
+    Runs on a shared :class:`~repro.query.engine.Engine` (``engine=``,
+    whose memoized compiler and worker pool the executor then uses) or on
+    a private engine built from an :class:`~repro.query.engine.
+    EngineConfig` (``config=``; defaults when omitted) — one or the other,
+    not both.
     """
 
     def __init__(
         self,
         relation: Relation,
-        use_statistics=_UNSET,
-        workers=_UNSET,
-        use_dictionary=_UNSET,
-        use_kernels=_UNSET,
-        engine=None,
+        engine: Engine | None = None,
         config: EngineConfig | None = None,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("use_statistics", use_statistics),
-                ("workers", workers),
-                ("use_dictionary", use_dictionary),
-                ("use_kernels", use_kernels),
-            )
-            if value is not _UNSET
-        }
-        if legacy and (engine is not None or config is not None):
-            raise ValidationError(
-                "pass either the deprecated keywords or engine=/config=, not both"
-            )
-        if legacy:
-            warn_legacy_query_kwargs("QueryExecutor", legacy)
         self._relation = relation
-        if engine is not None:
-            self._compiler = engine.compiler_for(relation)
-        else:
-            cfg = (config if config is not None else EngineConfig()).with_overrides(**legacy)
-            self._compiler = QueryCompiler(
-                relation,
-                use_statistics=cfg.use_statistics,
-                workers=cfg.workers,
-                use_dictionary=cfg.use_dictionary,
-                use_kernels=cfg.use_kernels,
-            )
-        # Shared with the compiler; kept as attributes for callers (and
-        # tests) that reach for the physical pipeline directly.
-        self._planner = self._compiler.planner
-        self._engine = self._compiler.engine
+        self._engine, self._owns_engine = resolve_engine(engine, config)
+        self._compiler = self._engine.compiler_for(relation)
         self._last_metrics: ScanMetrics | None = None
 
     @property
@@ -149,14 +91,14 @@ class QueryExecutor:
         return self._compiler
 
     def close(self) -> None:
-        """Release the engine's worker threads (no-op when serial).
+        """Close the executor's private engine; a shared ``engine=`` is left alone.
 
-        The executor stays usable; the next parallel query starts a fresh
-        pool.  Long-lived processes that create many executors should call
-        this (or use the executor as a context manager) instead of relying
-        on interpreter shutdown to join the idle workers.
+        Long-lived processes that create many parallel executors should
+        call this (or use the executor as a context manager) instead of
+        waiting for garbage collection to release the worker threads.
         """
-        self._compiler.close()
+        if self._owns_engine:
+            self._engine.close()
 
     def __enter__(self) -> "QueryExecutor":
         return self

@@ -77,7 +77,7 @@ from .aggregates import (
     moment_slots,
 )
 from .kernels import DEFAULT_KERNELS, KernelRegistry
-from .parallel import ParallelEngine, resolve_workers
+from .parallel import ParallelEngine
 from .predicates import And, Predicate
 from .scan import (
     BlockDecision,
@@ -91,7 +91,7 @@ from .scan import (
 from .tracing import NullTracer, QueryTrace, Tracer, activate, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .engine import Engine
+    from .engine import Engine, EngineConfig
 
 __all__ = [
     "AggregateFunction",
@@ -410,48 +410,37 @@ def _combine_filters(predicates: list[Predicate]) -> Predicate | None:
 class QueryCompiler:
     """Lower logical plans onto the ScanPlanner/ParallelEngine pipeline.
 
-    The compiler owns (or shares) the memoizing planner and the morsel
-    engine, so repeated queries reuse zone-map decisions and the worker
-    pool.  ``use_statistics=False`` disables both pruning and stat-answered
-    aggregates (the decode-and-reduce baseline); ``use_dictionary=False``
-    disables every code-space path; ``use_kernels=False`` disables the
-    compressed-domain kernel registry (RLE run space, FOR/delta word space,
-    run-weighted aggregates and run-space group-by).
+    One compiler serves one relation under one
+    :class:`~repro.query.engine.EngineConfig`; it owns the memoizing
+    planner and the morsel engine, so repeated queries reuse zone-map
+    decisions and the worker pool (``pool``, when an
+    :class:`~repro.query.engine.Engine` shares its own).
     """
 
     def __init__(
         self,
         relation: Relation,
-        use_statistics: bool = True,
-        workers: int | None = 1,
-        use_dictionary: bool = True,
-        planner: ScanPlanner | None = None,
-        engine: ParallelEngine | None = None,
-        use_kernels: bool = True,
+        config: "EngineConfig | None" = None,
         kernels: KernelRegistry | None = None,
         pool: ThreadPoolExecutor | None = None,
     ) -> None:
+        if config is None:
+            from .engine import EngineConfig
+
+            config = EngineConfig()
         self._relation = relation
-        self._use_statistics = use_statistics
-        self._use_dictionary = use_dictionary
-        self._use_kernels = use_kernels
+        self._config = config
         self._kernels = kernels if kernels is not None else DEFAULT_KERNELS
-        self._workers = resolve_workers(workers)
-        self._planner = (
-            planner if planner is not None else ScanPlanner(relation, use_statistics=use_statistics)
-        )
-        self._engine = (
-            engine
-            if engine is not None
-            else ParallelEngine(
-                relation,
-                workers=self._workers,
-                planner=self._planner,
-                use_dictionary=use_dictionary,
-                use_kernels=use_kernels,
-                kernels=kernels,
-                pool=pool,
-            )
+        self._workers = config.resolved_workers()
+        self._planner = ScanPlanner(relation, use_statistics=config.use_statistics)
+        self._engine = ParallelEngine(
+            relation,
+            workers=self._workers,
+            planner=self._planner,
+            use_dictionary=config.use_dictionary,
+            use_kernels=config.use_kernels,
+            kernels=kernels,
+            pool=pool,
         )
 
     @property
@@ -803,7 +792,7 @@ class QueryCompiler:
 
             def bound(index: int) -> "int | str | None":
                 """The block's best-possible key, or ``None`` (always visit)."""
-                if not self._use_statistics:
+                if not self._config.use_statistics:
                     return None
                 stats = self._relation.block(index).column_statistics(column)
                 if stats is None:
@@ -903,7 +892,7 @@ class QueryCompiler:
             return [], partial
         column = compiled.order_by
         assert column is not None
-        if self._use_kernels:
+        if self._config.use_kernels:
             resolved = resolve_block(block, columns=(column,))
             kernel_mask = mask if mask is not None else np.ones(resolved.n_rows, dtype=bool)
             run_space = self._kernels.topk(
@@ -963,8 +952,8 @@ class QueryCompiler:
             block,
             predicate,
             metrics=partial,
-            use_dictionary=self._use_dictionary,
-            use_kernels=self._use_kernels,
+            use_dictionary=self._config.use_dictionary,
+            use_kernels=self._config.use_kernels,
         )
         n_selected = int(np.count_nonzero(mask))
         partial.rows_matched += n_selected
@@ -1145,7 +1134,7 @@ class QueryCompiler:
         resolved: list = [None] * len(pairs)
         # Zone map: a fully-covered block reduces all of its rows, so exact
         # statistics answer without decoding anything.
-        lift = not group_by and full and self._use_statistics
+        lift = not group_by and full and self._config.use_statistics
         pending = []
         for slot, (column, moment) in enumerate(pairs):
             if column is None:
@@ -1161,7 +1150,7 @@ class QueryCompiler:
         for slot in pending:
             stats = source.column_statistics(pairs[slot][0])
             bounds[pairs[slot][0]] = None if stats is None else stats.magnitude
-        if pending and not group_by and self._use_kernels:
+        if pending and not group_by and self._config.use_kernels:
             # Run space: an RLE input hands back (run values, selected
             # count per run) once per column; nothing is gathered.
             block = resolve_block(block, columns=list(bounds))
@@ -1216,7 +1205,7 @@ class QueryCompiler:
         """
         if len(group_by) != 1:
             return None
-        encoded = block.code_space_column(group_by[0]) if self._use_dictionary else None
+        encoded = block.code_space_column(group_by[0]) if self._config.use_dictionary else None
         if isinstance(encoded, (DictEncodedIntColumn, DictEncodedStringColumn)):
             codes = encoded.codes()
             unique_codes, inverse = np.unique(
@@ -1230,7 +1219,7 @@ class QueryCompiler:
                 keys = [int(value) for value in encoded.dictionary[unique_codes]]
             return keys, inverse, True
         run_groups = (
-            self._kernels.group_keys(block, group_by[0], mask) if self._use_kernels else None
+            self._kernels.group_keys(block, group_by[0], mask) if self._config.use_kernels else None
         )
         if run_groups is None:
             return None
@@ -1350,43 +1339,31 @@ class LazyQuery:
         )
         by_tag = relation.query().group_by("tag").agg(n=Count()).execute()
 
-    ``workers``/``use_statistics``/``use_dictionary``/``use_kernels``
-    mirror the :class:`~repro.query.executor.QueryExecutor` knobs and are
-    fixed when the chain starts (via
-    :meth:`~repro.storage.relation.Relation.query`).  A chain started from
-    a shared :class:`~repro.query.engine.Engine` (``engine=``) takes its
-    settings — and, crucially, its memoized compiler, worker pool and
-    kernel registry — from the engine instead.  The metrics of the most
-    recent terminal run on *this* chain link are available as
+    A chain runs on the :class:`~repro.query.engine.Engine` it was started
+    from — ``engine.query(relation)``, or ``relation.query()``, which
+    builds a private engine from ``config=`` — and resolves its compiler
+    (planner memo, worker pool, kernel registry) through that engine on
+    every terminal, so every link of a chain and every other query on the
+    same engine and relation share one.  The metrics of the most recent
+    terminal run on *this* chain link are available as
     :attr:`last_metrics`.
     """
 
     def __init__(
         self,
         relation: Relation,
-        workers: int | None = 1,
-        use_statistics: bool = True,
-        use_dictionary: bool = True,
-        use_kernels: bool = True,
         engine: "Engine | None" = None,
         _spec: _QuerySpec | None = None,
-        _compiler_box: "list[QueryCompiler | None] | None" = None,
+        _owns_engine: bool = False,
     ) -> None:
+        if engine is None:
+            from .engine import resolve_engine
+
+            engine, _owns_engine = resolve_engine()
         self._relation = relation
-        self._workers = workers
-        self._use_statistics = use_statistics
-        self._use_dictionary = use_dictionary
-        self._use_kernels = use_kernels
         self._engine = engine
+        self._owns_engine = _owns_engine
         self._spec = _spec if _spec is not None else _QuerySpec()
-        #: One compiler per chain, created on the first terminal and shared
-        #: by every link derived from the same ``relation.query()`` root
-        #: (the single-slot box is what all links alias, so links diverging
-        #: before the first terminal still share it): repeated terminals
-        #: keep the planner's zone-map memo warm and reuse the engine's
-        #: worker pool (idle threads are joined at interpreter shutdown, as
-        #: for QueryExecutor).
-        self._compiler_box = _compiler_box if _compiler_box is not None else [None]
         self._last_metrics: ScanMetrics | None = None
 
     # -- fluent chain ----------------------------------------------------------
@@ -1394,13 +1371,9 @@ class LazyQuery:
     def _chain(self, **changes: Any) -> "LazyQuery":
         return LazyQuery(
             self._relation,
-            workers=self._workers,
-            use_statistics=self._use_statistics,
-            use_dictionary=self._use_dictionary,
-            use_kernels=self._use_kernels,
             engine=self._engine,
             _spec=replace(self._spec, **changes),
-            _compiler_box=self._compiler_box,
+            _owns_engine=self._owns_engine,
         )
 
     def where(self, *predicates: Predicate) -> "LazyQuery":
@@ -1525,20 +1498,7 @@ class LazyQuery:
         return node
 
     def _compiler(self) -> QueryCompiler:
-        if self._engine is not None:
-            # Engine-bound chains share the engine's memoized compiler (and
-            # through it the engine's planner memo, worker pool and kernel
-            # registry) with every other query on the same relation.
-            return self._engine.compiler_for(self._relation)
-        if self._compiler_box[0] is None:
-            self._compiler_box[0] = QueryCompiler(
-                self._relation,
-                use_statistics=self._use_statistics,
-                workers=self._workers,
-                use_dictionary=self._use_dictionary,
-                use_kernels=self._use_kernels,
-            )
-        return self._compiler_box[0]
+        return self._engine.compiler_for(self._relation)
 
     # -- terminals -------------------------------------------------------------
 
@@ -1590,15 +1550,11 @@ class LazyQuery:
         return total
 
     def close(self) -> None:
-        """Release the chain's worker threads, if any were started.
+        """Close the chain's private engine; a shared ``engine=`` is left alone.
 
-        Optional, exactly like :meth:`QueryExecutor.close`: serial chains
-        never start a pool, and parallel pools are joined at interpreter
-        shutdown anyway.  The chain stays usable afterwards.  Engine-bound
-        chains own nothing — the engine's shared state is left untouched
-        (close the :class:`~repro.query.engine.Engine` itself instead).
+        Optional: a serial engine holds no threads, and a parallel one's
+        pool is joined when the chain is garbage-collected.  Every link of
+        the chain shares the engine, so none of them can run afterwards.
         """
-        if self._engine is not None:
-            return
-        if self._compiler_box[0] is not None:
-            self._compiler_box[0].close()
+        if self._owns_engine:
+            self._engine.close()

@@ -14,9 +14,6 @@ from .table import Table
 
 __all__ = ["Relation", "split_into_blocks"]
 
-#: Sentinel for Relation.query's deprecated keywords (see query()).
-_UNSET = object()
-
 
 def split_into_blocks(table: Table, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Table]:
     """Yield consecutive row slices of ``table`` with at most ``block_size`` rows."""
@@ -114,64 +111,25 @@ class Relation:
 
     # -- querying -------------------------------------------------------------
 
-    def query(
-        self,
-        workers=_UNSET,
-        use_statistics=_UNSET,
-        use_dictionary=_UNSET,
-        use_kernels=_UNSET,
-        engine=None,
-        config=None,
-    ):
+    def query(self, engine=None, config=None):
         """Start a lazy query chain over this relation.
 
         Returns a :class:`~repro.query.plan.LazyQuery`: compose with
         ``.where()/.select()/.group_by()/.agg()/.limit()`` and run with
         ``.execute()`` (or ``.count()``); ``.explain()`` renders the plan
-        without executing it.  Configuration comes from an
-        :class:`~repro.query.engine.EngineConfig` (``config=``) or a shared
+        without executing it.  The chain runs on a shared
         :class:`~repro.query.engine.Engine` (``engine=``, whose memoized
-        compiler and worker pool the chain then shares); the pre-Engine
-        keywords keep working bit-identically but emit a
-        ``DeprecationWarning``.
+        compiler and worker pool it then shares) or on a private engine
+        built from an :class:`~repro.query.engine.EngineConfig`
+        (``config=``; defaults when omitted) — one or the other, not both.
         """
         # Imported lazily: the storage layer must stay importable without
         # pulling in the query layer (which imports storage) at module load.
-        from ..query.executor import warn_legacy_query_kwargs
+        from ..query.engine import resolve_engine
         from ..query.plan import LazyQuery
 
-        legacy = {
-            name: value
-            for name, value in (
-                ("workers", workers),
-                ("use_statistics", use_statistics),
-                ("use_dictionary", use_dictionary),
-                ("use_kernels", use_kernels),
-            )
-            if value is not _UNSET
-        }
-        if legacy and (engine is not None or config is not None):
-            raise ValidationError(
-                "pass either the deprecated keywords or engine=/config=, not both"
-            )
-        if legacy:
-            warn_legacy_query_kwargs("Relation.query", legacy)
-        if engine is not None:
-            return LazyQuery(self, engine=engine)
-        if config is not None:
-            cfg = config
-        else:
-            from ..query.engine import EngineConfig
-
-            cfg = EngineConfig()
-        cfg = cfg.with_overrides(**legacy)
-        return LazyQuery(
-            self,
-            workers=cfg.workers,
-            use_statistics=cfg.use_statistics,
-            use_dictionary=cfg.use_dictionary,
-            use_kernels=cfg.use_kernels,
-        )
+        engine, owned = resolve_engine(engine, config)
+        return LazyQuery(self, engine=engine, _owns_engine=owned)
 
     # -- sizes ----------------------------------------------------------------
 

@@ -307,3 +307,13 @@ class TestExperimentsCommand:
         assert main(["experiments", "table1", "--rows", "20000"]) == 0
         out = capsys.readouterr().out
         assert "Binary encoding" in out
+
+
+class TestServeCommand:
+    def test_bad_workers_exits_before_binding(self, tmp_path, capsys, monkeypatch):
+        def bind(*args, **kwargs):
+            raise AssertionError("serve reached the socket with an invalid config")
+
+        monkeypatch.setattr("repro.server.CorraHttpServer", bind)
+        assert main(["serve", str(tmp_path), "--workers", "-1"]) == 1
+        assert "workers" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""The shared Engine: config consolidation, memoized state, deprecations."""
+"""The Engine: one config, memoized state, and the two front doors onto it."""
 
 from __future__ import annotations
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,23 @@ class TestEngineConfig:
     def test_with_overrides_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown EngineConfig field"):
             EngineConfig().with_overrides(worker_count=4)
+
+    @pytest.mark.parametrize("workers", [-1, "4", 2.0])
+    def test_rejects_bad_workers_at_construction(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            EngineConfig(workers=workers)
+        with pytest.raises(ValidationError, match="workers"):
+            EngineConfig().with_overrides(workers=workers)
+
+    @pytest.mark.parametrize("prefetch_workers", [-3, None, "2"])
+    def test_rejects_bad_prefetch_workers_at_construction(self, prefetch_workers):
+        with pytest.raises(ValidationError, match="prefetch_workers"):
+            EngineConfig(prefetch_workers=prefetch_workers)
+
+    def test_accepts_auto_and_zero(self):
+        assert EngineConfig(workers=None).resolved_workers() >= 1
+        assert EngineConfig(workers=0).resolved_workers() >= 1
+        assert EngineConfig(prefetch_workers=0).prefetch_workers == 0
 
 
 class TestEngineSharedState:
@@ -141,36 +160,49 @@ class TestEngineCatalog:
                 engine.table("t")
 
 
-class TestDeprecatedKeywordPaths:
-    def test_relation_query_legacy_kwargs_warn_but_work(self):
+class TestFrontDoors:
+    def test_engine_and_config_together_are_rejected(self):
         relation = _relation()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning => this raises nothing
-            modern = relation.query(config=EngineConfig(use_kernels=False))
-        with pytest.warns(DeprecationWarning, match="Relation.query"):
-            legacy = relation.query(use_kernels=False)
-        assert legacy.where(Eq("v", 3)).count() == modern.where(Eq("v", 3)).count()
-
-    def test_executor_legacy_kwargs_warn_but_work(self):
-        relation = _relation()
-        with pytest.warns(DeprecationWarning, match="QueryExecutor"):
-            legacy = QueryExecutor(relation, workers=2)
-        modern = QueryExecutor(relation, config=EngineConfig(workers=2))
-        np.testing.assert_array_equal(
-            legacy.filter(Eq("tag", "tag_3")), modern.filter(Eq("tag", "tag_3"))
-        )
-        legacy.close()
-        modern.close()
-
-    def test_legacy_and_modern_kwargs_are_mutually_exclusive(self):
-        relation = _relation()
-        with pytest.raises(ValidationError, match="not both"):
-            relation.query(workers=2, config=EngineConfig())
-        with pytest.raises(ValidationError, match="not both"):
-            QueryExecutor(relation, workers=2, config=EngineConfig())
         with Engine() as engine:
-            with pytest.raises(ValidationError, match="not both"):
-                relation.query(use_kernels=False, engine=engine)
+            with pytest.raises(ValidationError, match="pass engine= or config=, not both"):
+                relation.query(engine=engine, config=EngineConfig(workers=2))
+            with pytest.raises(ValidationError, match="pass engine= or config=, not both"):
+                QueryExecutor(relation, engine=engine, config=EngineConfig(workers=2))
+
+    def test_config_reaches_the_private_engine(self):
+        relation = _relation()
+        config = EngineConfig(workers=2, use_kernels=False)
+        chain = relation.query(config=config)
+        with QueryExecutor(relation, config=config) as executor:
+            assert executor.workers == 2
+            assert chain.where(Eq("v", 3)).count() == executor.count(Eq("v", 3))
+        assert chain._engine.config is config
+        chain.close()
+
+    def test_close_only_closes_what_it_created(self):
+        relation = _relation()
+        with Engine(EngineConfig(workers=2)) as engine:
+            chain = relation.query(engine=engine).where(Eq("v", 3))
+            expected = chain.count()
+            chain.close()
+            with QueryExecutor(relation, engine=engine) as executor:
+                assert executor.count(Eq("v", 3)) == expected
+            # Neither close touched the shared engine.
+            assert engine.query(relation).where(Eq("v", 3)).count() == expected
+        private = relation.query().where(Eq("v", 3))
+        assert private.count() == expected
+        private.close()
+        with pytest.raises(ValidationError, match="closed"):
+            private.count()
+
+
+class TestDeprecatedKeywordPaths:
+    def test_legacy_keywords_are_type_errors(self):
+        relation = _relation()
+        with pytest.raises(TypeError):
+            relation.query(workers=2)
+        with pytest.raises(TypeError):
+            QueryExecutor(relation, use_kernels=False)
 
     def test_engine_bound_query_does_not_warn(self):
         relation = _relation()
@@ -178,3 +210,57 @@ class TestDeprecatedKeywordPaths:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert relation.query(engine=engine).where(Eq("v", 1)).count() >= 0
+
+
+# -- each switch has one declaration per layer ------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+SWITCHES = {"use_statistics", "use_dictionary", "use_kernels"}
+
+
+def switch_declarations(root: Path) -> tuple[set[str], set[str]]:
+    """``(functions taking a switch as a parameter, classes with a switch field)``."""
+    functions, classes = set(), set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(node): f"{owner.name}.{node.name}"
+            for owner in ast.walk(tree)
+            if isinstance(owner, ast.ClassDef)
+            for node in owner.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if names & SWITCHES:
+                    functions.add(methods.get(id(node), node.name))
+            elif isinstance(node, ast.ClassDef):
+                fields = {
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+                if fields & SWITCHES:
+                    classes.add(node.name)
+    return functions, classes
+
+
+def test_switches_declared_once():
+    functions, classes = switch_declarations(SRC)
+    assert functions == {
+        "ScanPlanner.__init__",
+        "ParallelEngine.__init__",
+        "evaluate_block_predicate",
+    }
+    assert classes == {"EngineConfig"}
+
+
+def test_the_walk_sees_parameters_and_fields(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        "class A:\n    use_kernels: bool = True\n"
+        "    def f(self, *, use_statistics=True): ...\n"
+        "def g(use_dictionary):\n    def h(use_kernels): ...\n"
+    )
+    assert switch_declarations(tmp_path) == ({"A.f", "g", "h"}, {"A"})

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import DATE, INT64, STRING
 from repro.errors import SerializationError, ValidationError
-from repro.query import Avg, Between, Count, Eq, In, Max, Min, Not, Or, Sum
+from repro.query import Avg, Between, Count, EngineConfig, Eq, In, Max, Min, Not, Or, Sum
 from repro.storage import (
     BlockCache,
     Catalog,
@@ -146,7 +146,9 @@ class TestDiskMemoryParity:
     def test_aggregate_parity(self, relation, disk, predicate, aggs):
         expected = relation.query().where(predicate).agg(**dict(aggs)).execute()
         serial = disk.query().where(predicate).agg(**dict(aggs)).execute()
-        parallel = disk.query(workers=4).where(predicate).agg(**dict(aggs)).execute()
+        parallel = (
+            disk.query(config=EngineConfig(workers=4)).where(predicate).agg(**dict(aggs)).execute()
+        )
         for name, fn in aggs:
             assert serial.scalar(name) == expected.scalar(name), fn.describe()
             assert parallel.scalar(name) == expected.scalar(name), fn.describe()

@@ -32,7 +32,7 @@ from repro.encodings import (
     FrequencyEncoding,
     RleEncoding,
 )
-from repro.query import And, Between, Eq, In, Or, QueryExecutor
+from repro.query import And, Between, EngineConfig, Eq, In, Or, QueryExecutor
 from repro.storage import Table
 
 # Bounded 64-bit signed integers that never overflow when differenced.
@@ -249,7 +249,7 @@ class TestScanPruningProperties:
         )
 
         pruned = QueryExecutor(relation)
-        brute = QueryExecutor(relation, use_statistics=False)
+        brute = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         raw = {"a": reference, "b": target}
         expected = np.flatnonzero(predicate.evaluate(raw))
         assert np.array_equal(pruned.filter(predicate), expected)

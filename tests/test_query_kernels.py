@@ -21,6 +21,7 @@ from repro.query import (
     Avg,
     Between,
     Count,
+    EngineConfig,
     Eq,
     In,
     Max,
@@ -35,6 +36,9 @@ from repro.storage import DiskRelation, Table, write_table
 #: Every vertical scheme a kernel serves, plus dictionary (own code-space
 #: path) and plain (no kernel at all) as controls.
 SCHEMES = ("rle", "delta", "frequency", "for_bitpack", "dictionary", "plain")
+
+#: The decode-then-compare baseline every kernel result is checked against.
+DECODE = EngineConfig(use_kernels=False)
 
 
 def compress(table, block_size=256, scheme=None):
@@ -56,8 +60,8 @@ def single_column_relation(values, scheme, block_size=256):
 def assert_query_parity(relation, predicate):
     """Kernel-on (serial + parallel) results equal the decode baseline."""
     kernel = relation.query().where(predicate)
-    parallel = relation.query(workers=2).where(predicate)
-    baseline = relation.query(use_kernels=False).where(predicate)
+    parallel = relation.query(config=EngineConfig(workers=2)).where(predicate)
+    baseline = relation.query(config=DECODE).where(predicate)
 
     agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
     got = kernel.agg(**agg).execute()
@@ -69,12 +73,12 @@ def assert_query_parity(relation, predicate):
 
     grouped = relation.query().where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
     grouped_base = (
-        relation.query(use_kernels=False).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
+        relation.query(config=DECODE).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
     )
     assert grouped.execute().columns == grouped_base.execute().columns
 
     rows = relation.query().where(predicate).select("x").execute()
-    rows_base = relation.query(use_kernels=False).where(predicate).select("x").execute()
+    rows_base = relation.query(config=DECODE).where(predicate).select("x").execute()
     assert np.array_equal(np.asarray(rows.columns["x"]), np.asarray(rows_base.columns["x"]))
 
 
@@ -161,7 +165,7 @@ class TestRleKernel:
         predicate = Between("x", 1, 5)
         agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
         got = relation.query().where(predicate).agg(**agg).execute()
-        want = relation.query(use_kernels=False).where(predicate).agg(**agg).execute()
+        want = relation.query(config=DECODE).where(predicate).agg(**agg).execute()
         for name in agg:
             assert got.scalar(name) == want.scalar(name)
         assert got.metrics.rows_kernel_aggregated > 0
@@ -175,7 +179,7 @@ class TestRleKernel:
         assert result.columns["x"] == [1, 2, 3, 4, 5, 6]
 
     def test_disabling_kernels_restores_decode_accounting(self, relation):
-        result = relation.query(use_kernels=False).where(Eq("x", 3)).agg(n=Count()).execute()
+        result = relation.query(config=DECODE).where(Eq("x", 3)).agg(n=Count()).execute()
         assert result.metrics.rows_rle_evaluated == 0
         assert result.metrics.runs_evaluated == 0
         assert result.metrics.rows_decoded > 0
@@ -239,7 +243,7 @@ class TestFrequencyKernel:
         relation = single_column_relation(values, "frequency", block_size=3_000)
         for predicate in (Eq("x", 42), Between("x", 40, 100), In("x", [41, 42, 43])):
             got = relation.query().where(predicate).agg(n=Count()).execute()
-            want = relation.query(use_kernels=False).where(predicate).agg(n=Count()).execute()
+            want = relation.query(config=DECODE).where(predicate).agg(n=Count()).execute()
             assert got.scalar("n") == want.scalar("n")
         result = relation.query().where(Eq("x", 42)).agg(n=Count()).execute()
         assert result.metrics.rows_decoded == 0

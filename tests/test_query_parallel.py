@@ -15,6 +15,7 @@ from repro.query import (
     And,
     Between,
     ColumnPredicate,
+    EngineConfig,
     Eq,
     In,
     Or,
@@ -77,10 +78,10 @@ class TestParallelMatchesSerial:
     @settings(max_examples=40, deadline=None)
     @given(predicate=_predicates)
     def test_scan_identical_across_worker_counts(self, relation, predicate):
-        serial = QueryExecutor(relation, workers=1)
+        serial = QueryExecutor(relation, config=EngineConfig(workers=1))
         expected_ids, expected_metrics = serial.scan(predicate)
         for workers in WORKER_COUNTS:
-            with QueryExecutor(relation, workers=workers) as executor:
+            with QueryExecutor(relation, config=EngineConfig(workers=workers)) as executor:
                 row_ids, metrics = executor.scan(predicate)
                 assert np.array_equal(row_ids, expected_ids)
                 assert executor.count(predicate) == expected_ids.size
@@ -100,7 +101,9 @@ class TestParallelMatchesSerial:
     @given(predicate=_predicates)
     def test_dictionary_domain_matches_decode_path(self, relation, predicate):
         with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(relation, use_dictionary=False).filter(predicate)
+        without = QueryExecutor(
+            relation, config=EngineConfig(use_dictionary=False)
+        ).filter(predicate)
         assert np.array_equal(with_dict, without)
 
     def test_engine_results_are_sorted_and_complete(self, relation):
@@ -113,8 +116,8 @@ class TestParallelMatchesSerial:
         predicate = ColumnPredicate(
             "tag", lambda values: np.asarray([s.endswith("7") for s in values])
         )
-        serial = QueryExecutor(relation, workers=1).filter(predicate)
-        with QueryExecutor(relation, workers=4) as executor:
+        serial = QueryExecutor(relation, config=EngineConfig(workers=1)).filter(predicate)
+        with QueryExecutor(relation, config=EngineConfig(workers=4)) as executor:
             assert np.array_equal(serial, executor.filter(predicate))
 
 
@@ -129,7 +132,7 @@ class TestDictionaryDomain:
         assert metrics.rows_decoded == 0
 
     def test_decode_path_pays_heap_decodes(self, relation):
-        executor = QueryExecutor(relation, use_dictionary=False)
+        executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
         executor.count(Eq("tag", "tag_07"))
         metrics = executor.last_scan_metrics
         assert metrics.rows_dict_evaluated == 0
@@ -187,7 +190,7 @@ class TestDictionaryDomain:
         rel = TableCompressor(plan, block_size=64).compress(table)
         expected = int(np.count_nonzero(values == 5.0))
         for kwargs in ({}, {"use_dictionary": False}, {"workers": 2}):
-            executor = QueryExecutor(rel, **kwargs)
+            executor = QueryExecutor(rel, config=EngineConfig(**kwargs))
             assert executor.count(Eq("c", 5.0)) == expected
             assert executor.count(Eq("c", True)) == 0
             assert executor.count(In("c", [5.0, 5.5])) == expected
@@ -198,7 +201,9 @@ class TestDictionaryDomain:
         # unpack — and the result must still match the decode path.
         predicate = Or(Eq("v", 5), Eq("tag", "absent"))
         with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(relation, use_dictionary=False).filter(predicate)
+        without = QueryExecutor(
+            relation, config=EngineConfig(use_dictionary=False)
+        ).filter(predicate)
         assert np.array_equal(with_dict, without)
 
     def test_code_space_column_excludes_horizontal(self, relation):
@@ -300,7 +305,7 @@ class TestParallelHelpers:
         assert engine._pool is None
 
     def test_executor_context_manager_closes_pool(self, relation):
-        with QueryExecutor(relation, workers=2) as executor:
+        with QueryExecutor(relation, config=EngineConfig(workers=2)) as executor:
             executor.count(Between("v", 0, 100))
         assert executor._engine._pool is None
-        QueryExecutor(relation, workers=1).close()  # serial: no-op
+        QueryExecutor(relation, config=EngineConfig(workers=1)).close()  # serial: no-op

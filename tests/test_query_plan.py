@@ -23,6 +23,7 @@ from repro.query import (
     Avg,
     Between,
     Count,
+    EngineConfig,
     Eq,
     Filter,
     In,
@@ -180,7 +181,12 @@ class TestLazyParity:
     def test_aggregate_parity(self, relation, table, predicate, aggs):
         mask = _reference_mask(table, predicate)
         serial = relation.query().where(predicate).agg(**dict(aggs)).execute()
-        parallel = relation.query(workers=4).where(predicate).agg(**dict(aggs)).execute()
+        parallel = (
+            relation.query(config=EngineConfig(workers=4))
+            .where(predicate)
+            .agg(**dict(aggs))
+            .execute()
+        )
         for name, fn in aggs:
             expected = _reference_aggregate(table, mask, fn)
             assert serial.scalar(name) == expected, fn.describe()
@@ -209,16 +215,20 @@ class TestLazyParity:
         assert list(result.column("total")) == [expected[k][1] for k in keys]
         assert list(result.column("first")) == [expected[k][2] for k in keys]
         # Parallel grouping merges the same per-block states in block order.
-        parallel = relation.query(workers=4).where(predicate).group_by("tag").agg(
-            n=Count(), total=Sum("v"), first=Min("ship")
-        ).execute()
+        parallel = (
+            relation.query(config=EngineConfig(workers=4))
+            .where(predicate)
+            .group_by("tag")
+            .agg(n=Count(), total=Sum("v"), first=Min("ship"))
+            .execute()
+        )
         assert parallel.columns == result.columns
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
     def test_dictionary_and_statistics_toggles_agree(self, relation, predicate):
         baseline = relation.query(
-            use_statistics=False, use_dictionary=False
+            config=EngineConfig(use_statistics=False, use_dictionary=False)
         ).where(predicate).agg(n=Count(), total=Sum("v")).execute()
         tuned = relation.query().where(predicate).agg(n=Count(), total=Sum("v")).execute()
         assert tuned.scalar("n") == baseline.scalar("n")
@@ -429,18 +439,18 @@ class TestBuilderValidation:
         query = base.where(Between("ship", 8_250, 8_999))
         sibling = base.where(Eq("v", 1))  # diverged before any terminal
         assert query.count() == 750
-        compiler = query._compiler_box[0]
+        compiler = query._compiler()
         assert compiler is not None
         cached = compiler.planner.cached_decisions
         assert cached > 0
         assert query.count() == 750
-        assert query._compiler_box[0] is compiler
+        assert query._compiler() is compiler
         assert compiler.planner.cached_decisions == cached  # memo reused
         # Every link derived from the same root shares the one compiler,
         # including siblings that diverged before the first terminal ran.
-        assert query.limit(5)._compiler_box[0] is compiler
+        assert query.limit(5)._compiler() is compiler
         sibling.count()
-        assert sibling._compiler_box[0] is compiler
+        assert sibling._compiler() is compiler
         query.close()
 
     def test_count_honours_limit_like_execute(self, relation):
@@ -466,7 +476,7 @@ class TestBuilderValidation:
     def test_group_by_without_dictionary_matches_code_space(self, relation):
         tuned = relation.query().group_by("tag").agg(n=Count(), hi=Max("v")).execute()
         decoded = (
-            relation.query(use_dictionary=False)
+            relation.query(config=EngineConfig(use_dictionary=False))
             .group_by("tag")
             .agg(n=Count(), hi=Max("v"))
             .execute()
@@ -484,7 +494,7 @@ class TestBuilderValidation:
         # resolves the reference through the shared per-block cache, and
         # rows_decoded is charged once per scanned block, not per leaf.
         predicate = Between("receipt", 8_010, 10_990) & Between("ship", 8_005, 10_995)
-        executor = QueryExecutor(relation, use_statistics=False)
+        executor = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         row_ids, metrics = executor.scan(predicate)
         mask = _reference_mask(table, predicate)
         assert np.array_equal(row_ids, np.flatnonzero(mask))
@@ -560,7 +570,7 @@ class TestNotPredicate:
         metrics = executor.last_scan_metrics
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
-        without = QueryExecutor(relation, use_dictionary=False)
+        without = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
         assert without.count(Not(Eq("tag", TAGS[0]))) == count
 
 
@@ -577,7 +587,7 @@ class TestBetweenCodeSpace:
 
     def test_open_and_mistyped_bounds_match_decode_path(self, relation):
         with_dict = QueryExecutor(relation)
-        without = QueryExecutor(relation, use_dictionary=False)
+        without = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
         for predicate in (
             Between("tag", None, TAGS[4]),
             Between("tag", TAGS[4], None),
@@ -678,7 +688,10 @@ class TestAvgAggregate:
         for tag, mean in zip(result.column("tag"), result.column("mean")):
             assert mean == sum(expected[tag]) / len(expected[tag])
         parallel = (
-            relation.query(workers=4).group_by("tag").agg(mean=Avg("v"), n=Count()).execute()
+            relation.query(config=EngineConfig(workers=4))
+            .group_by("tag")
+            .agg(mean=Avg("v"), n=Count())
+            .execute()
         )
         assert parallel.columns == result.columns
 

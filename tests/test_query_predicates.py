@@ -11,6 +11,7 @@ from repro.query import (
     Between,
     BlockDecision,
     ColumnPredicate,
+    EngineConfig,
     Eq,
     In,
     Or,
@@ -235,7 +236,7 @@ class TestExecutorPruning:
         table, relation = sorted_relation
         ship = table.column("ship")
         executor = QueryExecutor(relation)
-        brute = QueryExecutor(relation, use_statistics=False)
+        brute = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         for predicate, expected_mask in (
             (Between("ship", 8_031, 8_038), (ship >= 8_031) & (ship <= 8_038)),
             (Eq("ship", 8_050), ship == 8_050),
@@ -260,7 +261,7 @@ class TestExecutorPruning:
         assert metrics.pruned_fraction == pytest.approx(0.9)
         assert "pruned" in metrics.describe()
 
-        baseline = QueryExecutor(relation, use_kernels=False)
+        baseline = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
         baseline.filter(Between("ship", 8_031, 8_038))
         assert baseline.last_scan_metrics.rows_decoded == 100
         assert baseline.last_scan_metrics.rows_for_evaluated == 0
