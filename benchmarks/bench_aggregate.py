@@ -13,7 +13,7 @@ Three trajectories are recorded:
   column with aggregation per group.  The code-space path must report at
   most one string-heap decode per distinct group
   (``ScanMetrics.string_heap_decodes <= n_groups``) and beat the
-  decode-then-group baseline (``use_dictionary=False``).
+  decode-then-group baseline (``use_kernels=False``).
 * **workers** — the same aggregate at each configured worker count, results
   asserted identical (the CI smoke job pins ``--workers`` to 1,2).
 
@@ -158,7 +158,7 @@ def test_print_group_by_code_space_trajectory(sorted_relation):
 
     code_query = relation.query().group_by("tag").agg(n=Count(), total=Sum("fare"))
     decode_query = (
-        relation.query(config=EngineConfig(use_dictionary=False))
+        relation.query(config=EngineConfig(use_kernels=False))
         .group_by("tag")
         .agg(n=Count(), total=Sum("fare"))
     )

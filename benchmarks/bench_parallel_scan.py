@@ -126,7 +126,7 @@ def test_print_dictionary_domain_trajectory(unsorted_relation):
     relation = unsorted_relation
     assert relation.block(0).encoding_of("tag") == "dictionary"
     dict_executor = QueryExecutor(relation)
-    decode_executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
+    decode_executor = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
 
     print()
     for predicate in (

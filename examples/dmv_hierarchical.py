@@ -26,7 +26,7 @@ from repro import (
     SingleColumnBaseline,
     TableCompressor,
 )
-from repro.query import Predicate
+from repro.query import Eq
 
 
 def main(n_rows: int = 200_000) -> None:
@@ -68,7 +68,7 @@ def main(n_rows: int = 200_000) -> None:
     executor = QueryExecutor(relation)
 
     big_city = table.column("city")[0]
-    result = executor.select(["zip_code"], Predicate.equals("city", big_city))
+    result = executor.select(["zip_code"], Eq("city", big_city))
     zips = np.unique(np.asarray(result.column("zip_code")))
     print(
         f"\nSELECT zip_code WHERE city = {big_city!r}: {result.n_rows:,} rows, "

@@ -73,8 +73,8 @@ def main(n_rows: int = 400_000) -> None:
     # 4. Dictionary-domain evaluation: Eq over the dict-encoded string column.
     predicate = Eq("tag", "cat_042")
     print(f"\nscan {predicate.describe()}")
-    for use_dictionary, label in ((False, "decode-then-compare"), (True, "code-space")):
-        executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=use_dictionary))
+    for use_kernels, label in ((False, "decode-then-compare"), (True, "code-space")):
+        executor = QueryExecutor(relation, config=EngineConfig(use_kernels=use_kernels))
         start = time.perf_counter()
         count = executor.count(predicate)
         seconds = time.perf_counter() - start

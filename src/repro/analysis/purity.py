@@ -21,7 +21,9 @@ from .framework import Finding, Project, Rule
 
 __all__ = ["KernelPurityRule"]
 
-#: Method calls that leave the encoded domain.
+#: Method calls that leave the encoded domain.  ``lookup_many`` and
+#: ``all_strings`` are :class:`StringHeap`'s materialising accessors; its
+#: code-space probes (``key_bytes``, ``find``, ``bisect_*``) stay allowed.
 _IMPURE_ATTR_CALLS = {
     "decode",
     "decode_column",
@@ -29,6 +31,8 @@ _IMPURE_ATTR_CALLS = {
     "gather_with_reference",
     "materialize",
     "to_table",
+    "lookup_many",
+    "all_strings",
 }
 
 #: Module-level helpers that materialise heap values.

@@ -231,16 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per core; default 1 = serial)",
     )
     query.add_argument(
-        "--no-dictionary",
-        action="store_true",
-        help="disable dictionary-domain predicate evaluation (decode and "
-        "compare instead; for comparison)",
-    )
-    query.add_argument(
         "--no-kernels",
         action="store_true",
-        help="disable compressed-domain kernels for RLE/FOR/delta/frequency "
-        "columns (decode and compare instead; for comparison)",
+        help="disable compressed-domain kernels for dictionary/RLE/FOR/delta/"
+        "frequency columns (decode and compare instead; for comparison)",
     )
     query.add_argument(
         "--select",
@@ -375,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-kernels", action="store_true", help="disable compressed-domain kernels"
-    )
-    serve.add_argument(
-        "--no-dictionary", action="store_true", help="disable dictionary code-space evaluation"
     )
 
     check = subparsers.add_parser(
@@ -744,7 +735,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         config=EngineConfig(
             workers=args.workers,
             use_statistics=not args.no_pruning,
-            use_dictionary=not args.no_dictionary,
             use_kernels=not args.no_kernels,
         )
     )
@@ -810,7 +800,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     engine_config = EngineConfig(
         workers=args.workers,
-        use_dictionary=not args.no_dictionary,
         use_kernels=not args.no_kernels,
         cache_bytes=args.cache_bytes,
     )

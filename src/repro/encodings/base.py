@@ -27,7 +27,13 @@ import numpy as np
 from ..dtypes import DataType
 from ..errors import EncodingError
 
-__all__ = ["ColumnEncoding", "EncodedColumn", "ensure_int_array", "ensure_strings"]
+__all__ = [
+    "ColumnEncoding",
+    "EncodedColumn",
+    "ensure_int_array",
+    "ensure_strings",
+    "int64_candidates",
+]
 
 
 def ensure_int_array(values: np.ndarray | Sequence[int]) -> np.ndarray:
@@ -43,6 +49,29 @@ def ensure_int_array(values: np.ndarray | Sequence[int]) -> np.ndarray:
             f"integer encoding applied to values of dtype {arr.dtype}"
         )
     return arr.astype(np.int64, copy=False)
+
+
+def int64_candidates(values: Sequence) -> list[int]:
+    """The candidates an ``int64`` column can hold, as exact Python ints.
+
+    Candidates compare *numerically*: ``5.0`` and ``True`` stand for ``5``
+    and ``1``; non-integral floats (NaN and the infinities included),
+    strings, ``None`` and integers outside the ``int64`` range equal no
+    stored value and are dropped.  Every ``Eq``/``In`` evaluation over an
+    integer column — decoded values or dictionary codes — goes through
+    this, so no path rounds a candidate through ``float64`` (which merges
+    neighbours above 2**53).
+    """
+    exact = []
+    for value in values:
+        if isinstance(value, (float, np.floating)):
+            if not float(value).is_integer():
+                continue
+        elif not isinstance(value, (int, np.integer, np.bool_)):
+            continue
+        if -(2**63) <= int(value) < 2**63:
+            exact.append(int(value))
+    return exact
 
 
 def ensure_strings(values: Sequence) -> list[str]:

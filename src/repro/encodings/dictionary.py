@@ -9,16 +9,17 @@ distinct strings into a flattened array"), mirroring the paper's setup.
 Random access stays O(1): fetch the packed code, then one dictionary lookup.
 
 Both dictionary columns additionally expose a *code-space* API used by the
-query layer for dictionary-domain predicate evaluation: :meth:`codes` returns
-the raw per-row dictionary codes, :meth:`lookup_codes` translates a small
-set of candidate values into the codes they map to (values absent from the
-dictionary simply translate to nothing), and :meth:`lookup_code_range` maps
-an inclusive value range to the contiguous half-open code interval covering
-it.  Because the dictionaries are kept sorted, every translation is a binary
-search — for strings this touches ``O(log n_distinct)`` heap entries per
-candidate/bound and never materialises the per-row strings, which is what
-lets ``Eq``/``In``/``Between`` predicates run as integer kernels over packed
-codes without decoding the :class:`StringHeap`.
+query layer's dictionary kernel: ``codes`` returns the raw per-row dictionary
+codes, ``lookup_codes`` translates a small set of candidate values into the
+codes they map to (values absent from the dictionary simply translate to
+nothing), and ``lookup_code_range`` maps an inclusive value range to the
+contiguous half-open code interval covering it.  Because the dictionaries are
+kept sorted, every translation is a binary search — for strings this touches
+``O(log n_distinct)`` heap entries per candidate/bound and never materialises
+the per-row strings.  ``compare_values``/``compare_range`` — the contract FOR
+and delta columns also implement — put the two together: translate the
+constants, then compare the packed codes, so ``Eq``/``In``/``Between`` run as
+integer kernels without decoding the :class:`StringHeap`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ import numpy as np
 from ..bitpack import BitPackedArray, required_bits
 from ..dtypes import DataType
 from ..errors import DecodingError, EncodingError
-from .base import ColumnEncoding, EncodedColumn, ensure_int_array, ensure_strings
+from .base import (
+    ColumnEncoding,
+    EncodedColumn,
+    ensure_int_array,
+    ensure_strings,
+    int64_candidates,
+)
 
 __all__ = [
     "DictionaryEncoding",
@@ -118,7 +125,37 @@ class StringHeap:
         return [self[i] for i in range(len(self._strings))]
 
 
-class DictEncodedIntColumn(EncodedColumn):
+class _CodeSpaceColumn(EncodedColumn):
+    """What both dictionary columns share: packed codes over a sorted dictionary."""
+
+    _codes: BitPackedArray
+
+    def codes(self) -> np.ndarray:
+        """The raw per-row dictionary codes as an int64 array."""
+        return self._codes.to_numpy()
+
+    def compare_values(self, values: Sequence) -> np.ndarray:
+        """Row mask for ``value in values``, compared over the packed codes.
+
+        No candidate in the dictionary answers all-false without touching
+        the codes at all.
+        """
+        return self._codes.compare_values(self.lookup_codes(values))
+
+    def compare_range(self, low, high) -> np.ndarray | None:
+        """Row mask for ``low <= value <= high``, compared over the packed codes.
+
+        The dictionary is sorted, so the range is one code interval and the
+        mask one integer-range comparison; ``None`` (decline) when a bound's
+        type has no defined order against the dictionary.
+        """
+        interval = self.lookup_code_range(low, high)
+        if interval is None:
+            return None
+        return self._codes.compare_range(interval[0], interval[1] - 1)
+
+
+class DictEncodedIntColumn(_CodeSpaceColumn):
     """Dictionary-encoded integer-like column: codes + int64 dictionary."""
 
     encoding_name = "dictionary"
@@ -161,33 +198,17 @@ class DictEncodedIntColumn(EncodedColumn):
 
     # -- code-space API (dictionary-domain predicate evaluation) --------------
 
-    def codes(self) -> np.ndarray:
-        """The raw per-row dictionary codes as an int64 array."""
-        return self._codes.to_numpy()
-
     def lookup_codes(self, values: Sequence) -> np.ndarray:
         """Codes of the candidate ``values`` present in the dictionary.
 
-        Candidates compare *numerically*, exactly like the decoded NumPy
-        kernels: ``5.0`` and ``True`` find the rows storing ``5`` and ``1``,
-        while non-integral floats, strings and values outside the dictionary
-        translate to nothing.  The dictionary is sorted (``np.unique``), so
-        each candidate costs one binary search.
+        Candidates compare *numerically*
+        (:func:`~repro.encodings.base.int64_candidates`): ``5.0`` and
+        ``True`` find the rows storing ``5`` and ``1``, while non-integral
+        floats, strings and values outside the dictionary translate to
+        nothing.  The dictionary is sorted (``np.unique``), so each
+        candidate costs one binary search.
         """
-        candidates = []
-        for v in values:
-            # bool and np.bool_ compare numerically in NumPy: True == 1.
-            if isinstance(v, (int, np.integer, np.bool_)):
-                candidate = int(v)
-            elif isinstance(v, (float, np.floating)) and float(v).is_integer():
-                candidate = int(v)
-            else:
-                continue
-            # An int64 dictionary cannot contain values outside the int64
-            # range; dropping them (instead of letting np.asarray overflow)
-            # matches the decoded kernel, which finds no such row either.
-            if -(2 ** 63) <= candidate < 2 ** 63:
-                candidates.append(candidate)
+        candidates = int64_candidates(values)
         if not candidates or self._dictionary.size == 0:
             return np.empty(0, dtype=np.int64)
         cand = np.asarray(candidates, dtype=np.int64)
@@ -226,7 +247,7 @@ class DictEncodedIntColumn(EncodedColumn):
         return (lo, hi)
 
 
-class DictEncodedStringColumn(EncodedColumn):
+class DictEncodedStringColumn(_CodeSpaceColumn):
     """Dictionary-encoded string column: codes + flattened string heap."""
 
     encoding_name = "dictionary"
@@ -280,10 +301,6 @@ class DictEncodedStringColumn(EncodedColumn):
         return self.codes()
 
     # -- code-space API (dictionary-domain predicate evaluation) --------------
-
-    def codes(self) -> np.ndarray:
-        """The raw per-row dictionary codes as an int64 array."""
-        return self._codes.to_numpy()
 
     def lookup_codes(self, values: Sequence) -> np.ndarray:
         """Codes of the candidate ``values`` present in the dictionary.

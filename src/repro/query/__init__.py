@@ -20,22 +20,25 @@ Layers, bottom to top:
 
 * **Predicate IR** (:mod:`~repro.query.predicates`) — ``Eq``/``Between``/
   ``In``/``And``/``Or``/``Not`` nodes that compile to vectorized kernels
-  *and* test against per-block zone maps.
+  *and* test against per-block zone maps.  A leaf states what it compares
+  (``comparison()``: a range or a candidate set) once, for every
+  compressed domain below.
 * **Scan pipeline** (:mod:`~repro.query.scan`) — the memoizing
   :class:`ScanPlanner` classifies every block as pruned / fully covered /
-  scan; surviving blocks evaluate ``Eq``/``In``/``Between`` leaves over
-  dictionary-encoded columns in *code space* (integer kernels over packed
-  codes, zero string-heap materialisation).  :class:`ScanMetrics` reports
-  what both layers saved.
-* **Compressed-domain kernels** (:mod:`~repro.query.kernels`) — a
+  scan; surviving blocks offer each single-column subtree to the kernel
+  registry and decode only what no kernel answers.  :class:`ScanMetrics`
+  reports what both layers saved.
+* **Compressed-domain kernels** (:mod:`~repro.query.kernels`) — the one
   :class:`KernelRegistry` the scan consults per (encoding, predicate) pair
   before falling back to decode-then-compare::
 
       predicate subtree over column c
         │
-        ├─ c is dictionary-encoded ──────────▶ code space (predicates.py)
-        │
         └─ KernelRegistry[encoding_name(c)]
+             ├─ dictionary ──▶ code space: constants become codes by
+             │                binary search, compared over the packed
+             │                codes (zero string-heap materialisation);
+             │                code-space group-by
              ├─ rle ────────▶ run space: evaluate per (value, length) run,
              │                fan out with np.repeat; selected runs for
              │                aggregation, run-space group-by
@@ -97,6 +100,7 @@ from .kernels import (
     DEFAULT_KERNELS,
     ColumnKernel,
     DeltaKernel,
+    DictionaryKernel,
     ForKernel,
     FrequencyKernel,
     KernelRegistry,
@@ -181,6 +185,7 @@ __all__ = [
     "ScanPlan",
     "ScanPlanner",
     "ColumnKernel",
+    "DictionaryKernel",
     "RleKernel",
     "ForKernel",
     "DeltaKernel",

@@ -70,9 +70,8 @@ class EngineConfig:
     workers: int | None = 1
     #: Zone-map pruning and stat-answered aggregates.
     use_statistics: bool = True
-    #: Dictionary code-space predicate evaluation and group-by.
-    use_dictionary: bool = True
-    #: Compressed-domain kernels (RLE run space, FOR/delta word space, ...).
+    #: Compressed-domain kernels (dictionary code space, RLE run space,
+    #: FOR/delta word space, ...); ``False`` is decode-then-compare.
     use_kernels: bool = True
     #: Byte budget of the shared block cache (``None`` = unbounded).
     cache_bytes: int | None = DEFAULT_CACHE_BYTES

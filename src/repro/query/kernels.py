@@ -1,9 +1,15 @@
 """Compressed-domain predicate and aggregate kernels per encoding.
 
-PR 2-3 taught the scan pipeline to answer ``Eq``/``In``/``Between`` over
-dictionary columns in *code space*.  This module carries the same idea to the
-remaining vertical encodings, each exploiting its own physical layout:
+A predicate says *what* it compares (:meth:`Predicate.comparison`,
+:attr:`Predicate.elementwise`); an encoded column says *how*, in its own
+physical layout; this module is the only thing that connects the two:
 
+* **Dictionary — code space.**  The constants of a leaf are translated to
+  dictionary codes by binary search over the sorted dictionary (for strings:
+  ``O(log n_distinct)`` heap probes, no per-row string) and compared against
+  the packed codes.  On an integer dictionary a whole element-wise subtree
+  is decided once per dictionary entry and fanned out through a single
+  unpack of the codes.  Group-by keys are the distinct selected codes.
 * **RLE — run space.**  Any single-column subtree of element-wise nodes
   (``Eq``/``Between``/``In`` composed with ``And``/``Or``/``Not``) is
   evaluated once per *run* over the (value, length) arrays and fanned out to
@@ -21,15 +27,15 @@ remaining vertical encodings, each exploiting its own physical layout:
   two binary searches over the checkpoint index, each decoding exactly one
   segment; the mask is a contiguous span.  Non-monotonic columns decline and
   fall back to the decode path.
-* **Frequency — hot-value space.**  The predicate runs over the (at most
-  ``n_hot``) hot values plus the exception list, and the verdicts fan out to
-  rows through the packed codes.
+* **Frequency — hot-value space.**  An element-wise subtree runs over the
+  (at most ``n_hot``) hot values plus the exception list, and the verdicts
+  fan out to rows through the packed codes.
 
 A :class:`KernelRegistry` maps ``encoding_name`` to its kernel; the scan,
-aggregation and group-by layers consult it per (encoding, predicate) pair,
-exactly as they consult the dictionary code-space path.  Every kernel is
-*exact*: it answers with the same mask/aggregate the decode-then-compare
-baseline would produce, or returns ``None`` to decline.
+aggregation and group-by layers consult it per (encoding, predicate) pair.
+Every kernel is *exact*: it answers with the same mask/aggregate the
+decode-then-compare baseline (``use_kernels=False``) would produce, or
+returns ``None`` to decline.
 """
 
 from __future__ import annotations
@@ -40,13 +46,15 @@ import numpy as np
 
 from ..encodings.bitpacked import ForBitPackedColumn
 from ..encodings.delta import DeltaEncodedColumn
+from ..encodings.dictionary import DictEncodedIntColumn, DictEncodedStringColumn
 from ..encodings.frequency import FrequencyEncodedColumn
 from ..encodings.rle import RleEncodedColumn
-from .predicates import And, Between, Eq, In, Not, Or, Predicate
+from .predicates import Predicate
 from .tracing import current_tracer
 
 __all__ = [
     "ColumnKernel",
+    "DictionaryKernel",
     "RleKernel",
     "ForKernel",
     "DeltaKernel",
@@ -56,23 +64,32 @@ __all__ = [
 ]
 
 
-def _run_space_safe(node: Predicate) -> bool:
-    """Whether a predicate subtree is element-wise (safe to evaluate per run).
-
-    ``Eq``/``Between``/``In`` decide each row from its value alone, and
-    ``And``/``Or``/``Not`` preserve that, so the whole subtree can run once
-    per distinct run value.  Opaque nodes (``ColumnPredicate``) may inspect
-    positions or neighbours and are excluded.
-    """
-    if isinstance(node, Not):
-        return _run_space_safe(node.child)
-    if isinstance(node, (And, Or)):
-        return all(_run_space_safe(child) for child in node.children)
-    return isinstance(node, (Eq, Between, In))
+_DICTIONARY_COLUMNS = (DictEncodedIntColumn, DictEncodedStringColumn)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer))
+
+
+def _compare_constants(column, node: Predicate, exact_ints: bool) -> np.ndarray | None:
+    """A leaf's constant comparison through the column's ``compare_*`` contract.
+
+    The one body FOR, delta and dictionary columns share: the node states
+    what it compares, the column answers with a mask or ``None`` to decline.
+    ``exact_ints`` is for columns whose contract takes integers only — any
+    other constant declines (the decode path owns the mixed-type degrade
+    semantics).
+    """
+    comparison = node.comparison()
+    if comparison is None:
+        return None
+    bounds, candidates = comparison
+    constants = candidates if bounds is None else [b for b in bounds if b is not None]
+    if exact_ints and not all(_is_int(c) for c in constants):
+        return None
+    if bounds is None:
+        return column.compare_values(candidates)
+    return column.compare_range(*bounds)
 
 
 class ColumnKernel:
@@ -102,9 +119,9 @@ class ColumnKernel:
     def group_keys(self, column, mask: "np.ndarray | None"):
         """``(keys, inverse)`` for grouping the selected rows, or ``None``.
 
-        ``keys`` are the distinct selected values (sorted, as Python ints)
-        and ``inverse`` maps each selected row — in ascending row order — to
-        its index in ``keys``.
+        ``keys`` are the distinct selected values (sorted; Python ints, or
+        raw UTF-8 heap slices for strings) and ``inverse`` maps each selected
+        row — in ascending row order — to its index in ``keys``.
         """
         return None
 
@@ -121,18 +138,59 @@ class ColumnKernel:
         """Record one answered predicate in the scan metrics."""
 
 
+class DictionaryKernel(ColumnKernel):
+    """Code-space evaluation over the two dictionary columns.
+
+    A leaf's constants become codes by binary search and are compared
+    against the packed codes; no value — and for strings no heap entry beyond
+    the ``O(log n_distinct)`` probes — is materialised.  An integer
+    dictionary *is* its distinct values as an array, so there a compound
+    element-wise subtree is decided once per entry and fanned out through a
+    single unpack of the codes; a string dictionary answers such a subtree
+    leaf by leaf instead of decoding its heap.
+    """
+
+    encoding_name = "dictionary"
+
+    def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
+        if not isinstance(column, _DICTIONARY_COLUMNS):
+            return None
+        mask = _compare_constants(column, node, exact_ints=False)
+        if mask is None and node.elementwise and isinstance(column, DictEncodedIntColumn):
+            verdicts = np.asarray(node.evaluate({name: column.dictionary}), dtype=bool)
+            mask = verdicts[column.codes()]
+        return mask
+
+    def group_keys(self, column, mask: "np.ndarray | None"):
+        """Groups are the distinct selected codes; string keys stay raw heap
+        byte slices, so no heap entry is decoded here at all."""
+        if not isinstance(column, _DICTIONARY_COLUMNS):
+            return None
+        codes = column.codes()
+        unique_codes, inverse = np.unique(
+            codes if mask is None else codes[mask], return_inverse=True
+        )
+        if isinstance(column, DictEncodedStringColumn):
+            heap = column.heap
+            return [heap.key_bytes(int(code)) for code in unique_codes], inverse
+        return [int(value) for value in column.dictionary[unique_codes]], inverse
+
+    def charge(self, metrics, column) -> None:
+        metrics.rows_dict_evaluated += column.n_values
+
+
 class RleKernel(ColumnKernel):
     """Run-space evaluation over :class:`RleEncodedColumn`.
 
-    The only kernel that answers *compound* single-column subtrees: every
-    element-wise node evaluates over the ``n_runs`` distinct run values, so
-    the whole subtree collapses to one pass over runs plus one fan-out.
+    Every element-wise node evaluates over the ``n_runs`` distinct run
+    values, so a whole single-column subtree collapses to one pass over runs
+    plus one fan-out.
     """
 
     encoding_name = "rle"
 
     def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
-        if not isinstance(column, RleEncodedColumn) or not _run_space_safe(node):
+        if not isinstance(column, RleEncodedColumn) or not node.elementwise:
             return None
         run_mask = np.asarray(node.evaluate({name: column.run_values()}), dtype=bool)
         return column.expand_run_mask(run_mask)
@@ -214,8 +272,7 @@ class ForKernel(ColumnKernel):
     """Word-space comparisons over :class:`ForBitPackedColumn`.
 
     Constants shift by the frame of reference and compare against the packed
-    words; non-integer constants decline (the decode path already implements
-    the mixed-type degrade semantics).
+    words; non-integer constants decline.
     """
 
     encoding_name = "for_bitpack"
@@ -223,21 +280,7 @@ class ForKernel(ColumnKernel):
     def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
         if not isinstance(column, ForBitPackedColumn):
             return None
-        if isinstance(node, Between):
-            if (node.low is not None and not _is_int(node.low)) or (
-                node.high is not None and not _is_int(node.high)
-            ):
-                return None
-            return column.compare_range(node.low, node.high)
-        if isinstance(node, Eq):
-            if not _is_int(node.value):
-                return None
-            return column.compare_values((node.value,))
-        if isinstance(node, In):
-            if not all(_is_int(v) for v in node.values):
-                return None
-            return column.compare_values(node.values)
-        return None
+        return _compare_constants(column, node, exact_ints=True)
 
     def charge(self, metrics, column) -> None:
         metrics.rows_for_evaluated += column.n_values
@@ -255,21 +298,7 @@ class DeltaKernel(ColumnKernel):
     def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
         if not isinstance(column, DeltaEncodedColumn):
             return None
-        if isinstance(node, Between):
-            if (node.low is not None and not _is_int(node.low)) or (
-                node.high is not None and not _is_int(node.high)
-            ):
-                return None
-            return column.compare_range(node.low, node.high)
-        if isinstance(node, Eq):
-            if not _is_int(node.value):
-                return None
-            return column.compare_values((node.value,))
-        if isinstance(node, In):
-            if not all(_is_int(v) for v in node.values):
-                return None
-            return column.compare_values(node.values)
-        return None
+        return _compare_constants(column, node, exact_ints=True)
 
     def charge(self, metrics, column) -> None:
         metrics.rows_for_evaluated += column.n_values
@@ -278,17 +307,15 @@ class DeltaKernel(ColumnKernel):
 class FrequencyKernel(ColumnKernel):
     """Hot-value evaluation over :class:`FrequencyEncodedColumn`.
 
-    The predicate runs over the hot values and the exception list only, then
-    fans out through the packed codes — a small dictionary in disguise, so it
+    An element-wise subtree runs over the hot values and the exception list
+    only, then fans out through the packed codes — a small dictionary, so it
     charges the dictionary code-space counter.
     """
 
     encoding_name = "frequency"
 
     def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
-        if not isinstance(column, FrequencyEncodedColumn):
-            return None
-        if not isinstance(node, (Eq, Between, In)):
+        if not isinstance(column, FrequencyEncodedColumn) or not node.elementwise:
             return None
         return column.evaluate_hot(
             lambda values: np.asarray(node.evaluate({name: values}), dtype=bool)
@@ -303,10 +330,8 @@ class KernelRegistry:
 
     Consulted by :func:`~repro.query.scan.evaluate_block_predicate` (masks),
     the aggregation layer (selected runs) and the group-by layer
-    (run-space group keys).  Horizontally encoded columns never dispatch — a
-    kernel sees only self-contained vertical columns.  Dictionary columns are
-    deliberately *not* registered here: their code-space path predates this
-    registry and keeps its own dispatch.
+    (code- and run-space group keys).  Horizontally encoded columns never
+    dispatch — a kernel sees only self-contained vertical columns.
     """
 
     def __init__(self, kernels: Iterable[ColumnKernel] = ()):
@@ -373,7 +398,7 @@ class KernelRegistry:
         return runs
 
     def group_keys(self, block, name: str, mask: "np.ndarray | None"):
-        """Run-space ``(keys, inverse)`` for a group-by column, or ``None``."""
+        """Compressed-domain ``(keys, inverse)`` for a group-by column, or ``None``."""
         kernel, column = self._lookup(block, name)
         if kernel is None:
             return None
@@ -392,5 +417,5 @@ class KernelRegistry:
 
 #: The registry the query layers use unless handed a custom one.
 DEFAULT_KERNELS = KernelRegistry(
-    (RleKernel(), ForKernel(), DeltaKernel(), FrequencyKernel())
+    (DictionaryKernel(), RleKernel(), ForKernel(), DeltaKernel(), FrequencyKernel())
 )

@@ -28,8 +28,8 @@ releases the GIL.  :class:`ParallelEngine` lifts that limit:
                                             owner would reach *last*)
 
   Each worker evaluates its blocks' predicate masks via
-  :func:`~repro.query.scan.evaluate_block_predicate` (dictionary-domain
-  routing included) and records a private :class:`ScanMetrics`; steals are
+  :func:`~repro.query.scan.evaluate_block_predicate` (compressed-domain
+  kernels included) and records a private :class:`ScanMetrics`; steals are
   charged to ``steal_attempts``/``morsels_stolen`` and show up as
   ``steal`` spans in the tracing tree.  Both deque ends are single
   CPython bytecode operations, so no locks are needed and a morsel is
@@ -151,13 +151,10 @@ class ParallelEngine:
         fresh one is created otherwise.
     morsel_blocks:
         Blocks per morsel (default 1).
-    use_dictionary:
-        Route ``Eq``/``In``/``Between`` over dictionary-encoded columns
-        through code space (default) or force decode-then-compare.
     use_kernels:
         Offer single-column subtrees to the compressed-domain kernel
-        registry (RLE run space, FOR/delta word space — default) or force
-        the decode path.
+        registry (dictionary code space, RLE run space, FOR/delta word
+        space — default) or force the decode path.
     kernels:
         An explicit :class:`~repro.query.kernels.KernelRegistry` to consult
         (``None`` uses the default registry).
@@ -166,11 +163,6 @@ class ParallelEngine:
         a shared :class:`~repro.query.engine.Engine` passes its one pool
         here so N concurrent queries share workers.  :meth:`close` never
         shuts an external pool down.
-    stealing:
-        Let drained workers steal morsels from the back of a sibling's
-        deque (default).  ``False`` keeps the same contiguous per-worker
-        deal but never rebalances — the fixed fan-out baseline that
-        skew benchmarks compare against.
     """
 
     def __init__(
@@ -179,11 +171,9 @@ class ParallelEngine:
         workers: int | None = None,
         planner: ScanPlanner | None = None,
         morsel_blocks: int = DEFAULT_MORSEL_BLOCKS,
-        use_dictionary: bool = True,
         use_kernels: bool = True,
         kernels=None,
         pool: ThreadPoolExecutor | None = None,
-        stealing: bool = True,
     ):
         if morsel_blocks < 1:
             raise ValidationError("morsel size must be at least one block")
@@ -191,10 +181,8 @@ class ParallelEngine:
         self._workers = resolve_workers(workers)
         self._planner = planner if planner is not None else ScanPlanner(relation)
         self._morsel_blocks = morsel_blocks
-        self._use_dictionary = use_dictionary
         self._use_kernels = use_kernels
         self._kernels = kernels
-        self._stealing = stealing
         #: Externally-owned pool (shared engine): used but never shut down.
         self._shared_pool = pool
         #: Lazily-created persistent pool: repeated queries must not pay
@@ -298,7 +286,6 @@ class ParallelEngine:
                 block,
                 predicate,
                 metrics=partial,
-                use_dictionary=self._use_dictionary,
                 use_kernels=self._use_kernels,
                 kernels=self._kernels,
             )
@@ -390,8 +377,6 @@ class ParallelEngine:
                 try:
                     position, morsel = own.popleft()
                 except IndexError:
-                    if not self._stealing:
-                        return stats
                     stolen = None
                     for step in range(1, n_workers):
                         victim = (worker_id + step) % n_workers

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from ..encodings.dictionary import DictEncodedIntColumn, DictEncodedStringColumn
+from ..encodings.dictionary import DictEncodedStringColumn
 from ..errors import UnknownColumnError, ValidationError
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
@@ -437,7 +437,6 @@ class QueryCompiler:
             relation,
             workers=self._workers,
             planner=self._planner,
-            use_dictionary=config.use_dictionary,
             use_kernels=config.use_kernels,
             kernels=kernels,
             pool=pool,
@@ -952,7 +951,6 @@ class QueryCompiler:
             block,
             predicate,
             metrics=partial,
-            use_dictionary=self._config.use_dictionary,
             use_kernels=self._config.use_kernels,
         )
         n_selected = int(np.count_nonzero(mask))
@@ -1194,37 +1192,21 @@ class QueryCompiler:
         n_selected: int,
         partial: ScanMetrics,
     ) -> "tuple[list, np.ndarray, bool] | None":
-        """``(keys, inverse, used code space)`` without gathering, or ``None``.
+        """``(keys, inverse, keys are heap slices)`` without gathering, or ``None``.
 
-        A single dictionary-encoded column groups in code space — unique
-        packed codes, keys as raw dictionary entries (byte slices for
-        strings, so no heap entry is decoded here at all).  A single RLE
-        column groups in run space: its groups are the surviving run
-        values, and the per-row inverse repeats each run's group id by its
-        selected count, in the ascending row order a gather would use.
+        A single column whose kernel groups in its compressed domain: a
+        dictionary column by its distinct packed codes (string keys stay
+        raw heap byte slices — the caller owes one decode per distinct
+        group), an RLE column by its surviving run values.
         """
-        if len(group_by) != 1:
+        if len(group_by) != 1 or not self._config.use_kernels:
             return None
-        encoded = block.code_space_column(group_by[0]) if self._config.use_dictionary else None
-        if isinstance(encoded, (DictEncodedIntColumn, DictEncodedStringColumn)):
-            codes = encoded.codes()
-            unique_codes, inverse = np.unique(
-                codes if mask is None else codes[mask], return_inverse=True
-            )
-            keys: list
-            if isinstance(encoded, DictEncodedStringColumn):
-                heap = encoded.heap
-                keys = [heap.key_bytes(int(code)) for code in unique_codes]
-            else:
-                keys = [int(value) for value in encoded.dictionary[unique_codes]]
-            return keys, inverse, True
-        run_groups = (
-            self._kernels.group_keys(block, group_by[0], mask) if self._config.use_kernels else None
-        )
-        if run_groups is None:
+        grouping = self._kernels.group_keys(block, group_by[0], mask)
+        if grouping is None:
             return None
+        keys, inverse = grouping
         partial.rows_kernel_aggregated += n_selected
-        return (*run_groups, False)
+        return keys, inverse, bool(keys) and isinstance(keys[0], bytes)
 
 
 def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list, np.ndarray]:

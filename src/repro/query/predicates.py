@@ -17,11 +17,16 @@ Nodes::
     Or(children...)              disjunction
     Not(child)                   negation
 
-``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations; the legacy
-factories (:meth:`Predicate.equals`, :meth:`Predicate.between`,
-:meth:`Predicate.is_in`) return IR nodes, so existing call sites keep
-working.  Arbitrary Python conditions remain available through
-:class:`ColumnPredicate`, which simply cannot be pruned.
+``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations.  Arbitrary
+Python conditions remain available through :class:`ColumnPredicate`, which
+simply cannot be pruned.
+
+A leaf also states *what* it compares, once, for the compressed-domain
+kernels (:mod:`~repro.query.kernels`): :meth:`Predicate.comparison` is the
+range or candidate set an encoded column answers through its
+``compare_range``/``compare_values``, and :attr:`Predicate.elementwise`
+says whether a whole subtree may be evaluated once per distinct value.  No
+other module needs to know which predicate kind it is looking at.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..encodings.base import int64_candidates
 from ..errors import ValidationError
 from ..storage.statistics import BlockStatistics
 
@@ -54,29 +60,6 @@ def _as_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray):
         return values
     return np.asarray(values)
-
-
-def _code_space_mask(column, candidates: Sequence) -> np.ndarray | None:
-    """``column IN candidates`` evaluated over packed dictionary codes.
-
-    Translates the candidates to dictionary codes (string compares happen at
-    most once per candidate, against the sorted dictionary), then runs an
-    integer kernel over the raw codes.  ``None`` when ``column`` does not
-    expose the code-space API (``codes``/``lookup_codes``).
-    """
-    codes_of = getattr(column, "codes", None)
-    lookup = getattr(column, "lookup_codes", None)
-    if codes_of is None or lookup is None:
-        return None
-    targets = lookup(candidates)
-    if targets.size == 0:
-        # No candidate is in the dictionary: all-false without even
-        # unpacking the codes.
-        return np.zeros(column.n_values, dtype=bool)
-    codes = codes_of()
-    if targets.size == 1:
-        return codes == targets[0]
-    return np.isin(codes, targets)
 
 
 class Predicate(abc.ABC):
@@ -127,22 +110,28 @@ class Predicate(abc.ABC):
         """
         return f"{type(self).__name__}:{self.describe()}"
 
-    def evaluate_encoded(self, column, statistics=None) -> "np.ndarray | None":
-        """Boolean mask computed in the column's *encoded* domain, if possible.
+    def comparison(self) -> "tuple[tuple | None, tuple | None] | None":
+        """What a leaf compares its column against: ``(bounds, candidates)``.
 
-        ``column`` is the block's :class:`~repro.encodings.base.EncodedColumn`
-        for this predicate's column.  Nodes that can translate themselves to
-        code space (``Eq``/``In``/``Between`` on dictionary-encoded columns)
-        return the mask without materialising a single value; every other
-        combination returns ``None`` and the caller falls back to decoded
-        evaluation.  ``statistics`` (the block's
-        :class:`~repro.storage.statistics.ColumnStatistics` for this column,
-        when available) lets the translation drop candidates outside the
-        block's value range before any dictionary probe — a compound
-        predicate's leaves are not individually pruned by the planner, so a
-        leaf can be provably empty even inside a block classified *scan*.
+        ``((low, high), None)`` for an inclusive range (``None`` = open
+        side) or ``(None, candidates)`` for a value set — the arguments of
+        the ``compare_range(low, high)``/``compare_values(values)`` contract
+        an encoded column answers in its own domain.  ``None`` for compound
+        and opaque nodes, which compare nothing by themselves.
         """
         return None
+
+    @property
+    def elementwise(self) -> bool:
+        """Whether every row's verdict depends on that row's values alone.
+
+        ``Eq``/``Between``/``In`` decide each row from its value, and
+        ``And``/``Or``/``Not`` preserve that, so such a subtree over one
+        column can run once per *distinct* value (per RLE run, per
+        dictionary entry) and fan out.  Opaque nodes may inspect positions
+        or neighbours and are not.
+        """
+        return False
 
     @abc.abstractmethod
     def describe(self) -> str:
@@ -162,28 +151,6 @@ class Predicate(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
 
-    # -- legacy factories (kept so pre-IR call sites continue to work) --------
-
-    @staticmethod
-    def equals(column: str, value) -> "Eq":
-        return Eq(column, value)
-
-    @staticmethod
-    def between(column: str, low, high) -> "Between":
-        return Between(column, low, high)
-
-    @staticmethod
-    def is_in(column: str, values: Sequence) -> "In":
-        return In(column, values)
-
-    @staticmethod
-    def custom(
-        column: str,
-        condition: Callable[[np.ndarray], np.ndarray],
-        description: str = "",
-    ) -> "ColumnPredicate":
-        return ColumnPredicate(column, condition, description)
-
 
 class _Leaf(Predicate):
     """A predicate over a single column."""
@@ -195,6 +162,11 @@ class _Leaf(Predicate):
 
     def columns(self) -> tuple[str, ...]:
         return (self.column,)
+
+    @property
+    def elementwise(self) -> bool:
+        # A leaf that states a constant comparison reads one value per row.
+        return self.comparison() is not None
 
     def _stats(self, statistics: BlockStatistics | None):
         if statistics is None:
@@ -211,7 +183,13 @@ class Eq(_Leaf):
 
     def evaluate(self, values: ColumnValues) -> np.ndarray:
         arr = _as_array(values[self.column])
-        mask = np.asarray(arr == self.value, dtype=bool)
+        value = self.value
+        if arr.dtype.kind == "i":
+            exact = int64_candidates((value,))
+            if not exact:
+                return np.zeros(arr.shape, dtype=bool)
+            value = exact[0]
+        mask = np.asarray(arr == value, dtype=bool)
         if mask.ndim == 0:
             # NumPy collapses incomparable-type comparisons to a scalar.
             mask = np.full(arr.shape[0], bool(mask))
@@ -225,11 +203,8 @@ class Eq(_Leaf):
         stats = self._stats(statistics)
         return stats is not None and stats.is_constant(self.value)
 
-    def evaluate_encoded(self, column, statistics=None) -> np.ndarray | None:
-        candidates = (self.value,)
-        if statistics is not None:
-            candidates = statistics.prune_candidates(candidates)
-        return _code_space_mask(column, candidates)
+    def comparison(self) -> tuple[None, tuple]:
+        return None, (self.value,)
 
     def describe(self) -> str:
         return f"{self.column} == {self.value!r}"
@@ -269,31 +244,8 @@ class Between(_Leaf):
         stats = self._stats(statistics)
         return stats is not None and stats.contained_in(self.low, self.high)
 
-    def evaluate_encoded(self, column, statistics=None) -> np.ndarray | None:
-        """Range evaluation over packed codes via a contiguous code interval.
-
-        The dictionary is sorted, so ``[low, high]`` maps to one half-open
-        code interval found with two binary searches
-        (``lookup_code_range``); the mask is then a single integer-range
-        kernel over the raw codes — no value, and for strings no heap
-        entry beyond the ``O(log n)`` probes, is ever materialised.
-        """
-        code_range = getattr(column, "lookup_code_range", None)
-        codes_of = getattr(column, "codes", None)
-        if code_range is None or codes_of is None:
-            return None
-        interval = code_range(self.low, self.high)
-        if interval is None:
-            return None
-        lo, hi = interval
-        if lo >= hi:
-            # The range covers no dictionary entry: all-false without
-            # unpacking the codes.
-            return np.zeros(column.n_values, dtype=bool)
-        codes = codes_of()
-        if hi - lo == 1:
-            return codes == lo
-        return (codes >= lo) & (codes < hi)
+    def comparison(self) -> tuple[tuple, None]:
+        return (self.low, self.high), None
 
     def describe(self) -> str:
         if self.low is None:
@@ -317,9 +269,13 @@ class In(_Leaf):
         distinct = sorted(distinct_set)
         self.values = tuple(distinct)
         self._candidates = np.asarray(distinct)
+        # What an integer column compares against: np.asarray would round a
+        # float/int mix through float64 and merge neighbours above 2**53.
+        self._int_candidates = np.asarray(int64_candidates(distinct), dtype=np.int64)
 
     def evaluate(self, values: ColumnValues) -> np.ndarray:
-        return np.isin(_as_array(values[self.column]), self._candidates)
+        arr = _as_array(values[self.column])
+        return np.isin(arr, self._int_candidates if arr.dtype.kind == "i" else self._candidates)
 
     def might_match(self, statistics: BlockStatistics | None) -> bool:
         stats = self._stats(statistics)
@@ -331,11 +287,8 @@ class In(_Leaf):
         stats = self._stats(statistics)
         return stats is not None and any(stats.is_constant(v) for v in self.values)
 
-    def evaluate_encoded(self, column, statistics=None) -> np.ndarray | None:
-        candidates = self.values
-        if statistics is not None:
-            candidates = statistics.prune_candidates(candidates)
-        return _code_space_mask(column, candidates)
+    def comparison(self) -> tuple[None, tuple]:
+        return None, self.values
 
     def describe(self) -> str:
         return f"{self.column} IN {list(self.values)!r}"
@@ -362,6 +315,10 @@ class _Compound(Predicate):
                 if name not in seen:
                     seen.append(name)
         return tuple(seen)
+
+    @property
+    def elementwise(self) -> bool:
+        return all(child.elementwise for child in self.children)
 
     def fingerprint(self) -> str | None:
         parts = [child.fingerprint() for child in self.children]
@@ -428,6 +385,10 @@ class Not(Predicate):
 
     def columns(self) -> tuple[str, ...]:
         return self.child.columns()
+
+    @property
+    def elementwise(self) -> bool:
+        return self.child.elementwise
 
     def evaluate(self, values: ColumnValues) -> np.ndarray:
         return ~np.asarray(self.child.evaluate(values), dtype=bool)

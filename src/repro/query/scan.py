@@ -21,13 +21,11 @@ memoizes its per-(block, predicate-fingerprint) decisions, so repeated
 queries with equal predicates skip the zone-map tests entirely.
 
 Blocks classified *scan* are evaluated by :func:`evaluate_block_predicate`,
-which routes ``Eq``/``In``/``Between`` leaves over dictionary-encoded
-columns through the *code space*: the predicate constants are translated to
-dictionary codes once (string compares against the sorted dictionary only)
-and an integer kernel runs over the packed codes — no string heap is ever
-materialised.  Every other leaf decodes its column and evaluates the
-generic kernel.  :class:`ScanMetrics` reports what the planner and the
-code-space routing achieved per query.
+which offers every single-column subtree to the compressed-domain
+:class:`~repro.query.kernels.KernelRegistry` (dictionary code space, RLE run
+space, FOR/delta word space, frequency hot-value space) and decodes only
+what no kernel answers.  :class:`ScanMetrics` reports what the planner and
+the kernels achieved per query.
 """
 
 from __future__ import annotations
@@ -212,8 +210,8 @@ class ScanMetrics:
     was answered from block statistics or in code space.
 
     ``rows_dict_evaluated`` counts rows answered in dictionary code space
-    (one increment of ``block.n_rows`` per ``Eq``/``In``/``Between`` leaf
-    routed over packed codes), and ``string_heap_decodes`` counts string
+    (one increment of ``block.n_rows`` per subtree the dictionary or
+    frequency kernel answered), and ``string_heap_decodes`` counts string
     values that *were* materialised from a dictionary string heap — per-row
     values during predicate evaluation or projection, plus one entry per
     distinct group when a group-by is answered in code space.  It is the
@@ -224,8 +222,8 @@ class ScanMetrics:
     ``runs_evaluated`` the runs actually compared — the work really done),
     ``rows_for_evaluated`` rows answered by FOR/delta word-space
     comparisons, and ``rows_kernel_aggregated`` selected rows whose
-    aggregate, group-by or top-k was computed run-weighted instead of
-    gathered.  ``kernel_declines`` counts predicate subtrees a kernel was
+    aggregate, group-by or top-k was computed in run or code space instead
+    of gathered.  ``kernel_declines`` counts predicate subtrees a kernel was
     offered but declined — an outlier-bearing diff column that cannot
     dispatch, a non-monotonic delta column, a non-integer constant — i.e.
     why a block fell off the fast path and decoded instead.
@@ -310,36 +308,14 @@ class ScanMetrics:
 
 
 # ---------------------------------------------------------------------------
-# per-block predicate evaluation (dictionary-domain aware)
+# per-block predicate evaluation (compressed-domain aware)
 # ---------------------------------------------------------------------------
-
-
-class _CodesView:
-    """A code-space column view that memoizes the packed-code unpack.
-
-    ``codes()`` is a full O(n_rows) bit-unpack; a compound predicate with
-    several leaves on the same dictionary column would otherwise repeat it
-    per leaf.  Everything else delegates to the underlying encoded column.
-    """
-
-    def __init__(self, column):
-        self._column = column
-        self._codes: np.ndarray | None = None
-
-    def codes(self) -> np.ndarray:
-        if self._codes is None:
-            self._codes = self._column.codes()
-        return self._codes
-
-    def __getattr__(self, name):
-        return getattr(self._column, name)
 
 
 def evaluate_block_predicate(
     block: CompressedBlock,
     predicate: Predicate,
     metrics: ScanMetrics | None = None,
-    use_dictionary: bool = True,
     use_kernels: bool = True,
     kernels: KernelRegistry | None = None,
 ) -> np.ndarray:
@@ -348,18 +324,16 @@ def evaluate_block_predicate(
     The predicate tree is walked leaf by leaf.  Before recursing into any
     node, a single-column subtree is offered to the compressed-domain
     :class:`~repro.query.kernels.KernelRegistry` (``kernels``, defaulting to
-    the standard registry): RLE columns answer whole element-wise subtrees
-    in run space, FOR/delta columns answer constant comparisons in word
-    space, frequency columns in hot-value space.  A leaf whose column is
-    dictionary-encoded in this block and which can translate itself to code
-    space (``Eq``/``In``/``Between``) is answered from the packed codes
-    without decoding any value; ``Not`` nodes negate their child's mask, so
-    a negated code-space leaf stays in code space.  Remaining leaves decode
-    their column once per block (a shared cache deduplicates columns used by
+    the standard registry): dictionary columns answer constant comparisons
+    over their packed codes without decoding any value, RLE columns answer
+    whole element-wise subtrees in run space, FOR/delta columns answer
+    constant comparisons in word space, frequency columns in hot-value
+    space.  ``Not`` nodes negate their child's mask, so a negated kernel
+    answer stays in its compressed domain.  Remaining leaves decode their
+    column once per block (a shared cache deduplicates columns used by
     several leaves) and apply the generic vectorized kernel.
-    ``use_dictionary=False`` forces the decode path past the dictionary
-    route, ``use_kernels=False`` past the kernel registry — together they
-    restore the decode-then-compare baseline the benchmarks measure against.
+    ``use_kernels=False`` skips the registry altogether — the
+    decode-then-compare reference the parity suites compare against.
     ``metrics``, when given, receives the ``rows_decoded``,
     ``rows_dict_evaluated``, kernel-counter and ``string_heap_decodes``
     accounting (``rows_decoded`` is charged once per block, on the first
@@ -373,7 +347,6 @@ def evaluate_block_predicate(
         block = resolve_block(block, columns=predicate.columns())
         registry = (kernels if kernels is not None else DEFAULT_KERNELS) if use_kernels else None
         decoded_cache: dict[str, "np.ndarray | list[str]"] = {}
-        encoded_cache: dict[str, _CodesView] = {}
         all_positions: np.ndarray | None = None
         rows_charged = False
         paths: set[str] = set()
@@ -427,29 +400,11 @@ def evaluate_block_predicate(
                     else:
                         mask = mask | walk(child)
                 return mask
-            names = node.columns()
-            if use_dictionary and len(names) == 1:
-                encoded = encoded_cache.get(names[0])
-                if encoded is None:
-                    column = block.code_space_column(names[0])
-                    if column is not None:
-                        encoded = encoded_cache[names[0]] = _CodesView(column)
-                if encoded is not None:
-                    statistics = (
-                        block.statistics.column(names[0])
-                        if block.statistics is not None
-                        else None
-                    )
-                    mask = node.evaluate_encoded(encoded, statistics)
-                    if mask is not None:
-                        if metrics is not None:
-                            metrics.rows_dict_evaluated += block.n_rows
-                        if tracer.enabled:
-                            paths.add("dict")
-                        return np.asarray(mask, dtype=bool)
             if tracer.enabled:
                 paths.add("decode")
-            return np.asarray(node.evaluate({name: decode(name) for name in names}), dtype=bool)
+            return np.asarray(
+                node.evaluate({name: decode(name) for name in node.columns()}), dtype=bool
+            )
 
         mask = walk(predicate)
         if mask.shape != (block.n_rows,):

@@ -94,21 +94,6 @@ class CompressedBlock:
     def is_horizontal(self, name: str) -> bool:
         return name in self.dependencies
 
-    def code_space_column(self, name: str) -> EncodedColumn | None:
-        """The encoded column if ``name`` supports code-space evaluation.
-
-        A column qualifies when it is vertically encoded (no reference
-        dependency to resolve) and its encoding exposes the dictionary
-        code-space API (``codes``/``lookup_codes``); the query layer then
-        evaluates ``Eq``/``In`` predicates directly over packed codes.
-        """
-        if name in self.dependencies:
-            return None
-        encoded = self.column(name)
-        if hasattr(encoded, "codes") and hasattr(encoded, "lookup_codes"):
-            return encoded
-        return None
-
     def column_statistics(self, name: str) -> ColumnStatistics | None:
         """Zone-map statistics for ``name``, or ``None`` when unavailable."""
         if name not in self.columns:

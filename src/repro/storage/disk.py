@@ -77,8 +77,8 @@ class LazyBlock:
     answered from the footer entry.  Data access faults segments in through
     the owning relation's cache: column-granular on v3 tables
     (:meth:`load_columns`, and the per-column accessors ``column``/
-    ``decode_column``/``gather_column``/``code_space_column``), whole-block
-    otherwise (:meth:`load`).
+    ``decode_column``/``gather_column``), whole-block otherwise
+    (:meth:`load`).
     """
 
     __slots__ = ("_relation", "_index", "_entry")
@@ -185,16 +185,6 @@ class LazyBlock:
             encoded, _ = self._relation._load_column(self._index, name)
             return encoded
         return self.load().column(name)
-
-    def code_space_column(self, name: str):
-        if self._relation.column_granular:
-            if self.dependency(name) is not None:
-                return None
-            encoded = self.column(name)
-            if hasattr(encoded, "codes") and hasattr(encoded, "lookup_codes"):
-                return encoded
-            return None
-        return self.load().code_space_column(name)
 
     def column_size(self, name: str) -> int:
         return self.column(name).size_bytes

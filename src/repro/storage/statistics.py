@@ -54,6 +54,12 @@ def _comparable(a, b) -> bool:
     return True
 
 
+def _unordered(bound) -> bool:
+    """Whether ``bound`` is NaN: ordered against nothing, so no value lies
+    on either side of it and a range it bounds is empty."""
+    return isinstance(bound, (float, np.floating)) and bound != bound
+
+
 @dataclass(frozen=True)
 class ColumnStatistics:
     """Zone-map statistics of one column within one block.
@@ -207,7 +213,7 @@ class ColumnStatistics:
 
         ``None`` on either side means the range is unbounded on that side.
         """
-        if self.row_count == 0:
+        if self.row_count == 0 or _unordered(low) or _unordered(high):
             return False
         if not self.has_bounds:
             return True
@@ -232,6 +238,8 @@ class ColumnStatistics:
         """
         if self.row_count == 0 or not self.has_bounds or not self.exact_bounds:
             return False
+        if _unordered(low) or _unordered(high):
+            return False
         if low is not None:
             if not _comparable(self.min_value, low) or self.min_value < low:
                 return False
@@ -239,18 +247,6 @@ class ColumnStatistics:
             if not _comparable(self.max_value, high) or self.max_value > high:
                 return False
         return True
-
-    def prune_candidates(self, values: Sequence) -> tuple:
-        """The subset of candidate ``values`` this block could contain.
-
-        Used by the dictionary-domain translation of ``Eq``/``In``
-        (``Predicate.evaluate_encoded``): candidates outside ``[min, max]``
-        need no dictionary probe, and a leaf whose candidates all fall
-        outside the block's range is answered all-false without touching the
-        packed codes — the planner only prunes whole predicates, not the
-        individual leaves of a compound.
-        """
-        return tuple(v for v in values if self.may_contain(v))
 
     def is_constant(self, value) -> bool:
         """Whether every row provably equals ``value``."""

@@ -23,6 +23,8 @@ from repro.analysis.metrics import MetricsCompletenessRule
 from repro.analysis.purity import KernelPurityRule
 from repro.analysis.roundtrip import FormatRoundtripRule
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
 
 def _project(tmp_path, files):
     """Write ``files`` (rel path -> source) under ``tmp_path`` and parse."""
@@ -423,6 +425,40 @@ class TestKernelPurity:
             {"query/scan.py": "def fallback(column):\n    return column.decode()\n"},
         )
         assert _findings(KernelPurityRule(), project) == []
+
+    def test_decode_seeded_into_the_dictionary_kernel_is_flagged(self, tmp_path):
+        # The dictionary path lives in query/kernels.py, so the rule covers
+        # it by location: the shipped module is clean, and one decode()
+        # seeded into DictionaryKernel.predicate_mask is a finding there.
+        source = (SRC / "query" / "kernels.py").read_text()
+        anchor = "        mask = _compare_constants(column, node, exact_ints=False)\n"
+        assert source.count(anchor) == 1
+        clean = _project(tmp_path / "clean", {"query/kernels.py": source})
+        assert _findings(KernelPurityRule(), clean) == []
+        seeded = source.replace(anchor, "        column.decode()\n" + anchor)
+        findings = _findings(
+            KernelPurityRule(), _project(tmp_path / "seeded", {"query/kernels.py": seeded})
+        )
+        assert [f.rule for f in findings] == ["kernel-purity"]
+        lines = seeded.splitlines()
+        kernel_start = lines.index("class DictionaryKernel(ColumnKernel):") + 1
+        kernel_end = lines.index("class RleKernel(ColumnKernel):") + 1
+        assert kernel_start < findings[0].line < kernel_end
+
+    def test_heap_materialisation_is_impure_but_code_space_probes_are_not(self, tmp_path):
+        project = _project(
+            tmp_path,
+            {
+                "query/kernels.py": (
+                    "def keys(heap, codes, value):\n"
+                    "    heap.key_bytes(0), heap.find(value)\n"
+                    "    heap.bisect_left(value), heap.bisect_right(value)\n"
+                    "    return heap.lookup_many(codes), heap.all_strings()\n"
+                ),
+            },
+        )
+        findings = _findings(KernelPurityRule(), project)
+        assert sorted(f.message.split("'")[1] for f in findings) == ["all_strings", "lookup_many"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.workers == 1
-        assert config.use_statistics and config.use_dictionary and config.use_kernels
+        assert config.use_statistics and config.use_kernels
 
     def test_with_overrides(self):
         config = EngineConfig().with_overrides(workers=4, use_kernels=False)
@@ -215,7 +216,7 @@ class TestDeprecatedKeywordPaths:
 # -- each switch has one declaration per layer ------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-SWITCHES = {"use_statistics", "use_dictionary", "use_kernels"}
+SWITCHES = {"use_statistics", "use_kernels"}
 
 
 def switch_declarations(root: Path) -> tuple[set[str], set[str]]:
@@ -248,6 +249,7 @@ def switch_declarations(root: Path) -> tuple[set[str], set[str]]:
 
 
 def test_switches_declared_once():
+    assert {f.name for f in fields(EngineConfig) if f.name.startswith("use_")} == SWITCHES
     functions, classes = switch_declarations(SRC)
     assert functions == {
         "ScanPlanner.__init__",
@@ -261,6 +263,6 @@ def test_the_walk_sees_parameters_and_fields(tmp_path):
     (tmp_path / "sample.py").write_text(
         "class A:\n    use_kernels: bool = True\n"
         "    def f(self, *, use_statistics=True): ...\n"
-        "def g(use_dictionary):\n    def h(use_kernels): ...\n"
+        "def g(use_statistics):\n    def h(use_kernels): ...\n"
     )
     assert switch_declarations(tmp_path) == ({"A.f", "g", "h"}, {"A"})

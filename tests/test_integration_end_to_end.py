@@ -26,7 +26,7 @@ from repro.datasets import (
     TaxiGenerator,
     taxi_multi_reference_config,
 )
-from repro.query import Predicate, generate_selection_vectors, materialize_columns
+from repro.query import Between, generate_selection_vectors, materialize_columns
 
 
 class TestTpchPipeline:
@@ -72,7 +72,7 @@ class TestTpchPipeline:
         executor = QueryExecutor(relation)
         ship = table.column("l_shipdate")
         lo, hi = int(np.quantile(ship, 0.4)), int(np.quantile(ship, 0.6))
-        result = executor.select(["l_receiptdate"], Predicate.between("l_shipdate", lo, hi))
+        result = executor.select(["l_receiptdate"], Between("l_shipdate", lo, hi))
         expected_rows = np.flatnonzero((ship >= lo) & (ship <= hi))
         assert np.array_equal(result.row_ids, expected_rows)
         assert np.array_equal(

@@ -208,22 +208,6 @@ class TestWorkStealing:
         assert parallel.metrics.morsels_stolen >= 1
         assert parallel.metrics.steal_attempts >= parallel.metrics.morsels_stolen
 
-    def test_stealing_off_reports_no_steals(self):
-        from repro.query.parallel import ParallelEngine
-        from repro.query.scan import ScanPlanner
-
-        skewed = self._skewed_relation()
-        engine = ParallelEngine(
-            skewed, planner=ScanPlanner(skewed), workers=2, stealing=False
-        )
-        try:
-            row_ids, metrics = engine.scan(self._slow_predicate())
-        finally:
-            engine.close()
-        assert metrics.morsels_stolen == 0
-        assert metrics.steal_attempts == 0
-        assert len(row_ids) == skewed.n_rows
-
     def test_serial_execution_never_steals(self, relation):
         result = relation.query().where(Between("v", 0, 499)).select("v").execute()
         assert result.metrics.morsels_stolen == 0

@@ -8,7 +8,9 @@ from repro.dtypes import INT64, STRING
 from repro.errors import UnknownColumnError, ValidationError
 from repro.query import (
     PAPER_SELECTIVITIES,
-    Predicate,
+    Between,
+    Eq,
+    In,
     QueryExecutor,
     generate_selection_vector,
     generate_selection_vectors,
@@ -126,18 +128,18 @@ class TestQueryExecutor:
         ex, table = executor
         ship = table.column("ship")
         target = int(ship[17])
-        rows = ex.filter(Predicate.equals("ship", target))
+        rows = ex.filter(Eq("ship", target))
         assert np.array_equal(rows, np.flatnonzero(ship == target))
 
     def test_filter_between(self, executor):
         ex, table = executor
         ship = table.column("ship")
-        rows = ex.filter(Predicate.between("ship", 8_100, 8_200))
+        rows = ex.filter(Between("ship", 8_100, 8_200))
         assert np.array_equal(rows, np.flatnonzero((ship >= 8_100) & (ship <= 8_200)))
 
     def test_select_with_predicate(self, executor):
         ex, table = executor
-        result = ex.select(["receipt"], Predicate.between("ship", 8_100, 8_110))
+        result = ex.select(["receipt"], Between("ship", 8_100, 8_110))
         expected_rows = np.flatnonzero(
             (table.column("ship") >= 8_100) & (table.column("ship") <= 8_110)
         )
@@ -153,7 +155,7 @@ class TestQueryExecutor:
 
     def test_count(self, executor):
         ex, table = executor
-        assert ex.count(Predicate.between("ship", 8_000, 8_499)) == 500
+        assert ex.count(Between("ship", 8_000, 8_499)) == 500
 
     def test_is_in_predicate_on_strings(self):
         table = Table.from_columns(
@@ -161,12 +163,12 @@ class TestQueryExecutor:
         )
         relation = TableCompressor(block_size=5).compress(table)
         ex = QueryExecutor(relation)
-        assert ex.count(Predicate.is_in("s", ["a", "c"])) == 3
+        assert ex.count(In("s", ["a", "c"])) == 3
 
     def test_unknown_predicate_column(self, executor):
         ex, _ = executor
         with pytest.raises(UnknownColumnError):
-            ex.filter(Predicate.equals("nope", 1))
+            ex.filter(Eq("nope", 1))
 
 
 class TestLatencyHarness:

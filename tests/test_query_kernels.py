@@ -8,6 +8,9 @@ encoding and with outlier-bearing horizontal columns in the mix (which the
 registry must decline, falling back to decode).
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,12 +36,14 @@ from repro.query import (
 )
 from repro.storage import DiskRelation, Table, write_table
 
-#: Every vertical scheme a kernel serves, plus dictionary (own code-space
-#: path) and plain (no kernel at all) as controls.
+#: Every vertical scheme a kernel serves, plus plain (no kernel at all) as
+#: the control.
 SCHEMES = ("rle", "delta", "frequency", "for_bitpack", "dictionary", "plain")
 
 #: The decode-then-compare baseline every kernel result is checked against.
 DECODE = EngineConfig(use_kernels=False)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def compress(table, block_size=256, scheme=None):
@@ -146,6 +151,147 @@ class TestKernelParityProperties:
         assert block.dependency("x") is not None
         assert DEFAULT_KERNELS.predicate_mask(block, "x", Eq("x", 0)) is None
         assert_query_parity(relation, predicate)
+
+
+# -- the differential matrix ----------------------------------------------------
+
+#: Value shapes: in-order, shuffled, run-heavy, and both ends of int64 where
+#: a float64 round trip merges neighbouring values.
+SHAPES = {
+    "sorted": np.arange(-20, 80),
+    "random": np.random.default_rng(7).integers(-10, 10, 100),
+    "runs": np.repeat([5, -5, 0, 1, 5], 20),
+    "near+2**62": 2**62 + np.arange(100),
+    "near-2**62": -(2**62) - np.arange(100),
+}
+
+#: Constants a client can send: exact, integral and fractional floats, the
+#: unordered and the infinite, beyond int64 on both sides, the wrong type.
+CONSTANTS = (
+    0, 5, -5, True, 5.0, 5.5, float("nan"), float("inf"), float("-inf"),
+    2**63, -(2**63) - 1, 2**64, "5", np.int64(5),
+)  # fmt: skip
+
+
+def _equals(x: int, constant) -> bool:
+    return not isinstance(constant, str) and x == constant
+
+
+def _at_least(x: int, constant) -> bool:
+    return not isinstance(constant, str) and x >= constant
+
+
+def _at_most(x: int, constant) -> bool:
+    return not isinstance(constant, str) and x <= constant
+
+
+#: kind -> (predicate over column x, the same question asked of one Python
+#: int); ``anchor`` is a value the column holds, so ``In`` always has a hit.
+QUESTIONS = {
+    "eq": (lambda c, anchor: Eq("x", c), lambda x, c, anchor: _equals(x, c)),
+    "in": (
+        lambda c, anchor: In("x", [c] if isinstance(c, str) else [c, anchor]),
+        lambda x, c, anchor: _equals(x, c) or (not isinstance(c, str) and x == anchor),
+    ),
+    "at_least": (lambda c, anchor: Between("x", c, None), lambda x, c, anchor: _at_least(x, c)),
+    "at_most": (lambda c, anchor: Between("x", None, c), lambda x, c, anchor: _at_most(x, c)),
+    "not_eq": (lambda c, anchor: Not(Eq("x", c)), lambda x, c, anchor: not _equals(x, c)),
+    "not_at_least": (
+        lambda c, anchor: Not(Between("x", c, None)),
+        lambda x, c, anchor: not _at_least(x, c),
+    ),
+}
+
+CONFIGS = {
+    "default": EngineConfig(),
+    "use_kernels=False": DECODE,
+    "use_statistics=False": EngineConfig(use_statistics=False),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_path_agrees_with_python_ints(scheme, shape):
+    """Kernels, decode and zone maps all answer what plain Python ints answer."""
+    values = SHAPES[shape]
+    relation = single_column_relation(values, scheme, block_size=32)
+    anchor = int(values[5])
+    mismatches = []
+    for kind, (build, ask) in QUESTIONS.items():
+        for constant in CONSTANTS:
+            want = sum(ask(int(x), constant, anchor) for x in values)
+            for label, config in CONFIGS.items():
+                got = relation.query(config=config).where(build(constant, anchor)).count()
+                if got != want:
+                    mismatches.append((kind, constant, label, got, want))
+    assert mismatches == []
+
+
+# -- one dispatch ---------------------------------------------------------------
+
+
+def test_kernels_name_no_predicate_kind():
+    """``query/kernels.py`` knows ``Predicate`` and nothing more specific."""
+    kinds = {"Eq", "Between", "In", "And", "Or", "Not", "ColumnPredicate"}
+    tree = ast.parse((SRC / "query" / "kernels.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "Predicate" in named
+    assert named & kinds == set()
+
+
+def test_the_second_dispatch_is_gone():
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for name in ("code_space_column", "evaluate_encoded", "use_dictionary"):
+            assert name not in text, (path, name)
+    assert "dictionary" in DEFAULT_KERNELS.encodings
+
+
+class TestDictionaryKernel:
+    def test_compound_subtree_unpacks_the_codes_once_per_block(self, monkeypatch):
+        from repro.encodings.dictionary import DictEncodedIntColumn
+
+        values = np.random.default_rng(2).integers(0, 40, 512).astype(np.int64)
+        relation = single_column_relation(values, "dictionary", block_size=128)
+        unpack, calls = DictEncodedIntColumn.codes, []
+        monkeypatch.setattr(
+            DictEncodedIntColumn, "codes", lambda self: calls.append(self) or unpack(self)
+        )
+        predicate = Or(And(Between("x", 3, 30), Not(Eq("x", 7))), In("x", [35, 39]))
+        config = EngineConfig(use_statistics=False)  # scan every block
+        result = relation.query(config=config).where(predicate).agg(n=Count()).execute()
+        assert len(calls) == relation.n_blocks
+        assert result.scalar("n") == int(predicate.evaluate({"x": values}).sum())
+        assert result.metrics.rows_dict_evaluated == relation.n_rows
+        assert result.metrics.rows_decoded == 0
+
+    def test_string_leaves_and_group_by_stay_in_code_space(self):
+        from repro.dtypes import STRING
+
+        tags = [f"tag_{i % 9:02d}" for i in range(600)]
+        relation = compress(Table.from_columns([("t", STRING, tags)]), block_size=200)
+        assert relation.block(0).encoding_of("t") == "dictionary"
+        for predicate in (
+            Eq("t", "tag_03"),
+            In("t", ["tag_01", "tag_08", "absent"]),
+            Between("t", "tag_02", "tag_05"),
+        ):
+            config = EngineConfig(use_statistics=False)
+            result = relation.query(config=config).where(predicate).agg(n=Count()).execute()
+            assert result.scalar("n") == int(predicate.evaluate({"t": tags}).sum())
+            assert result.metrics.rows_dict_evaluated == relation.n_rows
+            assert result.metrics.rows_decoded == 0
+            assert result.metrics.string_heap_decodes == 0
+        grouped = relation.query().group_by("t").agg(n=Count()).execute()
+        assert grouped.columns["t"] == sorted(set(tags))
+        assert grouped.metrics.string_heap_decodes == len(set(tags))
 
 
 class TestRleKernel:

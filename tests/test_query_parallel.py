@@ -12,6 +12,7 @@ from repro.core import TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import (
+    DEFAULT_KERNELS,
     And,
     Between,
     ColumnPredicate,
@@ -102,7 +103,7 @@ class TestParallelMatchesSerial:
     def test_dictionary_domain_matches_decode_path(self, relation, predicate):
         with_dict = QueryExecutor(relation).filter(predicate)
         without = QueryExecutor(
-            relation, config=EngineConfig(use_dictionary=False)
+            relation, config=EngineConfig(use_kernels=False)
         ).filter(predicate)
         assert np.array_equal(with_dict, without)
 
@@ -132,7 +133,7 @@ class TestDictionaryDomain:
         assert metrics.rows_decoded == 0
 
     def test_decode_path_pays_heap_decodes(self, relation):
-        executor = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
+        executor = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
         executor.count(Eq("tag", "tag_07"))
         metrics = executor.last_scan_metrics
         assert metrics.rows_dict_evaluated == 0
@@ -189,7 +190,7 @@ class TestDictionaryDomain:
         ).build()
         rel = TableCompressor(plan, block_size=64).compress(table)
         expected = int(np.count_nonzero(values == 5.0))
-        for kwargs in ({}, {"use_dictionary": False}, {"workers": 2}):
+        for kwargs in ({}, {"use_kernels": False}, {"workers": 2}):
             executor = QueryExecutor(rel, config=EngineConfig(**kwargs))
             assert executor.count(Eq("c", 5.0)) == expected
             assert executor.count(Eq("c", True)) == 0
@@ -202,15 +203,15 @@ class TestDictionaryDomain:
         predicate = Or(Eq("v", 5), Eq("tag", "absent"))
         with_dict = QueryExecutor(relation).filter(predicate)
         without = QueryExecutor(
-            relation, config=EngineConfig(use_dictionary=False)
+            relation, config=EngineConfig(use_kernels=False)
         ).filter(predicate)
         assert np.array_equal(with_dict, without)
 
     def test_code_space_column_excludes_horizontal(self, relation):
         block = relation.block(0)
-        assert block.code_space_column("tag") is not None
-        # FOR/bit-packed column has no code-space API.
-        assert block.code_space_column("v") is None
+        assert DEFAULT_KERNELS.predicate_mask(block, "tag", Eq("tag", TAGS[0])) is not None
+        # FOR/bit-packed column has no code-space API to translate a string through.
+        assert DEFAULT_KERNELS.predicate_mask(block, "v", Eq("v", TAGS[0])) is None
 
 
 class TestPlannerMemoization:

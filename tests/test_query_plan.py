@@ -228,7 +228,7 @@ class TestLazyParity:
     @given(predicate=_predicates)
     def test_dictionary_and_statistics_toggles_agree(self, relation, predicate):
         baseline = relation.query(
-            config=EngineConfig(use_statistics=False, use_dictionary=False)
+            config=EngineConfig(use_statistics=False, use_kernels=False)
         ).where(predicate).agg(n=Count(), total=Sum("v")).execute()
         tuned = relation.query().where(predicate).agg(n=Count(), total=Sum("v")).execute()
         assert tuned.scalar("n") == baseline.scalar("n")
@@ -476,7 +476,7 @@ class TestBuilderValidation:
     def test_group_by_without_dictionary_matches_code_space(self, relation):
         tuned = relation.query().group_by("tag").agg(n=Count(), hi=Max("v")).execute()
         decoded = (
-            relation.query(config=EngineConfig(use_dictionary=False))
+            relation.query(config=EngineConfig(use_kernels=False))
             .group_by("tag")
             .agg(n=Count(), hi=Max("v"))
             .execute()
@@ -570,7 +570,7 @@ class TestNotPredicate:
         metrics = executor.last_scan_metrics
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
-        without = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
+        without = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
         assert without.count(Not(Eq("tag", TAGS[0]))) == count
 
 
@@ -587,7 +587,7 @@ class TestBetweenCodeSpace:
 
     def test_open_and_mistyped_bounds_match_decode_path(self, relation):
         with_dict = QueryExecutor(relation)
-        without = QueryExecutor(relation, config=EngineConfig(use_dictionary=False))
+        without = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
         for predicate in (
             Between("tag", None, TAGS[4]),
             Between("tag", TAGS[4], None),

@@ -15,11 +15,13 @@ from repro.query import (
     Eq,
     In,
     Or,
-    Predicate,
     QueryExecutor,
     ScanPlanner,
 )
 from repro.storage import BlockStatistics, ColumnStatistics, Table
+
+
+NAN = float("nan")
 
 
 def _stats(**columns):
@@ -123,12 +125,12 @@ class TestPredicateEvaluation:
         assert pred.columns() == ("x", "s")
 
     def test_legacy_factories_return_ir_nodes(self):
-        assert isinstance(Predicate.equals("x", 1), Eq)
-        assert isinstance(Predicate.between("x", 0, 1), Between)
-        assert isinstance(Predicate.is_in("x", [1]), In)
+        assert isinstance(Eq("x", 1), Eq)
+        assert isinstance(Between("x", 0, 1), Between)
+        assert isinstance(In("x", [1]), In)
 
     def test_column_predicate_escape_hatch(self):
-        pred = Predicate.custom("x", lambda v: np.asarray(v) % 2 == 1, "x is odd")
+        pred = ColumnPredicate("x", lambda v: np.asarray(v) % 2 == 1, "x is odd")
         assert isinstance(pred, ColumnPredicate)
         assert pred.evaluate(self.VALUES).tolist() == [True, True, True, True]
         assert pred.describe() == "x is odd"
@@ -186,6 +188,20 @@ class TestPredicatePruning:
         stats = _stats(x=_int_stats(10, 20, exact=False))
         assert not Between("x", 30, 40).might_match(stats)
         assert not Between("x", 0, 100).matches_all(stats)
+
+    @pytest.mark.parametrize(
+        "low, high", [(NAN, None), (None, NAN), (NAN, 15), (15, NAN), (NAN, NAN)]
+    )
+    def test_nan_bound_matches_nothing(self, low, high):
+        # NaN is ordered against nothing: ``min < nan`` is False, which used
+        # to veto neither overlap nor containment and classified blocks FULL.
+        stats = _stats(x=_int_stats(10, 20))
+        between = Between("x", low, high)
+        assert not between.might_match(stats)
+        assert not between.matches_all(stats)
+        assert (~between).might_match(stats)
+        assert (~between).matches_all(stats)
+        assert not between.evaluate({"x": np.arange(10, 21)}).any()
 
 
 @pytest.fixture
@@ -304,6 +320,17 @@ class TestExecutorPruning:
         result = executor.select(["ship"])
         assert result.metrics is None
         assert executor.last_scan_metrics is None
+
+    @pytest.mark.parametrize("scheme", ["for_bitpack", "dictionary", "rle", "plain"])
+    @pytest.mark.parametrize("low, high", [(NAN, None), (None, NAN), (NAN, 8_050)])
+    def test_nan_bound_selects_no_row_on_any_path(self, scheme, low, high):
+        table = Table.from_columns([("c", INT64, np.arange(8_000, 8_300, dtype=np.int64))])
+        plan = CompressionPlan.builder(table.schema).vertical("c", scheme).build()
+        relation = TableCompressor(plan, block_size=100).compress(table)
+        between = Between("c", low, high)
+        for config in (EngineConfig(), EngineConfig(use_statistics=False)):
+            assert relation.query(config=config).where(between).count() == 0
+            assert relation.query(config=config).where(~between).count() == relation.n_rows
 
     def test_string_zone_maps_prune_eq(self):
         names = sorted(f"name-{i:03d}" for i in range(500))
