@@ -33,7 +33,9 @@ class ForBitPackedColumn(EncodedColumn):
     def __init__(self, values: np.ndarray):
         vals = ensure_int_array(values)
         self._frame = int(vals.min()) if vals.size else 0
-        offsets = vals - self._frame
+        # Offsets in uint64 modular arithmetic: a span of 2**63 or more does
+        # not fit int64, and decode's int64 ``+ frame`` wraps it back.
+        offsets = vals.view(np.uint64) - np.uint64(self._frame % 2**64)
         width = required_bits(int(offsets.max())) if vals.size else 0
         self._packed = BitPackedArray.from_values(offsets, width)
 
@@ -101,5 +103,5 @@ class ForBitPackEncoding(ColumnEncoding):
         vals = ensure_int_array(values)
         if vals.size == 0:
             return _METADATA_BYTES
-        width = required_bits(int(vals.max() - vals.min()))
+        width = required_bits(int(vals.max()) - int(vals.min()))
         return (vals.size * width + 7) // 8 + _METADATA_BYTES

@@ -239,9 +239,10 @@ class RleKernel(ColumnKernel):
         keys = run_values[survivors]
         # Stable argsort keeps equal-valued runs in ascending run (= row)
         # order, which is exactly the (key, row id) tie-break the sort
-        # operator promises; negating flips the key order without touching
-        # the tie-break.
-        order = np.argsort(-keys if descending else keys, kind="stable")
+        # operator promises; ``~x`` (= ``-x - 1``) flips the key order without
+        # touching the tie-break, and without the overflow ``-x`` has at
+        # ``-2**63``.
+        order = np.argsort(~keys if descending else keys, kind="stable")
         starts = column.run_starts
         lengths = column.run_lengths()
         mask_arr = np.asarray(mask, dtype=bool)

@@ -710,10 +710,17 @@ class QueryCompiler:
         return lines
 
     def _execute_select(self, compiled: CompiledQuery) -> PlanResult:
+        """Row ids of a non-aggregating query, then its projection.
+
+        ``order_by`` with a ``limit`` is a fused top-k: blocks are visited
+        in zone-map bound order with an early exit, and each visited block
+        hands back at most ``k`` candidates chosen by partition, not by
+        sorting the block — no full sort runs, per block or overall.
+        ``order_by`` alone sorts every selected row; a bare ``limit``
+        truncates the row-id stream before anything is materialised.
+        """
         metrics: ScanMetrics | None
         if compiled.order_by is not None and compiled.limit is not None:
-            # Fused top-k: bounded per-block candidate sets, block visits in
-            # zone-map bound order, early exit — the full sort never runs.
             row_ids, metrics = self._topk_row_ids(compiled)
         else:
             if compiled.predicate is None:
@@ -752,7 +759,9 @@ class QueryCompiler:
                 self._relation, (compiled.order_by,), row_ids, workers=self._workers
             )[compiled.order_by]
             if isinstance(keys, np.ndarray):
-                sort_keys = -keys if compiled.descending else keys
+                # ``~x`` (= ``-x - 1``) reverses int64 order without the
+                # overflow ``-x`` has at ``-2**63``.
+                sort_keys = ~keys if compiled.descending else keys
                 return row_ids[np.argsort(sort_keys, kind="stable")]
             # String keys: Python's sort is stable and ``reverse=True`` does
             # not reorder equal elements, so ties stay in row-id order.
@@ -881,8 +890,11 @@ class QueryCompiler:
         The pairs come back already in final rank order.  An RLE sort
         column answers in run space — each run contributes its value once
         and only the winning runs' positions are expanded; otherwise the
-        key column is gathered at the selected positions and ranked with a
-        stable bounded sort.
+        key column is gathered at the selected positions and ranked by
+        :func:`_ranked_positions` — a partition to the ``k``-th key, a
+        stable sort of only the keys strictly before it, then the ``k``-th
+        key's first ties in row order — never a sort of more than ``k``
+        keys, however many the block holds or share a value.
         """
         block = self._relation.block(index)
         partial = ScanMetrics()
@@ -909,8 +921,7 @@ class QueryCompiler:
         gathered = self._gather_inputs(block, (column,), positions, partial)
         keys = gathered[column]
         if isinstance(keys, np.ndarray):
-            sort_keys = -keys if compiled.descending else keys
-            best = np.argsort(sort_keys, kind="stable")[:k]
+            best = _ranked_positions(keys, k, compiled.descending)
             return (
                 [(int(keys[i]), int(offset + positions[i])) for i in best],
                 partial,
@@ -1251,6 +1262,26 @@ def _topk_pairs(
         by_row = sorted(pairs, key=lambda pair: pair[1])
         return sorted(by_row, key=lambda pair: pair[0], reverse=True)[:k]
     return sorted(pairs)[:k]
+
+
+def _ranked_positions(keys: np.ndarray, k: int, descending: bool) -> np.ndarray:
+    """Positions of the ``k`` best integer ``keys``, best first, ties by position.
+
+    The result equals the first ``k`` of a full stable sort, and no sort ever
+    sees more than ``k`` keys: with more than ``k`` keys, ``np.partition``
+    finds the ``k``-th key, the (fewer than ``k``) positions whose key is
+    strictly before it are stable-sorted, and the ``k``-th key's first ties
+    fill the rest — already in ascending position order.  ``~x``
+    (= ``-x - 1``) reverses int64 order for descending without the overflow
+    ``-x`` has at ``-2**63``.
+    """
+    sort_keys = ~keys if descending else keys
+    if not 0 < k < sort_keys.size:
+        return np.argsort(sort_keys[:k], kind="stable")
+    kth = np.partition(sort_keys, k - 1)[k - 1]
+    before = np.flatnonzero(sort_keys < kth)
+    ties = np.flatnonzero(sort_keys == kth)[: k - before.size]
+    return np.concatenate([before[np.argsort(sort_keys[before], kind="stable")], ties])
 
 
 def _apply_having(

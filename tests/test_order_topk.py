@@ -5,7 +5,8 @@ The contracts under test:
 * ``order_by`` (and the fused ``order_by().limit(k)`` top-k) returns rows
   in total order — sort key, then ascending row id on ties — bit-identical
   across serial execution, work-stealing parallel execution and out-of-core
-  tables.
+  tables.  That holds at the ends of int64 too, and a block's bounded
+  top-k selection equals the first ``k`` of its full stable sort.
 * The work-stealing scheduler rebalances skewed workloads (at least one
   steal is observed) without changing any result.
 * The zone-map-driven top-k visits only the blocks whose bounds can still
@@ -46,6 +47,7 @@ from repro.query import (
     TopK,
     Var,
 )
+from repro.query.plan import _ranked_positions
 from repro.server.protocol import build_query, parse_request
 from repro.storage import DiskRelation, Table, write_table
 
@@ -167,6 +169,99 @@ class TestOrderedParity:
         result = relation.query().select("v").order_by("v").limit(0).execute()
         assert result.n_rows == 0
         assert result.metrics.blocks_pruned == result.metrics.n_blocks
+
+
+# -- descending order at the ends of int64 -------------------------------------
+
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
+
+class TestDescendingInt64Extremes:
+    """``-x`` wraps at ``-2**63``; descending order must not."""
+
+    VALUES = np.array([INT64_MIN, INT64_MIN + 10, -5, INT64_MIN + 3] * 50, dtype=np.int64)
+
+    @pytest.fixture(scope="class", params=["dictionary", "for_bitpack", "rle"])
+    def relations(self, request, tmp_path_factory):
+        table = Table.from_columns([("v", INT64, self.VALUES)])
+        builder = CompressionPlan.builder(table.schema)
+        builder.vertical("v", request.param)
+        relation = TableCompressor(builder.build(), block_size=64).compress(table)
+        assert relation.blocks[0].column("v").encoding_name == request.param
+        path = tmp_path_factory.mktemp("extremes") / f"{request.param}.corra"
+        write_table(str(path), relation)
+        return relation, DiskRelation(str(path), prefetch_workers=0)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("k", (None, 1, 3, 60, 120))
+    def test_desc_ranks_like_python_ints(self, relations, workers, k):
+        keys = [int(v) for v in self.VALUES]
+        expected = sorted(range(len(keys)), key=lambda i: (-keys[i], i))[:k]
+        for relation in relations:
+            query = (
+                relation.query(config=EngineConfig(workers=workers))
+                .select("v")
+                .order_by("v", desc=True)
+            )
+            if k is not None:
+                query = query.limit(k)
+            result = query.execute()
+            assert result.row_ids.tolist() == expected
+            assert [int(v) for v in result.columns["v"]] == [keys[i] for i in expected]
+
+
+class TestBoundedTopkSelection:
+    """The per-block partition-then-sort equals a full stable sort's first ``k``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(
+            st.one_of(
+                st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+                st.integers(INT64_MIN, INT64_MAX),
+            ),
+            max_size=120,
+        ),
+        k=st.integers(0, 130),
+        descending=st.booleans(),
+    )
+    def test_matches_full_stable_sort(self, keys, k, descending):
+        array = np.asarray(keys, dtype=np.int64)
+        expected = sorted(range(len(keys)), key=lambda i: (-keys[i] if descending else keys[i], i))
+        assert _ranked_positions(array, k, descending).tolist() == expected[:k]
+
+    @pytest.mark.parametrize("descending", (False, True))
+    def test_ties_straddling_k_keep_ascending_positions(self, descending):
+        keys = np.array([7, 3, 3, 9, 3, 3, 1, 3], dtype=np.int64)
+        expected = sorted(range(keys.size), key=lambda i: (-keys[i] if descending else keys[i], i))
+        for k in range(keys.size + 2):
+            assert _ranked_positions(keys, k, descending).tolist() == expected[:k]
+
+    @pytest.mark.parametrize("descending", (False, True))
+    @pytest.mark.parametrize("shape", ("all_equal", "ties_straddle_k", "distinct"))
+    def test_no_sort_sees_more_than_k_keys(self, monkeypatch, descending, shape):
+        n, k = 200_000, 10
+        rng = np.random.default_rng(3)
+        keys = np.full(n, 5, dtype=np.int64)
+        if shape == "ties_straddle_k":
+            # A few better keys, then the k-th key's ties fill the rest of the block.
+            keys[rng.choice(n, k // 2, replace=False)] = 6 if descending else 4
+        elif shape == "distinct":
+            keys = rng.permutation(n).astype(np.int64)
+        sorted_sizes = []
+        argsort = np.argsort
+
+        def recording_argsort(array, *args, **kwargs):
+            sorted_sizes.append(np.size(array))
+            return argsort(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        best = _ranked_positions(keys, k, descending)
+        monkeypatch.undo()
+        order = -keys if descending else keys
+        assert best.tolist() == argsort(order, kind="stable")[:k].tolist()
+        assert sorted_sizes and max(sorted_sizes) < k
 
 
 # -- work stealing ------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64
+from repro.encodings import ForBitPackEncoding
 from repro.query import (
     DEFAULT_KERNELS,
     And,
@@ -209,22 +210,52 @@ CONFIGS = {
 }
 
 
+def _python_int_mismatches(relation, values, constants=CONSTANTS) -> list:
+    """Every (question, constant, config) whose count differs from Python's."""
+    anchor = int(values[5])
+    mismatches = []
+    for kind, (build, ask) in QUESTIONS.items():
+        for constant in constants:
+            want = sum(ask(int(x), constant, anchor) for x in values)
+            for label, config in CONFIGS.items():
+                got = relation.query(config=config).where(build(constant, anchor)).count()
+                if got != want:
+                    mismatches.append((kind, constant, label, got, want))
+    return mismatches
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_path_agrees_with_python_ints(scheme, shape):
     """Kernels, decode and zone maps all answer what plain Python ints answer."""
     values = SHAPES[shape]
     relation = single_column_relation(values, scheme, block_size=32)
-    anchor = int(values[5])
-    mismatches = []
-    for kind, (build, ask) in QUESTIONS.items():
-        for constant in CONSTANTS:
-            want = sum(ask(int(x), constant, anchor) for x in values)
-            for label, config in CONFIGS.items():
-                got = relation.query(config=config).where(build(constant, anchor)).count()
-                if got != want:
-                    mismatches.append((kind, constant, label, got, want))
-    assert mismatches == []
+    assert _python_int_mismatches(relation, values) == []
+
+
+#: FOR columns whose span does not fit int64: the offsets need all 64 bits.
+WIDE_SHAPES = {
+    "full int64": np.array([-(2**63), 2**63 - 1, 0] * 30),
+    "span 2**63+1": np.array([-(2**62), 2**62 + 1, 0] * 30),
+}
+
+
+@pytest.mark.parametrize("shape", WIDE_SHAPES)
+def test_for_encodes_spans_beyond_int64(shape):
+    values = WIDE_SHAPES[shape].astype(np.int64)
+    small = TableCompressor().compress(Table.from_columns([("x", INT64, values[:3])]))
+    assert small.query().select("x").execute().columns["x"].tolist() == values[:3].tolist()
+
+    scheme = ForBitPackEncoding()
+    assert scheme.estimate_size(values, INT64) == scheme.encode(values, INT64).size_bytes
+
+    relation = single_column_relation(values, "for_bitpack", block_size=32)
+    column = relation.blocks[0].column("x")
+    assert column.encoding_name == "for_bitpack"
+    assert column.bit_width == 64
+    assert np.array_equal(column.decode(), values[:32])
+    wide = (-(2**63), -(2**62), -1, 0, 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63)
+    assert _python_int_mismatches(relation, values, CONSTANTS + wide) == []
 
 
 # -- one dispatch ---------------------------------------------------------------
