@@ -15,9 +15,7 @@ provides:
   IR, statistics-driven scan pruning, lazy logical plans and morsel-driven
   parallelism (:mod:`repro.storage`, :mod:`repro.query`);
 * synthetic stand-ins for the paper's four datasets (:mod:`repro.datasets`);
-* baselines, including the independent C3 system (:mod:`repro.baselines`);
-* an experiment harness regenerating every table and figure
-  (:mod:`repro.bench`).
+* baselines, including the independent C3 system (:mod:`repro.baselines`).
 
 Quickstart::
 
@@ -105,7 +103,6 @@ from .query import (
     SelectionVector,
     generate_selection_vectors,
     materialize_columns,
-    sweep_query_latency,
 )
 from .storage import (
     BlockCache,
@@ -158,7 +155,7 @@ __all__ = [
     "SelectionVector", "generate_selection_vectors", "materialize_columns",
     "QueryExecutor", "QueryResult", "Predicate",
     "Eq", "Between", "In", "And", "Or", "ColumnPredicate",
-    "ScanMetrics", "ScanPlanner", "sweep_query_latency",
+    "ScanMetrics", "ScanPlanner",
     # datasets
     "TpchLineitemGenerator", "LdbcMessageGenerator", "DmvGenerator",
     "TaxiGenerator", "taxi_multi_reference_config", "available_datasets",

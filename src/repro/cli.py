@@ -1,6 +1,6 @@
 """Command-line interface for the Corra reproduction.
 
-Four subcommands cover the workflows a downstream user needs without writing
+Six subcommands cover the workflows a downstream user needs without writing
 Python:
 
 ``datasets``
@@ -45,9 +45,8 @@ Python:
     ``GET /metrics`` reports latency percentiles and cache/scan counters
     (``?format=prometheus`` serves the text exposition format with
     per-stage latency histograms).
-``experiments``
-    Regenerate the paper's tables and figures (delegates to
-    :mod:`repro.bench.report`).
+``check``
+    Run the project-invariant static analyzer (:mod:`repro.analysis`).
 
 Invoke as ``python -m repro.cli <subcommand> ...``.
 """
@@ -60,8 +59,6 @@ import sys
 from typing import Sequence
 
 from .baselines import SingleColumnBaseline
-from .bench.harness import format_table
-from .bench.report import main as experiments_main
 from .core import CompressionPlan, CorrelationDetector, TableCompressor
 from .core.rule_mining import mine_multi_reference_config
 from .datasets import available_datasets, dataset_by_name
@@ -93,6 +90,19 @@ __all__ = ["main", "build_parser"]
 # one mapping that also drives ``--agg`` parsing and its help text.
 if __doc__:
     __doc__ = __doc__.replace("{AGGREGATES}", "/".join(f"``{name}``" for name in AGGREGATES))
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render rows as a fixed-width text table with a header rule."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = []
+    for row_index, row in enumerate(cells):
+        line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+        lines.append(line.rstrip())
+        if row_index == 0:
+            lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,14 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--list-rules", action="store_true", help="print the registered rules and exit"
     )
-
-    experiments = subparsers.add_parser(
-        "experiments", help="regenerate the paper's tables and figures"
-    )
-    experiments.add_argument(
-        "ids", nargs="*", default=None, help="experiment ids (e.g. table2 figure5); default all"
-    )
-    experiments.add_argument("--rows", type=int, default=None)
 
     return parser
 
@@ -859,10 +861,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_serve(args)
         if args.command == "check":
             return _cmd_check(args)
-        if args.command == "experiments":
-            return experiments_main(
-                (args.ids or []) + (["--rows", str(args.rows)] if args.rows else [])
-            )
     except CorraError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

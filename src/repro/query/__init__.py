@@ -90,8 +90,8 @@ Layers, bottom to top:
   ``QueryExecutor(relation, config=...)`` build a private engine;
   ``engine=`` shares one, as the query service (:mod:`repro.server`) does.
 
-:mod:`~repro.query.selection` and :mod:`~repro.query.latency` carry the
-paper's selection-vector workload and its latency harness unchanged.
+:mod:`~repro.query.selection` carries the paper's selection-vector
+workload unchanged.
 """
 
 from .engine import Engine, EngineConfig
@@ -105,13 +105,6 @@ from .kernels import (
     FrequencyKernel,
     KernelRegistry,
     RleKernel,
-)
-from .latency import (
-    LatencyMeasurement,
-    LatencySweep,
-    latency_ratio,
-    measure_query_latency,
-    sweep_query_latency,
 )
 from .parallel import Morsel, ParallelEngine, parallel_map, resolve_workers
 from .plan import (
@@ -148,22 +141,12 @@ from .scan import (
     materialize_columns,
     resolve_block,
 )
-from .selection import (
-    PAPER_SELECTIVITIES,
-    PAPER_ZOOM_SELECTIVITIES,
-    SelectionVector,
-    generate_selection_vector,
-    generate_selection_vectors,
-    sweep_selectivities,
-)
+from .selection import SelectionVector, generate_selection_vector, generate_selection_vectors
 
 __all__ = [
     "SelectionVector",
     "generate_selection_vector",
     "generate_selection_vectors",
-    "sweep_selectivities",
-    "PAPER_SELECTIVITIES",
-    "PAPER_ZOOM_SELECTIVITIES",
     "materialize_columns",
     "materialize_block_columns",
     "evaluate_block_predicate",
@@ -217,9 +200,4 @@ __all__ = [
     "PlanResult",
     "QueryCompiler",
     "LazyQuery",
-    "LatencyMeasurement",
-    "LatencySweep",
-    "measure_query_latency",
-    "sweep_query_latency",
-    "latency_ratio",
 ]

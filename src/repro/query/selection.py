@@ -10,7 +10,6 @@ ids drawn uniformly at random, sized ``round(selectivity * n_rows)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,16 +19,7 @@ __all__ = [
     "SelectionVector",
     "generate_selection_vector",
     "generate_selection_vectors",
-    "PAPER_SELECTIVITIES",
-    "PAPER_ZOOM_SELECTIVITIES",
 ]
-
-#: The selectivities of Fig. 5 / Fig. 8 ({0.001, 0.002, ..., 0.9, 1.0} is
-#: plotted with these labelled ticks).
-PAPER_SELECTIVITIES = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
-
-#: The zoom-in selectivities of Fig. 6 / Fig. 7.
-PAPER_ZOOM_SELECTIVITIES = (0.005, 0.01, 0.05, 0.1)
 
 
 @dataclass(frozen=True)
@@ -82,14 +72,3 @@ def generate_selection_vectors(
         raise ValidationError("count must be at least 1")
     rng = np.random.default_rng(seed)
     return [generate_selection_vector(n_rows, selectivity, rng) for _ in range(count)]
-
-
-def sweep_selectivities(
-    n_rows: int,
-    selectivities: Sequence[float] = PAPER_SELECTIVITIES,
-    count: int = 10,
-    seed: int | None = 42,
-) -> Iterator[tuple[float, list[SelectionVector]]]:
-    """Yield ``(selectivity, vectors)`` pairs across a selectivity sweep."""
-    for selectivity in selectivities:
-        yield selectivity, generate_selection_vectors(n_rows, selectivity, count, seed)

@@ -24,27 +24,25 @@ Execution itself is one shared :class:`~repro.query.engine.Engine`: every
 request thread lowers its request onto a
 :class:`~repro.query.plan.LazyQuery` bound to the engine, so concurrent
 queries share the planner memos, the worker pool, the block cache and the
-prefetch pool.  ``reuse_engine=False`` exists only as the benchmark
-baseline — it builds a cold engine per request, which is exactly the
-pattern the shared engine replaces.
+prefetch pool.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import CorraError, ValidationError
-from ..query.engine import Engine, EngineConfig
+from ..query.engine import Engine, EngineConfig, _is_count
 from ..query.scan import BlockDecision
 from ..query.tracing import TRACE_DISABLED, NullTracer, QueryTrace, Tracer, activate
 from ..storage.catalog import Catalog
 from .metrics import ServerMetrics
-from .protocol import QueryRequest, build_query, encode_result, parse_request
+from .protocol import build_query, encode_result, parse_request
 
 __all__ = [
     "CostLimitError",
@@ -89,7 +87,12 @@ class UnknownTableError(ServerError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Operational limits of one service instance (immutable)."""
+    """Operational limits of one service instance (immutable).
+
+    Invalid values are rejected here, at construction, so ``corra serve``
+    fails before it binds a socket instead of serving with a silently
+    clamped (or every-query-rejecting) limit.
+    """
 
     #: Queries executing at once; further admits wait in the bounded queue.
     max_concurrency: int = 4
@@ -103,12 +106,30 @@ class ServiceConfig:
     max_bytes_scanned: int | None = None
     #: Result-cache capacity in entries (``0`` disables the cache).
     result_cache_entries: int = 256
-    #: ``False`` builds a cold engine per request — the benchmark baseline.
-    reuse_engine: bool = True
     #: Trace every request (feeding the engine's per-stage latency
     #: histograms for ``/metrics``).  When ``False`` only requests that
     #: opt in with ``"trace": true`` are traced.
     trace_requests: bool = True
+
+    def __post_init__(self) -> None:
+        if not _is_count(self.max_concurrency) or self.max_concurrency < 1:
+            raise ValidationError(
+                f"max_concurrency must be an int >= 1, got {self.max_concurrency!r}"
+            )
+        if not _is_count(self.queue_depth):
+            raise ValidationError(f"queue_depth must be an int >= 0, got {self.queue_depth!r}")
+        timeout = self.timeout_seconds
+        if not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
+            raise ValidationError(f"timeout_seconds must be a finite number > 0, got {timeout!r}")
+        for name in ("max_rows_scanned", "max_bytes_scanned"):
+            limit = getattr(self, name)
+            if limit is not None and not _is_count(limit):
+                raise ValidationError(f"{name} must be None or an int >= 0, got {limit!r}")
+        if not _is_count(self.result_cache_entries):
+            raise ValidationError(
+                "result_cache_entries must be an int >= 0 (0 disables the cache), "
+                f"got {self.result_cache_entries!r}"
+            )
 
 
 class _AdmissionGate:
@@ -123,8 +144,8 @@ class _AdmissionGate:
     def __init__(self, max_concurrency: int, queue_depth: int):
         self._lock = threading.Lock()
         self._slot_freed = threading.Condition(self._lock)
-        self._max_active = max(1, max_concurrency)
-        self._max_waiting = max(0, queue_depth)
+        self._max_active = max_concurrency
+        self._max_waiting = queue_depth
         self._active = 0
         self._waiting = 0
 
@@ -168,7 +189,7 @@ class _ResultCache:
     """
 
     def __init__(self, capacity: int):
-        self._capacity = max(0, capacity)
+        self._capacity = capacity
         self._entries: "OrderedDict[tuple[str, str], tuple[int, dict]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -223,9 +244,8 @@ class QueryService:
         engine_config: EngineConfig | None = None,
         config: ServiceConfig | None = None,
     ):
-        self._engine_config = engine_config if engine_config is not None else EngineConfig()
         self._config = config if config is not None else ServiceConfig()
-        self._engine = Engine(config=self._engine_config, catalog=catalog)
+        self._engine = Engine(config=engine_config, catalog=catalog)
         self._gate = _AdmissionGate(self._config.max_concurrency, self._config.queue_depth)
         self._result_cache = _ResultCache(self._config.result_cache_entries)
         self.metrics = ServerMetrics()
@@ -293,13 +313,6 @@ class QueryService:
                 f"plan would read {size:,} bytes, over the {cfg.max_bytes_scanned:,} limit"
             )
 
-    def _run(self, engine: Engine, request: QueryRequest) -> tuple[dict, object]:
-        """Execute one request end to end; returns (payload, scan metrics)."""
-        relation = self._open_table(engine, request.table)
-        lazy = build_query(engine.query(relation), request)
-        result = lazy.execute()
-        return encode_result(result), result.metrics
-
     def _handle(
         self, tracer: "Tracer | NullTracer", payload: object, deadline: float
     ) -> tuple[dict, object, bool]:
@@ -311,16 +324,6 @@ class QueryService:
         """
         with tracer.span("parse"):
             request = parse_request(payload)
-
-        if not self._config.reuse_engine:
-            # Benchmark baseline: a cold engine (fresh cache, planner
-            # memos, pools) per request.  No admission, no result cache
-            # — this measures exactly what shared state saves.
-            if self._engine.catalog is None:  # pragma: no cover - guarded in __init__
-                raise ValidationError("service has no catalog")
-            with Engine(config=self._engine_config, catalog=self._engine.catalog.root) as cold:
-                body, scan = self._run(cold, request)
-            return body, scan, False
 
         engine = self._engine
         relation = self._open_table(engine, request.table)

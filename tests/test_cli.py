@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, format_table, main
 
 
 class TestParser:
@@ -12,11 +12,18 @@ class TestParser:
 
     def test_known_subcommands(self):
         parser = build_parser()
-        for command in ("datasets", "compress", "detect", "query", "experiments"):
+        for command in ("datasets", "compress", "detect", "query"):
             args = parser.parse_args(
                 [command] + (["taxi"] if command in ("compress", "detect", "query") else [])
             )
             assert args.command == command
+
+    def test_format_table_aligns_columns(self):
+        text = format_table(("a", "bb"), [(1, 2), (333, 4)])
+        lines = text.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("a")
+        assert set(lines[1]) <= {"-", " "}
 
 
 class TestDatasetsCommand:
@@ -304,9 +311,12 @@ class TestOutOfCoreCli:
 
 class TestExperimentsCommand:
     def test_single_experiment(self, capsys):
-        assert main(["experiments", "table1", "--rows", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "Binary encoding" in out
+        # The paper's tables are tier-1 asserts (tests/test_paper_results.py)
+        # and timings live in bench/run.py; there is no experiments command.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "table1", "--rows", "20000"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'experiments'" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -317,3 +327,21 @@ class TestServeCommand:
         monkeypatch.setattr("repro.server.CorraHttpServer", bind)
         assert main(["serve", str(tmp_path), "--workers", "-1"]) == 1
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-concurrency", "0", "max_concurrency"),
+            ("--timeout", "0", "timeout_seconds"),
+            ("--result-cache-entries", "-3", "result_cache_entries"),
+        ],
+    )
+    def test_bad_service_limits_exit_before_binding(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        def bind(*args, **kwargs):
+            raise AssertionError("serve reached the socket with an invalid config")
+
+        monkeypatch.setattr("repro.server.CorraHttpServer", bind)
+        assert main(["serve", str(tmp_path), flag, value]) == 1
+        assert field in capsys.readouterr().err

@@ -6,7 +6,9 @@ of the same relation — over a column mix covering FOR/delta, RLE,
 dictionary string, plus *horizontal* diff-encoded and hierarchical columns
 — and asserts bit-identical results.  The closure section proves that
 querying a horizontal column fetches its reference column's sub-segment
-even when the query never names it, and nothing else.  The format section
+even when the query never names it, and nothing else; on a wide table, v3
+reads grow with the projected column count while v2 reads whole blocks.
+The format section
 checks the v3 footer round-trip, per-column CRC corruption detection (and
 that corruption of one column leaves the others readable), the lazy
 per-column zone-map parse, and the read-ahead pool's accounting.
@@ -263,6 +265,44 @@ class TestDependencyClosure:
             assert fresh.query().where(predicate).count() == expected
             assert fresh.io.blocks_read == 0
             assert 0 < fresh.io.column_bytes_read < fresh.io.column_block_bytes
+
+
+class TestProjectedBytes:
+    """On a wide table, v3 reads grow with the projection; v2 reads whole blocks."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        rng = np.random.default_rng(42)
+        n_rows = 8_000
+        key = np.sort(rng.integers(0, n_rows // 8, n_rows))
+        columns = [("key", INT64, key)]
+        columns += [(f"c{i:02d}", INT64, rng.integers(0, 1 << 16, n_rows)) for i in range(1, 20)]
+        relation = TableCompressor(block_size=n_rows // 16).compress(Table.from_columns(columns))
+        root = tmp_path_factory.mktemp("wide")
+        for version in (2, 3):
+            write_table(root / f"wide-v{version}.corra", relation, version=version)
+        return root, relation, Between("key", int(key[0]), int(key[n_rows // 10]))
+
+    def test_bytes_read_per_projected_column_count(self, wide):
+        root, relation, predicate = wide
+        bytes_read: dict = {2: {}, 3: {}}
+        for k in (2, 10, 20):
+            projection = ("key",) + tuple(f"c{i:02d}" for i in range(1, k))
+            expected = relation.query().where(predicate).select(*projection).execute()
+            for version in (2, 3):
+                path = root / f"wide-v{version}.corra"
+                with DiskRelation(path, prefetch_workers=0) as fresh:
+                    result = fresh.query().where(predicate).select(*projection).execute()
+                    assert np.array_equal(result.row_ids, expected.row_ids)
+                    for name in projection:
+                        assert np.array_equal(result.column(name), expected.column(name))
+                    bytes_read[version][k] = fresh.io.bytes_read
+        # 2 of 20 columns: v3 moves at most a quarter of v2's bytes.
+        assert bytes_read[3][2] <= 0.25 * bytes_read[2][2]
+        assert bytes_read[3][2] < bytes_read[3][10] <= bytes_read[3][20]
+        assert bytes_read[2][2] == bytes_read[2][20]
+        # Projecting everything converges to (at most about) the v2 reads.
+        assert bytes_read[3][20] <= 1.1 * bytes_read[2][20]
 
 
 class TestFormatV3:

@@ -1,4 +1,4 @@
-"""Unit tests for selection vectors, scans, the executor, and latency harness."""
+"""Unit tests for selection vectors, scans and the executor."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,13 @@ from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import UnknownColumnError, ValidationError
 from repro.query import (
-    PAPER_SELECTIVITIES,
     Between,
     Eq,
     In,
     QueryExecutor,
     generate_selection_vector,
     generate_selection_vectors,
-    latency_ratio,
     materialize_columns,
-    measure_query_latency,
-    sweep_query_latency,
 )
 from repro.storage import Table
 
@@ -61,10 +57,6 @@ class TestSelectionVectors:
         assert len(a) == 10
         assert not np.array_equal(a[0].row_ids, a[1].row_ids)
         assert np.array_equal(a[3].row_ids, b[3].row_ids)
-
-    def test_paper_selectivities_constant(self):
-        assert PAPER_SELECTIVITIES[0] == 0.001
-        assert PAPER_SELECTIVITIES[-1] == 1.0
 
 
 class TestMaterialization:
@@ -169,39 +161,3 @@ class TestQueryExecutor:
         ex, _ = executor
         with pytest.raises(UnknownColumnError):
             ex.filter(Eq("nope", 1))
-
-
-class TestLatencyHarness:
-    def test_measurement_statistics(self, compressed):
-        measurement = measure_query_latency(
-            compressed, ["receipt"], selectivity=0.1, n_vectors=3
-        )
-        assert len(measurement.timings) == 3
-        assert measurement.minimum <= measurement.mean
-        assert measurement.mean_milliseconds() == pytest.approx(measurement.mean * 1e3)
-
-    def test_sweep_and_ratio(self, compressed, dates_schema_table):
-        baseline_relation = TableCompressor(block_size=256).compress(dates_schema_table)
-        selectivities = [0.01, 0.1]
-        ours = sweep_query_latency(compressed, ["receipt"], selectivities, n_vectors=2)
-        base = sweep_query_latency(baseline_relation, ["receipt"], selectivities, n_vectors=2)
-        ratios = latency_ratio(ours, base)
-        assert set(ratios) == set(selectivities)
-        assert all(r > 0 for r in ratios.values())
-
-    def test_ratio_requires_shared_selectivities(self, compressed):
-        a = sweep_query_latency(compressed, ["receipt"], [0.01], n_vectors=1)
-        b = sweep_query_latency(compressed, ["receipt"], [0.5], n_vectors=1)
-        with pytest.raises(ValidationError):
-            latency_ratio(a, b)
-
-    def test_invalid_repeats(self, compressed):
-        with pytest.raises(ValidationError):
-            measure_query_latency(compressed, ["receipt"], 0.1, repeats=0)
-
-    def test_sweep_accessors(self, compressed):
-        sweep = sweep_query_latency(compressed, ["ship"], [0.01, 0.05], n_vectors=1)
-        assert sweep.selectivities == (0.01, 0.05)
-        assert len(sweep.mean_series()) == 2
-        with pytest.raises(ValidationError):
-            sweep.measurement(0.9)

@@ -311,6 +311,15 @@ class TestAggregationPushdown:
         # One heap decode per distinct group, regardless of block count.
         assert result.metrics.string_heap_decodes <= n_groups
         assert result.metrics.rows_gathered == 0
+        # Decode-then-group answers the same, materialising every row's tag.
+        decoded = (
+            relation.query(config=EngineConfig(use_kernels=False))
+            .group_by("tag")
+            .agg(n=Count())
+            .execute()
+        )
+        assert decoded.columns == result.columns
+        assert decoded.metrics.string_heap_decodes == relation.n_rows
 
     def test_group_by_multiple_columns(self, relation, table):
         result = relation.query().group_by("tag", "runs").agg(n=Count()).execute()

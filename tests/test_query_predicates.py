@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CompressionPlan, TableCompressor
+from repro.datasets import TpchLineitemGenerator
 from repro.dtypes import DATE, INT64, STRING
 from repro.errors import UnknownColumnError, ValidationError
 from repro.query import (
@@ -348,6 +349,27 @@ class TestExecutorPruning:
         executor = QueryExecutor(relation)
         assert np.array_equal(executor.filter(Between("x", 10, 19)), np.arange(10, 20))
         assert executor.last_scan_metrics.blocks_pruned == 0
+
+    def test_sorted_prefix_range_prunes_most_blocks(self):
+        dates = TpchLineitemGenerator().generate_dates_only(10_000, seed=42)
+        order = np.argsort(dates.column("l_shipdate"), kind="stable")
+        ship = dates.column("l_shipdate")[order]
+        receipt = dates.column("l_receiptdate")[order]
+        table = Table.from_columns([("l_shipdate", DATE, ship), ("l_receiptdate", DATE, receipt)])
+        plan = (
+            CompressionPlan.builder(table.schema)
+            .diff_encode("l_receiptdate", reference="l_shipdate")
+            .build()
+        )
+        relation = TableCompressor(plan, block_size=1_250).compress(table)
+        assert relation.n_blocks == 8
+        executor = QueryExecutor(relation)
+        brute = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
+        for selectivity in (0.01, 0.1):
+            predicate = Between("l_shipdate", int(ship[0]), int(ship[int(selectivity * ship.size)]))
+            assert executor.count(predicate) == brute.count(predicate)
+            # The leading range lies inside the first of eight blocks.
+            assert executor.last_scan_metrics.blocks_pruned >= 6
 
 
 class TestAcceptanceSortedMillionRows:

@@ -134,6 +134,41 @@ class TestProtocol:
         assert request.limit == 10
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_concurrency", 0),
+            ("max_concurrency", 2.0),
+            ("queue_depth", -1),
+            ("queue_depth", None),
+            ("timeout_seconds", 0.0),
+            ("timeout_seconds", -1.0),
+            ("timeout_seconds", float("inf")),
+            ("timeout_seconds", float("nan")),
+            ("timeout_seconds", "30"),
+            ("max_rows_scanned", -1),
+            ("max_bytes_scanned", -1),
+            ("max_bytes_scanned", 1.5),
+            ("result_cache_entries", -3),
+        ],
+    )
+    def test_rejects_bad_limits_at_construction(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_accepts_the_edges(self):
+        config = ServiceConfig(
+            max_concurrency=1,
+            queue_depth=0,
+            timeout_seconds=1e-9,
+            max_rows_scanned=0,
+            max_bytes_scanned=0,
+            result_cache_entries=0,
+        )
+        assert config.max_concurrency == 1 and config.result_cache_entries == 0
+
+
 class TestAdmissionGate:
     def test_queue_full_rejects_immediately(self):
         import time
@@ -245,7 +280,7 @@ class TestQueryService:
             assert ok["columns"]["n"] == [0]
 
     def test_timeout_rejection_is_clean(self, catalog_dir):
-        config = ServiceConfig(timeout_seconds=0.0)
+        config = ServiceConfig(timeout_seconds=1e-9)
         with QueryService(catalog_dir, config=config) as service:
             payload = {"table": "trips", "aggregates": {"n": {"fn": "count"}}}
             with pytest.raises(QueryTimeoutError):
