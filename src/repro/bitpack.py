@@ -249,7 +249,10 @@ def _extract_unsigned(words: np.ndarray, bit_width: int, pos: np.ndarray) -> np.
     Each value is read from the word holding its first bit and the next one;
     the per-value index arrays make this the right tool for sparse or
     unordered positions only — contiguous spans go through
-    :func:`_span_unsigned`.
+    :func:`_span_unsigned`.  The next-word index is clamped to the last
+    word: a value that starts in the last word also ends there (the bound
+    check below guarantees it), so the clamped read only feeds bits the
+    mask discards, and at width 64 the offset is always 0.
     """
     bit_pos = pos.astype(np.uint64) * np.uint64(bit_width)
     word_idx = (bit_pos >> np.uint64(6)).astype(np.int64)
@@ -262,10 +265,10 @@ def _extract_unsigned(words: np.ndarray, bit_width: int, pos: np.ndarray) -> np.
             f"{words.size} words at width {bit_width}"
         )
 
-    # Values may straddle two words; append a zero word so word_idx+1 is valid.
-    padded = np.concatenate([words, np.zeros(1, dtype=np.uint64)])
-    low_words = padded[word_idx]
-    high_words = padded[word_idx + 1]
+    low_words = words[word_idx]
+    word_idx += 1
+    np.minimum(word_idx, words.size - 1, out=word_idx)
+    high_words = words[word_idx]
 
     low = low_words >> offset
     high = (high_words << (np.uint64(63) - offset)) << np.uint64(1)

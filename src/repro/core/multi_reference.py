@@ -71,7 +71,10 @@ class ReferenceGroup:
                     f"reference group {self.name!r} needs column {col!r}"
                 )
             values = ensure_int_array(columns[col])
-            total = values.copy() if total is None else total + values
+            if total is None:
+                total = values.copy()
+            else:
+                total += values
         assert total is not None
         return total
 
@@ -147,6 +150,22 @@ class MultiReferenceConfig:
         """Evaluate every rule on the given reference column values."""
         sums = self.group_sums(columns)
         return [rule.evaluate(sums) for rule in self.rules]
+
+    def group_usage(self) -> list[tuple[ReferenceGroup, np.ndarray | None]]:
+        """Each group some rule uses, with the rule codes that use it.
+
+        ``None`` stands for "every rule"; otherwise an ``int64`` array
+        indexed by rule code, 1 where that rule uses the group and 0 where
+        it does not.  Groups no rule uses are left out.
+        """
+        usage: list[tuple[ReferenceGroup, np.ndarray | None]] = []
+        for group in self.groups:
+            uses = np.array([group.name in rule.groups for rule in self.rules], dtype=np.int64)
+            if uses.all():
+                usage.append((group, None))
+            elif uses.any():
+                usage.append((group, uses))
+        return usage
 
 
 @dataclass
@@ -254,20 +273,42 @@ class MultiReferenceEncodedColumn(HorizontalEncodedColumn):
     def gather_with_reference(
         self, positions: np.ndarray, reference_values: ReferenceValues
     ) -> np.ndarray:
-        """Reconstruct: pick each row's rule, evaluate it, then patch outliers."""
+        """Reconstruct each row as the sum of the groups its rule uses.
+
+        One ``int64`` accumulator over reference *groups*: a group every
+        rule uses is added unconditionally, a group only some rules use is
+        summed, multiplied by its 0/1 rule mask ``uses[code]`` and added,
+        and a group no rule uses is never read.  ``int64`` addition wraps
+        modulo 2**64, so the order of the additions cannot change a bit of
+        the result.  Outliers are patched last.
+        """
         self._check_reference_values(positions, reference_values)
         pos = np.asarray(positions, dtype=np.int64)
         columns = {
             name: ensure_int_array(reference_values[name])
             for name in self.reference_names
         }
-        predictions = self._config.rule_predictions(columns)
         codes = self._codes.gather(pos)
-        if codes.size and codes.max() >= len(predictions):
+        if codes.size and codes.max() >= len(self._config.rules):
             raise DecodingError("rule code out of range; corrupted column?")
-        stacked = np.stack(predictions, axis=0) if predictions else np.zeros((1, pos.size))
-        reconstructed = stacked[codes, np.arange(pos.size)]
+        reconstructed = np.zeros(pos.size, dtype=np.int64)
+        for group, uses in self._group_usage():
+            if uses is None:
+                for name in group.columns:
+                    reconstructed += columns[name]
+            else:
+                masked = group.evaluate(columns)
+                masked *= uses[codes]
+                reconstructed += masked
         return self._outliers.apply(pos, reconstructed)
+
+    def _group_usage(self) -> list[tuple[ReferenceGroup, np.ndarray | None]]:
+        """:meth:`MultiReferenceConfig.group_usage`, memoised under a
+        ``_cached`` attribute (excluded from serialization)."""
+        cached = getattr(self, "_cached_group_usage", None)
+        if cached is None:
+            cached = self._cached_group_usage = self._config.group_usage()
+        return cached
 
     def gather_codes(self, positions: np.ndarray) -> np.ndarray:
         """Positional access to the raw rule codes."""

@@ -110,8 +110,23 @@ class OutlierStore:
         return is_outlier, values
 
     def apply(self, positions: np.ndarray, reconstructed: np.ndarray) -> np.ndarray:
-        """Override ``reconstructed`` with stored values at outlier positions."""
+        """Override ``reconstructed`` with stored values at outlier positions.
+
+        Strictly ascending positions — what every scan and aggregate passes —
+        locate the ``k`` outliers among them with one ``searchsorted`` of the
+        outliers into the positions: ``O(k log n)`` after a single ordering
+        check.  Unsorted or repeated positions go through :meth:`membership`.
+        """
         out = np.asarray(reconstructed, dtype=np.int64).copy()
-        is_outlier, values = self.membership(positions)
-        out[is_outlier] = values[is_outlier]
+        pos = np.asarray(positions, dtype=np.int64)
+        if self.n_outliers == 0 or pos.size == 0:
+            return out
+        if not np.all(pos[1:] > pos[:-1]):
+            is_outlier, values = self.membership(pos)
+            out[is_outlier] = values[is_outlier]
+            return out
+        at = np.searchsorted(pos, self._positions)
+        np.minimum(at, pos.size - 1, out=at)
+        hit = pos[at] == self._positions
+        out[at[hit]] = self._values[hit]
         return out

@@ -332,8 +332,10 @@ class TableCompressor:
         columns get conservative bounds derived from the reference's bounds
         plus the stored delta range (widened by the outlier region) — the
         target values themselves are never consulted, mirroring how a
-        reader could rebuild the zone map from block metadata alone.  Their
-        *sum*, however, is exact: ``sum(target) = sum(reference) +
+        reader could rebuild the zone map from block metadata alone.  Those
+        bounds contain every value, so they prune and prove blocks fully
+        covered like exact ones; they only cannot answer ``min``/``max``.
+        The *sum* is exact: ``sum(target) = sum(reference) +
         sum(differences)``, corrected for outlier rows whose verbatim value
         replaces the reconstruction, so sum/avg aggregates over diff-encoded
         columns are stat-answerable too.

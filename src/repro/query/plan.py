@@ -1223,7 +1223,10 @@ class QueryCompiler:
 def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list, np.ndarray]:
     """Hashable group keys + per-row group index from decoded group columns.
 
-    A single group column is vectorized through ``np.unique``; only
+    A single group column is vectorized: an integer column whose values
+    span fewer slots than it has rows is counted with ``np.bincount`` over
+    ``value - min`` (one linear pass), anything else goes through
+    ``np.unique``; both give ascending keys and the same inverse.  Only
     multi-column grouping falls back to a per-row Python loop over key
     tuples.  Single string columns normalise to UTF-8 bytes so keys merge
     with the byte slices the code-space path produces for other blocks of
@@ -1232,6 +1235,14 @@ def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list,
     if len(group_by) == 1:
         values = gathered[group_by[0]]
         arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+        if arr.dtype.kind in ("i", "u") and arr.size:
+            low = int(arr.min())
+            if int(arr.max()) - low < arr.size:
+                offsets = (arr - low).astype(np.intp, copy=False)
+                present = np.flatnonzero(np.bincount(offsets))
+                slot = np.zeros(present[-1] + 1, dtype=np.intp)
+                slot[present] = np.arange(present.size)
+                return [low + offset for offset in present.tolist()], slot[offsets]
         unique, inverse = np.unique(arr, return_inverse=True)
         if arr.dtype.kind in ("U", "S"):
             keys: list = [str(u).encode("utf-8") for u in unique]

@@ -5,8 +5,10 @@ only ever be evaluated by decoding every block in full.  The small IR here
 keeps the vectorized NumPy evaluation path but adds structure the scan
 planner can exploit: every node can be *tested against block statistics*
 (:class:`~repro.storage.statistics.BlockStatistics`) to decide, before any
-decoding, whether a block can contain qualifying rows at all — and, for
-exact zone maps, whether every row of a block qualifies.
+decoding, whether a block can contain qualifying rows at all — and
+whether every row of a block qualifies.  Both tests hold for exact zone
+maps and for the conservative ones derived for diff-encoded columns, whose
+bounds contain every value of the block.
 
 Nodes::
 
@@ -89,7 +91,9 @@ class Predicate(abc.ABC):
     def matches_all(self, statistics: BlockStatistics | None) -> bool:
         """Whether provably *every* row of such a block qualifies.
 
-        Only exact zone maps can affirm this; it lets ``count`` and
+        Exact and derived (conservative) zone maps can both affirm this: a
+        range that contains every value of the block and lies inside the
+        predicate's puts every row inside it.  It lets ``count`` and
         ``filter`` answer for fully-covered blocks from metadata alone.
         """
         return False
@@ -375,9 +379,9 @@ class Not(Predicate):
     child: the block is prunable *only* when the child provably matches
     every row (then no row survives the negation), and fully covered *only*
     when the child provably matches no row.  Both directions are sound with
-    derived (conservative) bounds for pruning — an over-covering range that
-    still excludes a value proves absence — while full coverage inherits
-    ``matches_all``'s exact-bounds requirement through the child.
+    derived (conservative) bounds: an over-covering range that still
+    excludes the child's values proves the child empty, and one inside the
+    child's range proves it full.
     """
 
     def __init__(self, child: Predicate):

@@ -15,10 +15,13 @@ Two flavours of bounds exist:
 * *derived* bounds for diff-encoded columns, obtained without touching the
   target values: ``min(target) >= min(reference) + min(delta)`` and
   ``max(target) <= max(reference) + max(delta)``, widened by the outlier
-  region if one exists.  Derived bounds are conservative (they always contain
-  the true range), which is all pruning needs; they are flagged with
-  ``exact_bounds=False`` so the planner never uses them to answer a query
-  *positively* (e.g. counting a fully-covered block without decoding).
+  region if one exists.  Derived bounds are conservative: they always
+  contain the true range.  That is enough both to prune (a value outside
+  the superset is outside the block) and to prove a block full (a superset
+  inside ``[low, high]``, or equal to ``{v}``, puts every row there too).
+  They are flagged with ``exact_bounds=False`` because they cannot *name*
+  the block's minimum or maximum, so ``min``/``max`` aggregates over a
+  fully-covered block still decode.
 """
 
 from __future__ import annotations
@@ -163,6 +166,10 @@ class ColumnStatistics:
         if outlier_values is not None and len(outlier_values):
             lo = min(lo, int(np.min(outlier_values)))
             hi = max(hi, int(np.max(outlier_values)))
+        if lo < -(1 << 63) or hi >= 1 << 63:
+            # Some row's ``reference + difference`` wrapped around int64 and
+            # may land anywhere in it: only the whole range still contains it.
+            lo, hi = -(1 << 63), (1 << 63) - 1
         # The caller sums the reference, the differences and the outlier
         # corrections in int64; each term is bounded by one of these.
         magnitude = (
@@ -232,11 +239,11 @@ class ColumnStatistics:
     def contained_in(self, low, high) -> bool:
         """Whether every row's value provably lies within ``[low, high]``.
 
-        Requires exact bounds: derived (conservative) bounds may over-report
-        the range but never under-report it, so they can only veto, not
-        affirm.
+        Derived (conservative) bounds affirm this as well as exact ones:
+        they may over-report the range but never under-report it, so a
+        superset inside ``[low, high]`` puts every row inside it.
         """
-        if self.row_count == 0 or not self.has_bounds or not self.exact_bounds:
+        if self.row_count == 0 or not self.has_bounds:
             return False
         if _unordered(low) or _unordered(high):
             return False
@@ -249,10 +256,13 @@ class ColumnStatistics:
         return True
 
     def is_constant(self, value) -> bool:
-        """Whether every row provably equals ``value``."""
+        """Whether every row provably equals ``value``.
+
+        Derived bounds qualify too: a superset of the values equal to
+        ``{value}`` leaves no room for any other value.
+        """
         return (
             self.row_count > 0
-            and self.exact_bounds
             and self.has_bounds
             and self.min_value == value == self.max_value
         )
@@ -266,9 +276,10 @@ class ColumnStatistics:
         (``"count"``, ``"sum"``, ``"min"``, ``"max"``; ``"sumsq"`` is never
         recorded).  Used by the query compiler to answer aggregates over
         blocks the planner classified *fully covered* without decoding a
-        value.  Only exact statistics can affirm a value: derived zone
-        maps over-report the *range*, so they never answer ``min``/``max``,
-        but ``sum_value`` is only ever recorded when it is exact (within
+        value.  This is the one place derived zone maps stay silent:
+        they over-report the *range*, so their bounds are not the block's
+        ``min``/``max`` even where they prove it fully covered.
+        ``sum_value`` is only ever recorded when it is exact (within
         int64, see :func:`fits_int64`; including the ``sum(reference) +
         sum(deltas)`` derivation for diff-encoded columns), so it may
         affirm even alongside conservative bounds.

@@ -5,10 +5,11 @@
 comparisons) reads strided unaligned lanes.  Both must produce exactly what
 the original per-value implementations produce: the ``np.bitwise_or.at``
 scatter ``pack`` used to be lives on here as ``_pack_reference``, and the
-two-word extraction that sparse gathers still use
-(:func:`repro.bitpack._extract_unsigned`) is the reference reader at
-``np.arange`` positions.  An ``ast`` test keeps the hot loops free of
-``ufunc.at`` scatters, index arrays and unbounded sorts.
+two-word extraction over a zero-padded copy of the word buffer that sparse
+gathers used to run lives on as ``_extract_reference``, the reference
+reader at ``np.arange`` positions.  An ``ast`` test keeps the hot loops
+free of ``ufunc.at`` scatters, index arrays, unbounded sorts and buffer
+copies.
 """
 
 from __future__ import annotations
@@ -49,11 +50,25 @@ def _pack_reference(values: np.ndarray, bit_width: int) -> np.ndarray:
     return words[:n_words]
 
 
+def _extract_reference(words: np.ndarray, bit_width: int, pos: np.ndarray) -> np.ndarray:
+    """Read each value from its first word and the next one of a padded copy."""
+    bit_pos = pos.astype(np.uint64) * np.uint64(bit_width)
+    word_idx = (bit_pos >> np.uint64(6)).astype(np.int64)
+    offset = bit_pos & np.uint64(63)
+    padded = np.concatenate([words, np.zeros(1, dtype=np.uint64)])
+    low = padded[word_idx] >> offset
+    high = (padded[word_idx + 1] << (np.uint64(63) - offset)) << np.uint64(1)
+    combined = low | high
+    if bit_width < 64:
+        combined &= np.uint64((1 << bit_width) - 1)
+    return combined
+
+
 def _unpack_reference(words: np.ndarray, bit_width: int, n: int) -> np.ndarray:
     """All ``n`` (unsigned) values, read one by one at ``np.arange`` positions."""
     if bit_width == 0 or n == 0:
         return np.zeros(n, dtype=np.uint64)
-    return _extract_unsigned(np.asarray(words, dtype=np.uint64), bit_width, np.arange(n))
+    return _extract_reference(np.asarray(words, dtype=np.uint64), bit_width, np.arange(n))
 
 
 # -- cases ------------------------------------------------------------------------
@@ -91,6 +106,20 @@ def test_pack_and_unpack_are_bit_identical_at_every_width(width):
             assert np.array_equal(words, reference), (n, fill)
             expected = _unpack_reference(reference, width, n)
             assert np.array_equal(unpack(words, width, n), expected.view(np.int64)), (n, fill)
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_sparse_extraction_matches_the_padded_reader(width):
+    # Lengths that end a value exactly on, just before and just after a
+    # word boundary: the last value read is in the last word either way.
+    for n in sorted({1, 63, 64, 65, 64 // math.gcd(width, 64), 129}):
+        for fill in ("random", "max"):
+            words = pack(_values(width, n, seed=width * 31 + n, fill=fill), width)
+            scattered = np.arange(n)[::-1]  # reversed: never the span path
+            assert np.array_equal(
+                _extract_unsigned(words, width, scattered),
+                _extract_reference(words, width, scattered),
+            ), (n, fill)
 
 
 @st.composite
@@ -214,3 +243,10 @@ def test_hot_loops_build_no_index_arrays():
     assert "partition" in {callee for callee, _ in ranked}
     sorts = [call for callee, call in ranked if callee == "argsort"]
     assert sorts and all(isinstance(call.args[0], ast.Subscript) for call in sorts)
+
+
+def test_sparse_gather_copies_no_word_buffer():
+    # A sparse gather reads the words it needs, not a padded copy of all of them.
+    bitpack = ast.parse((SRC / "bitpack.py").read_text())
+    extract = {callee for callee, _ in _called(_function(bitpack, "_extract_unsigned"))}
+    assert "concatenate" not in extract

@@ -550,8 +550,10 @@ class TestNotPredicate:
         constant = self._stats(5, 5)
         assert not Not(Eq("c", 5)).might_match(constant)
         assert Not(Eq("c", 5)).might_match(self._stats(5, 6))
-        # Derived bounds cannot prove the child full, so no pruning.
-        assert Not(Between("c", 0, 10)).might_match(self._stats(5, 6, exact=False))
+        # Derived bounds over-cover the true range, so a superset inside the
+        # child's range proves the child full and the negation empty.
+        assert not Not(Between("c", 0, 10)).might_match(self._stats(5, 6, exact=False))
+        assert Not(Between("c", 0, 5)).might_match(self._stats(5, 6, exact=False))
 
     def test_full_only_when_child_provably_empty(self):
         assert Not(Eq("c", 99)).matches_all(self._stats(5, 6))
@@ -760,3 +762,67 @@ class TestDerivedDiffSum:
         block = TableCompressor(plan, block_size=500).compress(t).block(0)
         assert block.column("target").outliers.n_outliers > 0
         assert block.column_statistics("target").sum_value == int(target.sum())
+
+
+class TestPythonGroupKeys:
+    """A single integer group column is counted densely when its values span
+    fewer slots than it has rows; keys and inverse equal ``np.unique``'s."""
+
+    I64 = np.iinfo(np.int64)
+
+    DENSE = {
+        "negative": np.array([3, -2, 3, 0, -2, -1], dtype=np.int64),
+        "one distinct value": np.full(7, -9, dtype=np.int64),
+        "range n-1": np.arange(-25, 25, dtype=np.int64)[::-1],
+        "int64 minimum": np.array([I64.min, I64.min + 2, I64.min], dtype=np.int64),
+        "int64 maximum": np.array([I64.max, I64.max - 1, I64.max], dtype=np.int64),
+        "uint64 top": np.array([2**64 - 1, 2**64 - 3, 2**64 - 2], dtype=np.uint64),
+    }
+    SPARSE = {
+        "range n": np.array([0, 3, 1], dtype=np.int64),
+        "range far beyond n": np.array([5, 10**12, 5, -(10**12)], dtype=np.int64),
+        "int64 extremes": np.array([I64.min, I64.max, 0, I64.max], dtype=np.int64),
+    }
+
+    @staticmethod
+    def _unique(values):
+        unique, inverse = np.unique(values, return_inverse=True)
+        return [int(u) for u in unique], inverse
+
+    @pytest.mark.parametrize("name", list(DENSE) + list(SPARSE))
+    def test_equals_np_unique(self, name):
+        from repro.query.plan import _python_group_keys
+
+        values = {**self.DENSE, **self.SPARSE}[name]
+        want_keys, want_inverse = self._unique(values)
+        keys, inverse = _python_group_keys(("g",), {"g": values})
+        assert keys == want_keys
+        assert all(type(key) is int for key in keys)
+        assert inverse.dtype == want_inverse.dtype
+        assert np.array_equal(inverse, want_inverse)
+
+    @pytest.mark.parametrize("name", list(DENSE))
+    def test_dense_inputs_never_sort(self, name, monkeypatch):
+        from repro.query import plan
+
+        values = self.DENSE[name]
+        want = self._unique(values)
+        monkeypatch.setattr(plan.np, "unique", None)
+        keys, inverse = plan._python_group_keys(("g",), {"g": values})
+        assert keys == want[0] and np.array_equal(inverse, want[1])
+
+    def test_group_by_runs_dense(self, monkeypatch):
+        from repro.query import plan as query_plan
+
+        rng = np.random.default_rng(4)
+        g, v = rng.integers(-3, 7, 2_000), rng.integers(0, 1_000, 2_000)
+        t = Table.from_columns([("g", INT64, g), ("v", INT64, v)])
+        # FOR has no grouping kernel, so the block gathers g and groups it.
+        plan = CompressionPlan.builder(t.schema).vertical("g", "for_bitpack").build()
+        relation = TableCompressor(plan, block_size=500).compress(t)
+        monkeypatch.setattr(query_plan.np, "unique", None)  # dense blocks never sort
+        result = relation.query().group_by("g").agg(n=Count(), total=Sum("v")).execute()
+        keys = sorted(set(g.tolist()))
+        assert list(result.column("g")) == keys
+        assert list(result.column("n")) == [int((g == k).sum()) for k in keys]
+        assert list(result.column("total")) == [int(v[g == k].sum()) for k in keys]

@@ -61,9 +61,29 @@ class TestColumnStatistics:
         assert (derived.min_value, derived.max_value) == (101, 230)
         assert (derived.delta_min, derived.delta_max) == (1, 30)
         assert not derived.exact_bounds
-        # Inexact bounds can veto but never affirm.
-        assert not derived.contained_in(0, 1_000)
+        # A superset of the true range inside [low, high] puts every row there.
+        assert derived.contained_in(0, 1_000)
+        assert derived.contained_in(101, 230)
+        assert not derived.contained_in(102, 230)
         assert not derived.is_constant(150)
+        assert not derived.is_constant(101)
+        # ... but the bounds are not the block's min/max.
+        assert derived.aggregate_value("min") is None
+        assert derived.aggregate_value("max") is None
+
+    def test_derived_point_bounds_prove_constant(self):
+        derived = ColumnStatistics.from_reference_and_deltas(_int_stats(7, 7), 3, 3, 10)
+        assert derived.is_constant(10)
+        assert not derived.is_constant(11)
+
+    def test_derived_bounds_that_leave_int64_cover_all_of_it(self):
+        # ``reference + difference`` wrapped for some row, which may then hold
+        # any int64: the derived range must not claim anything narrower.
+        top = (1 << 63) - 1
+        derived = ColumnStatistics.from_reference_and_deltas(_int_stats(top - 5, top), 0, 10, 10)
+        assert (derived.min_value, derived.max_value) == (-(1 << 63), top)
+        assert derived.may_contain(-(1 << 63))
+        assert not derived.contained_in(0, None)
 
     def test_derived_bounds_widened_by_outliers(self):
         reference = _int_stats(100, 200)
@@ -185,10 +205,12 @@ class TestPredicatePruning:
         assert Eq("x", 0).might_match(None)
         assert Eq("unknown", 0).might_match(_stats(x=_int_stats(1, 2)))
 
-    def test_inexact_bounds_prune_but_never_affirm(self):
+    def test_inexact_bounds_prune_and_affirm(self):
         stats = _stats(x=_int_stats(10, 20, exact=False))
         assert not Between("x", 30, 40).might_match(stats)
-        assert not Between("x", 0, 100).matches_all(stats)
+        assert Between("x", 0, 100).matches_all(stats)
+        assert not Between("x", 11, 100).matches_all(stats)
+        assert Eq("x", 7).matches_all(_stats(x=_int_stats(7, 7, exact=False)))
 
     @pytest.mark.parametrize(
         "low, high", [(NAN, None), (None, NAN), (NAN, 15), (15, NAN), (NAN, NAN)]
