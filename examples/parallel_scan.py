@@ -9,9 +9,9 @@ This walks through the parallel execution subsystem added in PR 2:
 3. run the same predicate serially and through the morsel-driven
    :class:`~repro.query.parallel.ParallelEngine` at increasing worker counts,
    verifying the results are identical and timing each run;
-4. run an ``Eq`` predicate over a dictionary-encoded string column with
-   code-space evaluation on and off, showing the ``string_heap_decodes``
-   counter drop to zero while the answer stays the same.
+4. run an ``Eq`` predicate over a dictionary-encoded string column in
+   dictionary code space, showing that no string is decoded from the heap
+   (``string_heap_decodes`` stays zero).
 
 Run with::
 
@@ -73,17 +73,16 @@ def main(n_rows: int = 400_000) -> None:
     # 4. Dictionary-domain evaluation: Eq over the dict-encoded string column.
     predicate = Eq("tag", "cat_042")
     print(f"\nscan {predicate.describe()}")
-    for use_kernels, label in ((False, "decode-then-compare"), (True, "code-space")):
-        executor = QueryExecutor(relation, config=EngineConfig(use_kernels=use_kernels))
-        start = time.perf_counter()
-        count = executor.count(predicate)
-        seconds = time.perf_counter() - start
-        metrics = executor.last_scan_metrics
-        print(
-            f"  {label:>19}: {count:,} rows in {seconds * 1e3:6.2f} ms, "
-            f"{metrics.string_heap_decodes:,} heap decodes, "
-            f"{metrics.rows_dict_evaluated:,} rows dict-evaluated"
-        )
+    executor = QueryExecutor(relation)
+    start = time.perf_counter()
+    count = executor.count(predicate)
+    seconds = time.perf_counter() - start
+    metrics = executor.last_scan_metrics
+    print(
+        f"  code-space: {count:,} rows in {seconds * 1e3:6.2f} ms, "
+        f"{metrics.string_heap_decodes:,} heap decodes, "
+        f"{metrics.rows_dict_evaluated:,} rows dict-evaluated"
+    )
 
 
 if __name__ == "__main__":

@@ -91,7 +91,6 @@ from .errors import (
 from .query import (
     And,
     Between,
-    ColumnPredicate,
     Eq,
     In,
     Or,
@@ -154,7 +153,7 @@ __all__ = [
     # query
     "SelectionVector", "generate_selection_vectors", "materialize_columns",
     "QueryExecutor", "QueryResult", "Predicate",
-    "Eq", "Between", "In", "And", "Or", "ColumnPredicate",
+    "Eq", "Between", "In", "And", "Or",
     "ScanMetrics", "ScanPlanner",
     # datasets
     "TpchLineitemGenerator", "LdbcMessageGenerator", "DmvGenerator",

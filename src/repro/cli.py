@@ -24,8 +24,7 @@ Python:
     I/O metrics printed alongside the scan metrics report column bytes read
     vs. the block bytes they avoided, the cache hit rate, and prefetch hits.
     A structured predicate prints the matching row count with the
-    scan-pruning metrics — including the compressed-domain kernel counters
-    (``--no-kernels`` restores the decode baseline for A/B runs);
+    scan-pruning metrics — including the compressed-domain kernel counters;
     ``--agg``/``--group-by`` compute (grouped)
     aggregates ({AGGREGATES}),
     ``--select``/``--limit`` materialise qualifying rows,
@@ -229,22 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a membership predicate (may be repeated; ANDed together)",
     )
     query.add_argument(
-        "--no-pruning",
-        action="store_true",
-        help="disable zone-map pruning (decode every block; for comparison)",
-    )
-    query.add_argument(
         "--workers",
         type=int,
         default=1,
         help="threads for the morsel-driven scan and for block compression "
         "(0 = one per core; default 1 = serial)",
-    )
-    query.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="disable compressed-domain kernels for dictionary/RLE/FOR/delta/"
-        "frequency columns (decode and compare instead; for comparison)",
     )
     query.add_argument(
         "--select",
@@ -376,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         metavar="N",
         help="result-cache capacity in entries (0 disables the cache)",
-    )
-    serve.add_argument(
-        "--no-kernels", action="store_true", help="disable compressed-domain kernels"
     )
 
     check = subparsers.add_parser(
@@ -733,13 +718,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "(or aggregate the whole relation with --agg/--group-by)"
         )
 
-    lazy = relation.query(
-        config=EngineConfig(
-            workers=args.workers,
-            use_statistics=not args.no_pruning,
-            use_kernels=not args.no_kernels,
-        )
-    )
+    lazy = relation.query(config=EngineConfig(workers=args.workers))
     if predicate is not None:
         lazy = lazy.where(predicate)
         print(f"query: {predicate.describe()}")
@@ -800,11 +779,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .server import CorraHttpServer, QueryService, ServiceConfig
 
-    engine_config = EngineConfig(
-        workers=args.workers,
-        use_kernels=not args.no_kernels,
-        cache_bytes=args.cache_bytes,
-    )
+    engine_config = EngineConfig(workers=args.workers, cache_bytes=args.cache_bytes)
     service_config = ServiceConfig(
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,

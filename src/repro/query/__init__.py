@@ -51,9 +51,9 @@ Layers, bottom to top:
              │                values + exceptions fan out through codes
              └─ (no kernel, or kernel declines) ─▶ decode then compare
 
-  Every kernel is exact — bit-identical to the decode baseline — and
-  ``EngineConfig(use_kernels=False)`` (CLI ``--no-kernels``) disables the
-  registry.
+  Every kernel is exact — bit-identical to the decode baseline, which
+  ``Engine(kernels=KernelRegistry())`` runs: an empty registry declines
+  every column.
 * **Morsel-driven parallelism** (:mod:`~repro.query.parallel`) — post-
   pruning blocks are dealt into per-worker deques over a persistent thread
   pool, and drained workers steal from the back of a sibling's deque, so
@@ -85,8 +85,8 @@ Layers, bottom to top:
   :class:`Engine`, which owns all cross-query state (one worker pool, one
   prefetch pool, one block cache, one kernel registry, one memoized
   compiler/planner per relation) and is configured by one immutable
-  :class:`EngineConfig` — the only spelling of ``workers`` and the
-  ``use_*`` switches.  ``relation.query(config=...)`` and
+  :class:`EngineConfig` — the only spelling of ``workers``,
+  ``cache_bytes`` and ``prefetch_workers``.  ``relation.query(config=...)`` and
   ``QueryExecutor(relation, config=...)`` build a private engine;
   ``engine=`` shares one, as the query service (:mod:`repro.server`) does.
 
@@ -130,7 +130,7 @@ from .plan import (
     Var,
     render_plan,
 )
-from .predicates import And, Between, ColumnPredicate, Eq, In, Not, Or, Predicate
+from .predicates import And, Between, Eq, In, Not, Or, Predicate
 from .scan import (
     BlockDecision,
     ScanMetrics,
@@ -162,7 +162,6 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "ColumnPredicate",
     "BlockDecision",
     "ScanMetrics",
     "ScanPlan",

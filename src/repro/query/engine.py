@@ -54,7 +54,8 @@ DEFAULT_PREFETCH_WORKERS = 2
 
 
 def _is_count(value: object) -> bool:
-    return isinstance(value, int) and value >= 0
+    # ``bool`` is an ``int`` subclass, but ``True`` is not a count.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,19 @@ class EngineConfig:
 
     #: Morsel-driven parallelism per query (``None``/``0`` = all cores).
     workers: int | None = 1
-    #: Zone-map pruning and stat-answered aggregates.
-    use_statistics: bool = True
-    #: Compressed-domain kernels (dictionary code space, RLE run space,
-    #: FOR/delta word space, ...); ``False`` is decode-then-compare.
-    use_kernels: bool = True
     #: Byte budget of the shared block cache (``None`` = unbounded).
     cache_bytes: int | None = DEFAULT_CACHE_BYTES
     #: Threads of the shared read-ahead pool (``0`` disables prefetch).
     prefetch_workers: int = DEFAULT_PREFETCH_WORKERS
 
     def __post_init__(self) -> None:
-        # ``cache_bytes`` is validated by the BlockCache it budgets.
         if self.workers is not None and not _is_count(self.workers):
             raise ValidationError(
                 f"workers must be None or an int >= 0 (0 = all cores), got {self.workers!r}"
+            )
+        if self.cache_bytes is not None and not _is_count(self.cache_bytes):
+            raise ValidationError(
+                f"cache_bytes must be None or an int >= 0, got {self.cache_bytes!r}"
             )
         if not _is_count(self.prefetch_workers):
             raise ValidationError(
@@ -120,6 +119,8 @@ class Engine:
         An explicit shared :class:`BlockCache` (wins over the catalog's).
     kernels:
         The compressed-domain kernel registry (default registry otherwise).
+        An empty ``KernelRegistry()`` declines every column, so every
+        predicate, aggregate, group-by and top-k takes the decode path.
     """
 
     #: Memoized compilers kept per relation; bounded so a service scanning

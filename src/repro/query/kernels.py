@@ -34,8 +34,9 @@ physical layout; this module is the only thing that connects the two:
 A :class:`KernelRegistry` maps ``encoding_name`` to its kernel; the scan,
 aggregation and group-by layers consult it per (encoding, predicate) pair.
 Every kernel is *exact*: it answers with the same mask/aggregate the
-decode-then-compare baseline (``use_kernels=False``) would produce, or
-returns ``None`` to decline.
+decode-then-compare path would produce, or returns ``None`` to decline.
+An empty ``KernelRegistry()`` declines every column, so an engine built
+on one runs that decode path everywhere — the parity suites' reference.
 """
 
 from __future__ import annotations

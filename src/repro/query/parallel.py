@@ -151,13 +151,10 @@ class ParallelEngine:
         fresh one is created otherwise.
     morsel_blocks:
         Blocks per morsel (default 1).
-    use_kernels:
-        Offer single-column subtrees to the compressed-domain kernel
-        registry (dictionary code space, RLE run space, FOR/delta word
-        space — default) or force the decode path.
     kernels:
-        An explicit :class:`~repro.query.kernels.KernelRegistry` to consult
-        (``None`` uses the default registry).
+        An explicit :class:`~repro.query.kernels.KernelRegistry` to offer
+        single-column subtrees to (``None`` uses the default registry; an
+        empty registry forces the decode path).
     pool:
         An externally-owned ``ThreadPoolExecutor`` to fan morsels over —
         a shared :class:`~repro.query.engine.Engine` passes its one pool
@@ -171,7 +168,6 @@ class ParallelEngine:
         workers: int | None = None,
         planner: ScanPlanner | None = None,
         morsel_blocks: int = DEFAULT_MORSEL_BLOCKS,
-        use_kernels: bool = True,
         kernels=None,
         pool: ThreadPoolExecutor | None = None,
     ):
@@ -181,7 +177,6 @@ class ParallelEngine:
         self._workers = resolve_workers(workers)
         self._planner = planner if planner is not None else ScanPlanner(relation)
         self._morsel_blocks = morsel_blocks
-        self._use_kernels = use_kernels
         self._kernels = kernels
         #: Externally-owned pool (shared engine): used but never shut down.
         self._shared_pool = pool
@@ -283,11 +278,7 @@ class ParallelEngine:
                     prefetch(following, required_columns)
             block = self._relation.block(index)
             mask = evaluate_block_predicate(
-                block,
-                predicate,
-                metrics=partial,
-                use_kernels=self._use_kernels,
-                kernels=self._kernels,
+                block, predicate, metrics=partial, kernels=self._kernels
             )
             if count_only:
                 partial.rows_matched += int(np.count_nonzero(mask))

@@ -310,30 +310,18 @@ class CompiledQuery:
                 seen.append(fn.column)
         return tuple(seen)
 
-    def fingerprint(self) -> str | None:
-        """A stable cache key for the whole plan, or ``None``.
+    def fingerprint(self) -> str:
+        """A stable cache key for the whole plan.
 
         Combines the (canonical) predicate fingerprint with the projection,
         grouping, aggregate and limit shape of the plan.  Two plans with
         equal fingerprints over the same relation state (same
         ``cache_token``) produce bit-identical results, which is what lets
         the query service key its result cache on
-        ``(table, plan fingerprint)``.  ``None`` when the predicate has no
-        stable fingerprint (opaque :class:`ColumnPredicate`) — such plans
-        must never be cached.
+        ``(table, plan fingerprint)``.
         """
-        if self.predicate is None:
-            pred = ""
-        else:
-            pred = self.predicate.fingerprint()
-            if pred is None:
-                return None
-        if self.having is None:
-            having = ""
-        else:
-            having = self.having.fingerprint()
-            if having is None:
-                return None
+        pred = "" if self.predicate is None else self.predicate.fingerprint()
+        having = "" if self.having is None else self.having.fingerprint()
         projection = "*none*" if self.projection is None else ",".join(self.projection)
         aggregates = ";".join(
             f"{name}:{fn.kind}:{fn.column or ''}" for name, fn in self.aggregates
@@ -429,16 +417,14 @@ class QueryCompiler:
 
             config = EngineConfig()
         self._relation = relation
-        self._config = config
         self._kernels = kernels if kernels is not None else DEFAULT_KERNELS
         self._workers = config.resolved_workers()
-        self._planner = ScanPlanner(relation, use_statistics=config.use_statistics)
+        self._planner = ScanPlanner(relation)
         self._engine = ParallelEngine(
             relation,
             workers=self._workers,
             planner=self._planner,
-            use_kernels=config.use_kernels,
-            kernels=kernels,
+            kernels=self._kernels,
             pool=pool,
         )
 
@@ -800,8 +786,6 @@ class QueryCompiler:
 
             def bound(index: int) -> "int | str | None":
                 """The block's best-possible key, or ``None`` (always visit)."""
-                if not self._config.use_statistics:
-                    return None
                 stats = self._relation.block(index).column_statistics(column)
                 if stats is None:
                     return None
@@ -903,20 +887,16 @@ class QueryCompiler:
             return [], partial
         column = compiled.order_by
         assert column is not None
-        if self._config.use_kernels:
-            resolved = resolve_block(block, columns=(column,))
-            kernel_mask = mask if mask is not None else np.ones(resolved.n_rows, dtype=bool)
-            run_space = self._kernels.topk(
-                resolved, column, kernel_mask, k, compiled.descending
+        block = resolve_block(block, columns=(column,))
+        kernel_mask = mask if mask is not None else np.ones(block.n_rows, dtype=bool)
+        run_space = self._kernels.topk(block, column, kernel_mask, k, compiled.descending)
+        if run_space is not None:
+            values, positions = run_space
+            partial.rows_kernel_aggregated += n_selected
+            return (
+                [(int(v), int(offset + p)) for v, p in zip(values, positions)],
+                partial,
             )
-            if run_space is not None:
-                values, positions = run_space
-                partial.rows_kernel_aggregated += n_selected
-                return (
-                    [(int(v), int(offset + p)) for v, p in zip(values, positions)],
-                    partial,
-                )
-            block = resolved
         positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
         gathered = self._gather_inputs(block, (column,), positions, partial)
         keys = gathered[column]
@@ -959,10 +939,7 @@ class QueryCompiler:
             partial.rows_matched += block.n_rows
             return None, block.n_rows
         mask = evaluate_block_predicate(
-            block,
-            predicate,
-            metrics=partial,
-            use_kernels=self._config.use_kernels,
+            block, predicate, metrics=partial, kernels=self._kernels
         )
         n_selected = int(np.count_nonzero(mask))
         partial.rows_matched += n_selected
@@ -1117,9 +1094,10 @@ class QueryCompiler:
         Each ``(column, moment)`` pair goes down one cascade — zone map,
         selected runs, gathered values — taking the first stage that
         answers.  The first two reduce the selection as a whole, so they
-        apply to the ungrouped query only; ``use_statistics`` and
-        ``use_kernels`` gate them once per block.  Whatever is left shares
-        a single gather with the group-key columns.
+        apply to the ungrouped query only; the zone map answers only a
+        fully-covered block, and a column whose kernel declines
+        (``selected_runs`` is ``None``) falls through to the gather.
+        Whatever is left shares a single gather with the group-key columns.
         """
         source = block  # zone maps are read off the (possibly out-of-core) original
         group_by = compiled.group_by
@@ -1143,7 +1121,7 @@ class QueryCompiler:
         resolved: list = [None] * len(pairs)
         # Zone map: a fully-covered block reduces all of its rows, so exact
         # statistics answer without decoding anything.
-        lift = not group_by and full and self._config.use_statistics
+        lift = not group_by and full
         pending = []
         for slot, (column, moment) in enumerate(pairs):
             if column is None:
@@ -1159,7 +1137,7 @@ class QueryCompiler:
         for slot in pending:
             stats = source.column_statistics(pairs[slot][0])
             bounds[pairs[slot][0]] = None if stats is None else stats.magnitude
-        if pending and not group_by and self._config.use_kernels:
+        if pending and not group_by:
             # Run space: an RLE input hands back (run values, selected
             # count per run) once per column; nothing is gathered.
             block = resolve_block(block, columns=list(bounds))
@@ -1210,7 +1188,7 @@ class QueryCompiler:
         raw heap byte slices — the caller owes one decode per distinct
         group), an RLE column by its surviving run values.
         """
-        if len(group_by) != 1 or not self._config.use_kernels:
+        if len(group_by) != 1:
             return None
         grouping = self._kernels.group_keys(block, group_by[0], mask)
         if grouping is None:

@@ -19,9 +19,8 @@ Nodes::
     Or(children...)              disjunction
     Not(child)                   negation
 
-``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations.  Arbitrary
-Python conditions remain available through :class:`ColumnPredicate`, which
-simply cannot be pruned.
+``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations.  Every
+node has a canonical fingerprint, so every plan can be memoized and cached.
 
 A leaf also states *what* it compares, once, for the compressed-domain
 kernels (:mod:`~repro.query.kernels`): :meth:`Predicate.comparison` is the
@@ -34,7 +33,7 @@ other module needs to know which predicate kind it is looking at.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "ColumnPredicate",
 ]
 
 #: Decoded column values handed to ``evaluate``: int64 arrays or string lists.
@@ -98,8 +96,8 @@ class Predicate(abc.ABC):
         """
         return False
 
-    def fingerprint(self) -> str | None:
-        """A stable cache key for planner memoization, or ``None``.
+    def fingerprint(self) -> str:
+        """A stable cache key for planner memoization.
 
         Two predicates with equal fingerprints must make identical zone-map
         decisions on every block.  The fingerprint is *canonical*: it does
@@ -107,10 +105,8 @@ class Predicate(abc.ABC):
         order in which commutative children were supplied (``In`` sorts its
         candidates at construction; ``And``/``Or`` sort their children's
         fingerprints), so it is safe to use as a cross-process cache key —
-        the query service keys its result cache on it.  Opaque nodes
-        (:class:`ColumnPredicate`) return ``None``: their behaviour is
-        defined by an arbitrary callable, so their decisions must never be
-        reused across predicate objects.
+        the query service keys its result cache on it.  A subclass whose
+        ``describe()`` does not pin down its behaviour must override it.
         """
         return f"{type(self).__name__}:{self.describe()}"
 
@@ -121,7 +117,7 @@ class Predicate(abc.ABC):
         side) or ``(None, candidates)`` for a value set — the arguments of
         the ``compare_range(low, high)``/``compare_values(values)`` contract
         an encoded column answers in its own domain.  ``None`` for compound
-        and opaque nodes, which compare nothing by themselves.
+        nodes, which compare nothing by themselves.
         """
         return None
 
@@ -132,8 +128,8 @@ class Predicate(abc.ABC):
         ``Eq``/``Between``/``In`` decide each row from its value, and
         ``And``/``Or``/``Not`` preserve that, so such a subtree over one
         column can run once per *distinct* value (per RLE run, per
-        dictionary entry) and fan out.  Opaque nodes may inspect positions
-        or neighbours and are not.
+        dictionary entry) and fan out.  A node that does not say so may
+        inspect positions or neighbours.
         """
         return False
 
@@ -324,10 +320,8 @@ class _Compound(Predicate):
     def elementwise(self) -> bool:
         return all(child.elementwise for child in self.children)
 
-    def fingerprint(self) -> str | None:
+    def fingerprint(self) -> str:
         parts = [child.fingerprint() for child in self.children]
-        if any(part is None for part in parts):
-            return None
         # And/Or are commutative and their zone-map tests are all()/any()
         # over the children, so child order never changes a decision —
         # sorting makes And(a, b) and And(b, a) share one cache entry.
@@ -408,9 +402,8 @@ class Not(Predicate):
         # so every row satisfies the negation.
         return statistics is not None and not self.child.might_match(statistics)
 
-    def fingerprint(self) -> str | None:
-        inner = self.child.fingerprint()
-        return None if inner is None else f"Not:[{inner}]"
+    def fingerprint(self) -> str:
+        return f"Not:[{self.child.fingerprint()}]"
 
     def __invert__(self) -> Predicate:
         # ~~p is p: skip the double negation instead of stacking nodes.
@@ -418,33 +411,3 @@ class Not(Predicate):
 
     def describe(self) -> str:
         return f"NOT ({self.child.describe()})"
-
-
-class ColumnPredicate(_Leaf):
-    """Escape hatch: an arbitrary condition on one column's decoded values.
-
-    Equivalent to the pre-IR ``Predicate(column, callable)``; it evaluates
-    like any other node but is opaque to the planner, so blocks can never be
-    pruned or short-circuited for it.
-    """
-
-    def __init__(
-        self,
-        column: str,
-        condition: Callable[[np.ndarray], np.ndarray],
-        description: str = "",
-    ):
-        super().__init__(column)
-        self.condition = condition
-        self.description = description or f"{column} satisfies {condition!r}"
-
-    def evaluate(self, values: ColumnValues) -> np.ndarray:
-        return np.asarray(self.condition(values[self.column]), dtype=bool)
-
-    def fingerprint(self) -> str | None:
-        # The callable is opaque: two ColumnPredicates with identical
-        # descriptions may behave differently, so decisions are never cached.
-        return None
-
-    def describe(self) -> str:
-        return self.description

@@ -316,7 +316,6 @@ def evaluate_block_predicate(
     block: CompressedBlock,
     predicate: Predicate,
     metrics: ScanMetrics | None = None,
-    use_kernels: bool = True,
     kernels: KernelRegistry | None = None,
 ) -> np.ndarray:
     """Evaluate ``predicate`` over one block, returning a boolean row mask.
@@ -331,9 +330,8 @@ def evaluate_block_predicate(
     space.  ``Not`` nodes negate their child's mask, so a negated kernel
     answer stays in its compressed domain.  Remaining leaves decode their
     column once per block (a shared cache deduplicates columns used by
-    several leaves) and apply the generic vectorized kernel.
-    ``use_kernels=False`` skips the registry altogether — the
-    decode-then-compare reference the parity suites compare against.
+    several leaves) and apply the generic vectorized kernel.  An empty
+    registry declines every subtree, so every leaf takes that decode path.
     ``metrics``, when given, receives the ``rows_decoded``,
     ``rows_dict_evaluated``, kernel-counter and ``string_heap_decodes``
     accounting (``rows_decoded`` is charged once per block, on the first
@@ -345,7 +343,7 @@ def evaluate_block_predicate(
     tracer = current_tracer()
     with tracer.span("predicate") as span:
         block = resolve_block(block, columns=predicate.columns())
-        registry = (kernels if kernels is not None else DEFAULT_KERNELS) if use_kernels else None
+        registry = kernels if kernels is not None else DEFAULT_KERNELS
         decoded_cache: dict[str, "np.ndarray | list[str]"] = {}
         all_positions: np.ndarray | None = None
         rows_charged = False
@@ -379,17 +377,16 @@ def evaluate_block_predicate(
             return decoded_cache[name]
 
         def walk(node: Predicate) -> np.ndarray:
-            if registry is not None:
-                kernel_names = node.columns()
-                if len(kernel_names) == 1:
-                    # Kernel-first: RLE answers compound single-column subtrees in
-                    # run space, so the offer happens before any recursion; the
-                    # other kernels simply decline non-leaf nodes.
-                    kernel_mask = registry.predicate_mask(block, kernel_names[0], node, metrics)
-                    if kernel_mask is not None:
-                        if tracer.enabled:
-                            paths.add("kernel")
-                        return kernel_mask
+            kernel_names = node.columns()
+            if len(kernel_names) == 1:
+                # Kernel-first: RLE answers compound single-column subtrees in
+                # run space, so the offer happens before any recursion; the
+                # other kernels simply decline non-leaf nodes.
+                kernel_mask = registry.predicate_mask(block, kernel_names[0], node, metrics)
+                if kernel_mask is not None:
+                    if tracer.enabled:
+                        paths.add("kernel")
+                    return kernel_mask
             if isinstance(node, Not):
                 return ~walk(node.child)
             if isinstance(node, (And, Or)):
@@ -447,15 +444,11 @@ class ScanPlan:
 class ScanPlanner:
     """Classify every block of a relation against a predicate's zone-map tests.
 
-    ``use_statistics=False`` degrades to the pre-zone-map behaviour (every
-    block is scanned), which the benchmarks use as the full-decode baseline.
-
     Decisions are memoized per ``(block, predicate fingerprint)``: repeated
     queries with equal predicates (the common dashboard/refresh pattern) skip
-    the zone-map tests entirely.  Predicates without a stable fingerprint
-    (:class:`~repro.query.predicates.ColumnPredicate`) are never cached, and
-    the memo is dropped whenever the planner observes a different relation
-    (tracked via :attr:`~repro.storage.relation.Relation.cache_token`).
+    the zone-map tests entirely.  The memo is dropped whenever the planner
+    observes a different relation (tracked via
+    :attr:`~repro.storage.relation.Relation.cache_token`).
     """
 
     #: Memo entries kept before the cache is wholesale dropped — bounds the
@@ -463,9 +456,8 @@ class ScanPlanner:
     #: (each distinct fingerprint adds one entry per block).
     MAX_CACHED_DECISIONS = 65_536
 
-    def __init__(self, relation: Relation, use_statistics: bool = True):
+    def __init__(self, relation: Relation):
         self._relation = relation
-        self._use_statistics = use_statistics
         self._decisions: dict[tuple[int, str], str] = {}
         self._cache_token = relation.cache_token
 
@@ -502,11 +494,8 @@ class ScanPlanner:
                 if predicate is None:
                     decisions.append(BlockDecision.FULL)
                     continue
-                if not self._use_statistics:
-                    decisions.append(BlockDecision.SCAN)
-                    continue
-                key = None if fingerprint is None else (index, fingerprint)
-                if key is not None and key in self._decisions:
+                key = (index, fingerprint)
+                if key in self._decisions:
                     decisions.append(self._decisions[key])
                     continue
                 statistics = block.statistics
@@ -516,8 +505,7 @@ class ScanPlanner:
                     decision = BlockDecision.FULL
                 else:
                     decision = BlockDecision.SCAN
-                if key is not None:
-                    self._decisions[key] = decision
+                self._decisions[key] = decision
                 decisions.append(decision)
             plan = ScanPlan(predicate=predicate, decisions=tuple(decisions))
             if tracer.enabled:

@@ -17,8 +17,7 @@ semantics lives here:
   expensive query costs microseconds);
 * **result caching** — results are memoized by ``(table, plan
   fingerprint)`` and validated against the relation's ``cache_token``, so
-  a reopened/overwritten table can never serve stale rows.  Plans without
-  a stable fingerprint (opaque predicates) are executed but never cached.
+  a reopened/overwritten table can never serve stale rows.
 
 Execution itself is one shared :class:`~repro.query.engine.Engine`: every
 request thread lowers its request onto a
@@ -331,13 +330,10 @@ class QueryService:
         compiled = compiler.compile(build_query(engine.query(relation), request).logical_plan())
         self._check_cost(compiler, compiled)
 
-        fingerprint = compiled.fingerprint()
-        cache_key = None
-        if fingerprint is not None:
-            cache_key = (request.table, fingerprint)
-            cached = self._result_cache.get(cache_key, relation.cache_token)
-            if cached is not None:
-                return cached, None, True
+        cache_key = (request.table, compiled.fingerprint())
+        cached = self._result_cache.get(cache_key, relation.cache_token)
+        if cached is not None:
+            return cached, None, True
 
         with tracer.span("admission"):
             self._gate.acquire(deadline)
@@ -354,8 +350,7 @@ class QueryService:
             )
         with tracer.span("serialize"):
             body = encode_result(result)
-            if cache_key is not None:
-                self._result_cache.put(cache_key, relation.cache_token, body)
+            self._result_cache.put(cache_key, relation.cache_token, body)
         return body, result.metrics, False
 
     def execute(self, payload: object) -> dict:

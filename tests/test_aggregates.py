@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
@@ -35,6 +36,7 @@ from repro.query import (
     Engine,
     EngineConfig,
     Eq,
+    In,
     Max,
     Min,
     Std,
@@ -343,15 +345,24 @@ class TestExactSums:
         return relation_of({"v": [2**32, 2**32 + 2] * 2000, "g": [0, 0, 1, 1] * 1000}, 1000)
 
     @pytest.mark.parametrize(
-        "config",
-        [EngineConfig(), EngineConfig(workers=4), EngineConfig(use_statistics=False)],
-        ids=["serial", "parallel", "no-statistics"],
+        "make_engine",
+        [Engine, lambda: Engine(EngineConfig(workers=4)), oracle.decode_engine],
+        ids=["serial", "parallel", "decode"],
     )
-    def test_variance_near_2_32(self, near_2_32, config):
-        with Engine(config) as engine:
+    def test_variance_near_2_32(self, near_2_32, make_engine):
+        with make_engine() as engine:
             ungrouped = engine.query(near_2_32).agg(var=Var("v"), std=Std("v")).execute()
+            # Keeps every row, but no zone map can prove it: every block
+            # gathers ``v`` instead of lifting count and sum from statistics.
+            scanned = (
+                engine.query(near_2_32)
+                .where(In("g", [0, 1]))
+                .agg(var=Var("v"), std=Std("v"))
+                .execute()
+            )
             grouped = engine.query(near_2_32).group_by("g").agg(var=Var("v")).execute()
-        assert ungrouped.columns == {"var": [1.0], "std": [1.0]}
+        assert ungrouped.columns == scanned.columns == {"var": [1.0], "std": [1.0]}
+        assert scanned.metrics.blocks_full == 0
         assert grouped.columns == {"g": [0, 1], "var": [1.0, 1.0]}
 
     def test_variance_near_2_32_in_run_space(self):
@@ -363,15 +374,18 @@ class TestExactSums:
 
     @pytest.mark.parametrize("scheme", ["plain", "rle"])
     @pytest.mark.parametrize(
-        "config", [EngineConfig(), EngineConfig(use_statistics=False)], ids=["stats", "decode"]
+        "make_engine", [Engine, oracle.decode_engine], ids=["kernels", "decode"]
     )
-    def test_sum_beyond_int64(self, scheme, config):
+    def test_sum_beyond_int64(self, scheme, make_engine):
         relation = relation_of({"v": [2**62] * 8, "k": list(range(8))}, 4, {"v": scheme})
-        with Engine(config) as engine:
+        with make_engine() as engine:
             covered = engine.query(relation).agg(s=Sum("v"), a=Avg("v")).execute()
             # Keeps every row, but only decoding ``k`` can tell.
             scanned = (
-                engine.query(relation).where(~Eq("k", -1)).agg(s=Sum("v"), a=Avg("v")).execute()
+                engine.query(relation)
+                .where(In("k", list(range(8))))
+                .agg(s=Sum("v"), a=Avg("v"))
+                .execute()
             )
             in_range = (
                 engine.query(relation)
@@ -381,6 +395,7 @@ class TestExactSums:
             )
         for result in (covered, scanned, in_range):
             assert result.columns == {"s": [36893488147419103232], "a": [2.0**62]}
+        assert scanned.metrics.blocks_full == 0
 
     def test_zone_map_sum_is_recorded_only_when_exact(self):
         exact = ColumnStatistics.from_values(np.asarray([2**61] * 3, dtype=np.int64))

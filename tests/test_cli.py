@@ -142,15 +142,22 @@ class TestQueryCommand:
         ]) == 0
         assert "IN" in capsys.readouterr().out
 
-    def test_no_pruning_scans_every_block(self, capsys):
-        assert main([
-            "query", "tpch_lineitem", "--rows", "2000", "--block-size", "500",
-            "--plan", "baseline", "--no-pruning",
-            "--between", "l_shipdate:9100:9130",
-        ]) == 0
-        out = capsys.readouterr().out
-        pruned_row = next(line for line in out.splitlines() if "blocks pruned" in line)
-        assert pruned_row.split()[-1] == "0"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "tpch_lineitem", "--between", "l_shipdate:9100:9130", "--no-pruning"],
+            ["query", "tpch_lineitem", "--between", "l_shipdate:9100:9130", "--no-kernels"],
+            ["serve", ".", "--no-kernels"],
+        ],
+        ids=["query --no-pruning", "query --no-kernels", "serve --no-kernels"],
+    )
+    def test_off_switches_are_gone(self, argv, capsys):
+        # Zone maps and kernels always run; the decode baseline is an engine
+        # with an empty KernelRegistry, not a flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
     def test_missing_predicate_is_an_error(self, capsys):
         assert main(["query", "taxi", "--rows", "1000"]) == 1

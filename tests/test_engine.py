@@ -14,7 +14,7 @@ from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import Count, Engine, EngineConfig, Eq, QueryExecutor, Sum
-from repro.storage import Catalog, Table
+from repro.storage import DEFAULT_CACHE_BYTES, Catalog, Table
 
 
 def _table(n: int = 2_000, seed: int = 5) -> Table:
@@ -38,14 +38,15 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.workers == 1
-        assert config.use_statistics and config.use_kernels
+        assert config.cache_bytes == DEFAULT_CACHE_BYTES
+        assert config.prefetch_workers == 2
 
     def test_with_overrides(self):
-        config = EngineConfig().with_overrides(workers=4, use_kernels=False)
+        config = EngineConfig().with_overrides(workers=4, prefetch_workers=0)
         assert config.workers == 4
-        assert not config.use_kernels
+        assert config.prefetch_workers == 0
         # The original is immutable and unchanged.
-        assert EngineConfig().use_kernels
+        assert EngineConfig().prefetch_workers == 2
 
     def test_with_overrides_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown EngineConfig field"):
@@ -62,6 +63,31 @@ class TestEngineConfig:
     def test_rejects_bad_prefetch_workers_at_construction(self, prefetch_workers):
         with pytest.raises(ValidationError, match="prefetch_workers"):
             EngineConfig(prefetch_workers=prefetch_workers)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache_bytes", -5),
+            ("cache_bytes", "x"),
+            ("cache_bytes", 1.5),
+            ("cache_bytes", True),
+            ("workers", True),
+            ("workers", False),
+            ("prefetch_workers", True),
+            ("prefetch_workers", False),
+        ],
+    )
+    def test_every_field_is_validated_at_construction(self, field, value):
+        # A bool is an int subclass, but not a count; cache_bytes is checked
+        # here, not first by the BlockCache an Engine builds from it.
+        with pytest.raises(ValidationError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            EngineConfig().with_overrides(**{field: value})
+
+    def test_accepts_an_unbounded_or_empty_cache(self):
+        assert EngineConfig(cache_bytes=None).cache_bytes is None
+        assert EngineConfig(cache_bytes=0).cache_bytes == 0
 
     def test_accepts_auto_and_zero(self):
         assert EngineConfig(workers=None).resolved_workers() >= 1
@@ -172,7 +198,7 @@ class TestFrontDoors:
 
     def test_config_reaches_the_private_engine(self):
         relation = _relation()
-        config = EngineConfig(workers=2, use_kernels=False)
+        config = EngineConfig(workers=2, prefetch_workers=0)
         chain = relation.query(config=config)
         with QueryExecutor(relation, config=config) as executor:
             assert executor.workers == 2
@@ -213,9 +239,10 @@ class TestDeprecatedKeywordPaths:
                 assert relation.query(engine=engine).where(Eq("v", 1)).count() >= 0
 
 
-# -- each switch has one declaration per layer ------------------------------------------------
+# -- no A/B switch is left in any layer ------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+#: The zone-map and kernel off-switches the engine used to carry.
 SWITCHES = {"use_statistics", "use_kernels"}
 
 
@@ -248,15 +275,11 @@ def switch_declarations(root: Path) -> tuple[set[str], set[str]]:
     return functions, classes
 
 
-def test_switches_declared_once():
-    assert {f.name for f in fields(EngineConfig) if f.name.startswith("use_")} == SWITCHES
-    functions, classes = switch_declarations(SRC)
-    assert functions == {
-        "ScanPlanner.__init__",
-        "ParallelEngine.__init__",
-        "evaluate_block_predicate",
-    }
-    assert classes == {"EngineConfig"}
+def test_no_switch_is_declared():
+    assert {f.name for f in fields(EngineConfig)} == {"workers", "cache_bytes", "prefetch_workers"}
+    assert switch_declarations(SRC) == (set(), set())
+    for path in SRC.rglob("*.py"):
+        assert "ColumnPredicate" not in path.read_text(), path
 
 
 def test_the_walk_sees_parameters_and_fields(tmp_path):

@@ -25,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import (
     Aggregate,
     Between,
-    ColumnPredicate,
     Count,
     EngineConfig,
     Eq,
@@ -84,22 +84,6 @@ def disk_relation(table, tmp_path_factory):
     return DiskRelation(str(path), prefetch_workers=0)
 
 
-def _reference_order(values: np.ndarray, row_ids: np.ndarray, descending: bool) -> np.ndarray:
-    """Row ids in total order: key (asc or desc), row id ascending on ties."""
-    keys = values[row_ids]
-    if keys.dtype.kind in ("U", "S", "O"):
-        pairs = sorted(
-            range(len(row_ids)),
-            key=lambda i: (keys[i], -int(row_ids[i])),
-            reverse=descending,
-        )
-        if descending:
-            return row_ids[pairs]
-        return row_ids[sorted(range(len(row_ids)), key=lambda i: (keys[i], int(row_ids[i])))]
-    order = np.lexsort((row_ids, -keys if descending else keys))
-    return row_ids[order]
-
-
 # -- parity: order_by / top-k across workers and storage ----------------------
 
 
@@ -118,13 +102,9 @@ class TestOrderedParity:
         self, table, relation, lo, hi, descending, k, order_column
     ):
         lo, hi = min(lo, hi), max(lo, hi)
-        values = np.asarray(table.column("v"), dtype=np.int64)
-        keys = np.asarray(table.column(order_column))
-        matched = np.flatnonzero((values >= lo) & (values <= hi)).astype(np.int64)
-        expected_ids = _reference_order(keys, matched, descending)
-        if k is not None:
-            expected_ids = expected_ids[:k]
-        expected = keys[expected_ids].tolist()
+        keys = oracle.column(table, order_column)
+        expected_ids = oracle.order_by(table, Between("v", lo, hi), order_column, descending, k)
+        expected = [keys[i] for i in expected_ids]
 
         for workers in WORKER_COUNTS:
             query = (
@@ -154,16 +134,19 @@ class TestOrderedParity:
         assert list(on_disk.columns["v"]) == list(in_memory.columns["v"])
         assert list(on_disk.columns["tag"]) == list(in_memory.columns["tag"])
 
-    def test_statistics_off_is_identical(self, relation):
-        with_stats = relation.query().select("v").order_by("v").limit(9).execute()
-        without = (
-            relation.query(config=EngineConfig(use_statistics=False))
-            .select("v")
-            .order_by("v")
-            .limit(9)
-            .execute()
-        )
-        assert list(with_stats.columns["v"]) == list(without.columns["v"])
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_topk_and_decode_match_the_oracle(self, table, relation, descending):
+        expected = oracle.order_by(table, None, "v", descending, limit=9)
+        with oracle.decode_engine() as decode:
+            for engine in (None, decode):
+                result = (
+                    relation.query(engine=engine)
+                    .select("v")
+                    .order_by("v", desc=descending)
+                    .limit(9)
+                    .execute()
+                )
+                assert result.row_ids.tolist() == expected
 
     def test_limit_zero_returns_no_rows_and_prunes_everything(self, relation):
         result = relation.query().select("v").order_by("v").limit(0).execute()
@@ -288,7 +271,7 @@ class TestWorkStealing:
                 time.sleep(0.02)
             return values >= 0
 
-        return ColumnPredicate("m", condition, description="m >= 0 (slowed)")
+        return oracle.Opaque("m", condition, description="m >= 0 (slowed)")
 
     def test_skewed_workload_steals_and_stays_bit_identical(self):
         skewed = self._skewed_relation()
@@ -449,11 +432,6 @@ class TestFingerprints:
         assert plain is not None and having is not None
         assert plain != having
 
-    def test_opaque_having_poisons_fingerprint(self, relation):
-        opaque = ColumnPredicate("n", lambda values: values > 0)
-        query = relation.query().group_by("tag").agg(n=Count()).having(opaque)
-        assert self._fingerprint(relation, query) is None
-
     def test_protocol_order_by_shapes_share_a_fingerprint(self, relation):
         terse = parse_request({"table": "t", "order_by": "v", "select": ["v"], "k": 5})
         verbose = parse_request({
@@ -481,7 +459,7 @@ class TestKernelDeclines:
 
     def test_opaque_predicate_over_rle_counts_declines(self):
         relation = self._rle_relation()
-        opaque = ColumnPredicate("x", lambda values: values % 2 == 0, "x is even")
+        opaque = oracle.Opaque("x", lambda values: values % 2 == 0, "x is even")
         result = relation.query().where(opaque).select("x").execute()
         assert list(result.columns["x"]) == [v for v in range(0, 20, 2) for _ in range(100)]
         assert result.metrics.kernel_declines > 0
@@ -494,7 +472,7 @@ class TestKernelDeclines:
 
     def test_declines_surface_in_explain_analyze(self):
         relation = self._rle_relation()
-        opaque = ColumnPredicate("x", lambda values: values % 2 == 0, "x is even")
+        opaque = oracle.Opaque("x", lambda values: values % 2 == 0, "x is even")
         text = relation.query().where(opaque).select("x").limit(1).explain(analyze=True)
         assert "kernel declines" in text
 
@@ -615,12 +593,9 @@ class TestHavingAndMoments:
         builder.vertical("x", "rle")
         relation = TableCompressor(builder.build(), block_size=128).compress(table)
         kernel = relation.query().where(Between("x", -2, 11)).agg(v=Var("x"), s=Std("x"))
-        baseline = (
-            relation.query(config=EngineConfig(use_kernels=False))
-            .where(Between("x", -2, 11))
-            .agg(v=Var("x"), s=Std("x"))
-        )
-        got, want = kernel.execute(), baseline.execute()
+        with oracle.decode_engine() as decode:
+            baseline = decode.query(relation).where(Between("x", -2, 11))
+            got, want = kernel.execute(), baseline.agg(v=Var("x"), s=Std("x")).execute()
         assert got.scalar("v") == pytest.approx(want.scalar("v"), rel=1e-12)
         assert got.scalar("s") == pytest.approx(want.scalar("s"), rel=1e-12)
 

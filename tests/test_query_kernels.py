@@ -2,10 +2,10 @@
 
 The contract under test: every kernel in :mod:`repro.query.kernels` is
 *exact* — with kernels on, filters, aggregates, group-bys and materialised
-selections are bit-identical to the decode-then-compare baseline
-(``use_kernels=False``), serial and parallel alike, over every vertical
-encoding and with outlier-bearing horizontal columns in the mix (which the
-registry must decline, falling back to decode).
+selections are bit-identical to the decode-then-compare baseline (an
+engine with an empty ``KernelRegistry``), serial and parallel alike, over
+every vertical encoding and with outlier-bearing horizontal columns in the
+mix (which the registry must decline, falling back to decode).
 """
 
 import ast
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64
 from repro.encodings import ForBitPackEncoding
@@ -32,7 +33,9 @@ from repro.query import (
     Min,
     Not,
     Or,
+    ScanMetrics,
     Sum,
+    evaluate_block_predicate,
     materialize_columns,
 )
 from repro.storage import DiskRelation, Table, write_table
@@ -40,9 +43,6 @@ from repro.storage import DiskRelation, Table, write_table
 #: Every vertical scheme a kernel serves, plus plain (no kernel at all) as
 #: the control.
 SCHEMES = ("rle", "delta", "frequency", "for_bitpack", "dictionary", "plain")
-
-#: The decode-then-compare baseline every kernel result is checked against.
-DECODE = EngineConfig(use_kernels=False)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -63,28 +63,39 @@ def single_column_relation(values, scheme, block_size=256):
     return compress(table, block_size=block_size, scheme=scheme)
 
 
+def block_count(relation, predicate, metrics=None) -> int:
+    """Matches of ``predicate`` with the kernels offered every block.
+
+    Bypasses the zone maps, so no block is pruned or answered from its
+    statistics before a kernel sees it.
+    """
+    return sum(
+        int(np.count_nonzero(evaluate_block_predicate(block, predicate, metrics)))
+        for block in relation
+    )
+
+
 def assert_query_parity(relation, predicate):
     """Kernel-on (serial + parallel) results equal the decode baseline."""
-    kernel = relation.query().where(predicate)
-    parallel = relation.query(config=EngineConfig(workers=2)).where(predicate)
-    baseline = relation.query(config=DECODE).where(predicate)
-
     agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
-    got = kernel.agg(**agg).execute()
-    got_parallel = parallel.agg(**agg).execute()
-    want = baseline.agg(**agg).execute()
-    for name in agg:
-        assert got.scalar(name) == want.scalar(name), name
-        assert got_parallel.scalar(name) == want.scalar(name), name
+    with oracle.decode_engine() as decode:
+        got = relation.query().where(predicate).agg(**agg).execute()
+        got_parallel = (
+            relation.query(config=EngineConfig(workers=2)).where(predicate).agg(**agg).execute()
+        )
+        want = decode.query(relation).where(predicate).agg(**agg).execute()
+        for name in agg:
+            assert got.scalar(name) == want.scalar(name), name
+            assert got_parallel.scalar(name) == want.scalar(name), name
 
-    grouped = relation.query().where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
-    grouped_base = (
-        relation.query(config=DECODE).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
-    )
-    assert grouped.execute().columns == grouped_base.execute().columns
+        grouped = relation.query().where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
+        grouped_base = (
+            decode.query(relation).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
+        )
+        assert grouped.execute().columns == grouped_base.execute().columns
 
-    rows = relation.query().where(predicate).select("x").execute()
-    rows_base = relation.query(config=DECODE).where(predicate).select("x").execute()
+        rows = relation.query().where(predicate).select("x").execute()
+        rows_base = decode.query(relation).where(predicate).select("x").execute()
     assert np.array_equal(np.asarray(rows.columns["x"]), np.asarray(rows_base.columns["x"]))
 
 
@@ -174,53 +185,41 @@ CONSTANTS = (
 )  # fmt: skip
 
 
-def _equals(x: int, constant) -> bool:
-    return not isinstance(constant, str) and x == constant
-
-
-def _at_least(x: int, constant) -> bool:
-    return not isinstance(constant, str) and x >= constant
-
-
-def _at_most(x: int, constant) -> bool:
-    return not isinstance(constant, str) and x <= constant
-
-
-#: kind -> (predicate over column x, the same question asked of one Python
-#: int); ``anchor`` is a value the column holds, so ``In`` always has a hit.
+#: kind -> predicate over column x; ``anchor`` is a value the column holds,
+#: so ``In`` always has a hit.
 QUESTIONS = {
-    "eq": (lambda c, anchor: Eq("x", c), lambda x, c, anchor: _equals(x, c)),
-    "in": (
-        lambda c, anchor: In("x", [c] if isinstance(c, str) else [c, anchor]),
-        lambda x, c, anchor: _equals(x, c) or (not isinstance(c, str) and x == anchor),
-    ),
-    "at_least": (lambda c, anchor: Between("x", c, None), lambda x, c, anchor: _at_least(x, c)),
-    "at_most": (lambda c, anchor: Between("x", None, c), lambda x, c, anchor: _at_most(x, c)),
-    "not_eq": (lambda c, anchor: Not(Eq("x", c)), lambda x, c, anchor: not _equals(x, c)),
-    "not_at_least": (
-        lambda c, anchor: Not(Between("x", c, None)),
-        lambda x, c, anchor: not _at_least(x, c),
-    ),
-}
-
-CONFIGS = {
-    "default": EngineConfig(),
-    "use_kernels=False": DECODE,
-    "use_statistics=False": EngineConfig(use_statistics=False),
+    "eq": lambda c, anchor: Eq("x", c),
+    "in": lambda c, anchor: In("x", [c] if isinstance(c, str) else [c, anchor]),
+    "at_least": lambda c, anchor: Between("x", c, None),
+    "at_most": lambda c, anchor: Between("x", None, c),
+    "not_eq": lambda c, anchor: Not(Eq("x", c)),
+    "not_at_least": lambda c, anchor: Not(Between("x", c, None)),
 }
 
 
 def _python_int_mismatches(relation, values, constants=CONSTANTS) -> list:
-    """Every (question, constant, config) whose count differs from Python's."""
+    """Every (question, constant, path) whose count differs from Python's.
+
+    The paths: the default engine (zone maps, then kernels), the decode
+    engine (zone maps, then decode), and the kernels offered every block.
+    """
     anchor = int(values[5])
+    rows = [{"x": int(x)} for x in values]
     mismatches = []
-    for kind, (build, ask) in QUESTIONS.items():
-        for constant in constants:
-            want = sum(ask(int(x), constant, anchor) for x in values)
-            for label, config in CONFIGS.items():
-                got = relation.query(config=config).where(build(constant, anchor)).count()
-                if got != want:
-                    mismatches.append((kind, constant, label, got, want))
+    with oracle.decode_engine() as decode:
+        paths = {
+            "default": lambda predicate: relation.query().where(predicate).count(),
+            "decode": lambda predicate: decode.query(relation).where(predicate).count(),
+            "per-block": lambda predicate: block_count(relation, predicate),
+        }
+        for kind, build in QUESTIONS.items():
+            for constant in constants:
+                predicate = build(constant, anchor)
+                want = sum(oracle.matches(predicate, row) for row in rows)
+                for label, count in paths.items():
+                    got = count(predicate)
+                    if got != want:
+                        mismatches.append((kind, constant, label, got, want))
     return mismatches
 
 
@@ -263,7 +262,7 @@ def test_for_encodes_spans_beyond_int64(shape):
 
 def test_kernels_name_no_predicate_kind():
     """``query/kernels.py`` knows ``Predicate`` and nothing more specific."""
-    kinds = {"Eq", "Between", "In", "And", "Or", "Not", "ColumnPredicate"}
+    kinds = {"Eq", "Between", "In", "And", "Or", "Not"}
     tree = ast.parse((SRC / "query" / "kernels.py").read_text())
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -296,12 +295,12 @@ class TestDictionaryKernel:
             DictEncodedIntColumn, "codes", lambda self: calls.append(self) or unpack(self)
         )
         predicate = Or(And(Between("x", 3, 30), Not(Eq("x", 7))), In("x", [35, 39]))
-        config = EngineConfig(use_statistics=False)  # scan every block
-        result = relation.query(config=config).where(predicate).agg(n=Count()).execute()
+        metrics = ScanMetrics()
+        count = block_count(relation, predicate, metrics)
         assert len(calls) == relation.n_blocks
-        assert result.scalar("n") == int(predicate.evaluate({"x": values}).sum())
-        assert result.metrics.rows_dict_evaluated == relation.n_rows
-        assert result.metrics.rows_decoded == 0
+        assert count == int(predicate.evaluate({"x": values}).sum())
+        assert metrics.rows_dict_evaluated == relation.n_rows
+        assert metrics.rows_decoded == 0
 
     def test_string_leaves_and_group_by_stay_in_code_space(self):
         from repro.dtypes import STRING
@@ -314,12 +313,12 @@ class TestDictionaryKernel:
             In("t", ["tag_01", "tag_08", "absent"]),
             Between("t", "tag_02", "tag_05"),
         ):
-            config = EngineConfig(use_statistics=False)
-            result = relation.query(config=config).where(predicate).agg(n=Count()).execute()
-            assert result.scalar("n") == int(predicate.evaluate({"t": tags}).sum())
-            assert result.metrics.rows_dict_evaluated == relation.n_rows
-            assert result.metrics.rows_decoded == 0
-            assert result.metrics.string_heap_decodes == 0
+            metrics = ScanMetrics()
+            count = block_count(relation, predicate, metrics)
+            assert count == int(predicate.evaluate({"t": tags}).sum())
+            assert metrics.rows_dict_evaluated == relation.n_rows
+            assert metrics.rows_decoded == 0
+            assert metrics.string_heap_decodes == 0
         grouped = relation.query().group_by("t").agg(n=Count()).execute()
         assert grouped.columns["t"] == sorted(set(tags))
         assert grouped.metrics.string_heap_decodes == len(set(tags))
@@ -344,7 +343,8 @@ class TestRleKernel:
         predicate = Between("x", 1, 5)
         agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
         got = relation.query().where(predicate).agg(**agg).execute()
-        want = relation.query(config=DECODE).where(predicate).agg(**agg).execute()
+        with oracle.decode_engine() as decode:
+            want = decode.query(relation).where(predicate).agg(**agg).execute()
         for name in agg:
             assert got.scalar(name) == want.scalar(name)
         assert got.metrics.rows_kernel_aggregated > 0
@@ -358,7 +358,8 @@ class TestRleKernel:
         assert result.columns["x"] == [1, 2, 3, 4, 5, 6]
 
     def test_disabling_kernels_restores_decode_accounting(self, relation):
-        result = relation.query(config=DECODE).where(Eq("x", 3)).agg(n=Count()).execute()
+        with oracle.decode_engine() as decode:
+            result = decode.query(relation).where(Eq("x", 3)).agg(n=Count()).execute()
         assert result.metrics.rows_rle_evaluated == 0
         assert result.metrics.runs_evaluated == 0
         assert result.metrics.rows_decoded > 0
@@ -373,6 +374,27 @@ class TestForKernel:
         assert result.scalar("n") == int(((values >= 1_000) & (values <= 2_000)).sum())
         assert result.metrics.rows_decoded == 0
         assert result.metrics.rows_for_evaluated == values.size
+
+    @pytest.mark.parametrize("path", ["count", "select", "agg", "group_by", "top-k"])
+    def test_an_injected_registry_reaches_every_path(self, path):
+        values = np.random.default_rng(5).integers(0, 65_536, size=4_000).astype(np.int64)
+        relation = single_column_relation(values, "for_bitpack", block_size=4_000)
+        with oracle.decode_engine() as decode:
+            for engine, for_evaluated in ((None, values.size), (decode, 0)):
+                chain = relation.query(engine=engine).where(Between("x", 100, 300))
+                if path == "count":
+                    assert chain.count() == int(((values >= 100) & (values <= 300)).sum())
+                    metrics = chain.last_metrics
+                else:
+                    chain = {
+                        "select": chain.select("x"),
+                        "agg": chain.agg(n=Count(), s=Sum("x")),
+                        "group_by": chain.group_by("x").agg(n=Count()),
+                        "top-k": chain.select("x").order_by("x").limit(3),
+                    }[path]
+                    metrics = chain.execute().metrics
+                assert metrics.rows_for_evaluated == for_evaluated, engine
+                assert metrics.rows_decoded == values.size - for_evaluated, engine
 
     def test_out_of_domain_bounds_clamp(self):
         values = np.arange(100, 200, dtype=np.int64)
@@ -422,7 +444,8 @@ class TestFrequencyKernel:
         relation = single_column_relation(values, "frequency", block_size=3_000)
         for predicate in (Eq("x", 42), Between("x", 40, 100), In("x", [41, 42, 43])):
             got = relation.query().where(predicate).agg(n=Count()).execute()
-            want = relation.query(config=DECODE).where(predicate).agg(n=Count()).execute()
+            with oracle.decode_engine() as decode:
+                want = decode.query(relation).where(predicate).agg(n=Count()).execute()
             assert got.scalar("n") == want.scalar("n")
         result = relation.query().where(Eq("x", 42)).agg(n=Count()).execute()
         assert result.metrics.rows_decoded == 0

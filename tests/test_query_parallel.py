@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core import TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
@@ -15,7 +16,7 @@ from repro.query import (
     DEFAULT_KERNELS,
     And,
     Between,
-    ColumnPredicate,
+    Engine,
     EngineConfig,
     Eq,
     In,
@@ -102,9 +103,8 @@ class TestParallelMatchesSerial:
     @given(predicate=_predicates)
     def test_dictionary_domain_matches_decode_path(self, relation, predicate):
         with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(
-            relation, config=EngineConfig(use_kernels=False)
-        ).filter(predicate)
+        with oracle.decode_engine() as decode:
+            without = decode.executor(relation).filter(predicate)
         assert np.array_equal(with_dict, without)
 
     def test_engine_results_are_sorted_and_complete(self, relation):
@@ -114,8 +114,8 @@ class TestParallelMatchesSerial:
         assert metrics.rows_matched == relation.n_rows
 
     def test_opaque_predicates_run_in_parallel(self, relation):
-        predicate = ColumnPredicate(
-            "tag", lambda values: np.asarray([s.endswith("7") for s in values])
+        predicate = oracle.Opaque(
+            "tag", lambda values: np.char.endswith(values, "7"), "tag ends with 7"
         )
         serial = QueryExecutor(relation, config=EngineConfig(workers=1)).filter(predicate)
         with QueryExecutor(relation, config=EngineConfig(workers=4)) as executor:
@@ -133,8 +133,9 @@ class TestDictionaryDomain:
         assert metrics.rows_decoded == 0
 
     def test_decode_path_pays_heap_decodes(self, relation):
-        executor = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
-        executor.count(Eq("tag", "tag_07"))
+        with oracle.decode_engine() as decode:
+            executor = decode.executor(relation)
+            executor.count(Eq("tag", "tag_07"))
         metrics = executor.last_scan_metrics
         assert metrics.rows_dict_evaluated == 0
         assert metrics.string_heap_decodes == relation.n_rows
@@ -190,11 +191,12 @@ class TestDictionaryDomain:
         ).build()
         rel = TableCompressor(plan, block_size=64).compress(table)
         expected = int(np.count_nonzero(values == 5.0))
-        for kwargs in ({}, {"use_kernels": False}, {"workers": 2}):
-            executor = QueryExecutor(rel, config=EngineConfig(**kwargs))
-            assert executor.count(Eq("c", 5.0)) == expected
-            assert executor.count(Eq("c", True)) == 0
-            assert executor.count(In("c", [5.0, 5.5])) == expected
+        with oracle.decode_engine() as decode, Engine(EngineConfig(workers=2)) as parallel:
+            for engine in (None, decode, parallel):
+                executor = QueryExecutor(rel, engine=engine)
+                assert executor.count(Eq("c", 5.0)) == expected
+                assert executor.count(Eq("c", True)) == 0
+                assert executor.count(In("c", [5.0, 5.5])) == expected
 
     def test_leaf_statistics_shortcut_inside_compound(self, relation):
         # "absent" sorts outside every block's [min, max], so the tag leaf of
@@ -202,9 +204,8 @@ class TestDictionaryDomain:
         # unpack — and the result must still match the decode path.
         predicate = Or(Eq("v", 5), Eq("tag", "absent"))
         with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(
-            relation, config=EngineConfig(use_kernels=False)
-        ).filter(predicate)
+        with oracle.decode_engine() as decode:
+            without = decode.executor(relation).filter(predicate)
         assert np.array_equal(with_dict, without)
 
     def test_code_space_column_excludes_horizontal(self, relation):
@@ -231,13 +232,6 @@ class TestPlannerMemoization:
         second = planner.plan(Between("v", 0, 10))
         assert calls["n"] == 0  # zone maps never re-tested
         assert second.decisions == first.decisions
-
-    def test_opaque_predicates_are_never_cached(self, relation):
-        planner = ScanPlanner(relation)
-        predicate = ColumnPredicate("v", lambda values: values > 0)
-        assert predicate.fingerprint() is None
-        planner.plan(predicate)
-        assert planner.cached_decisions == 0
 
     def test_cache_invalidated_on_relation_change(self, relation):
         planner = ScanPlanner(relation)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from repro.core import CompressionPlan, TableCompressor
 from repro.datasets import TpchLineitemGenerator
 from repro.dtypes import DATE, INT64, STRING
@@ -11,13 +12,12 @@ from repro.query import (
     And,
     Between,
     BlockDecision,
-    ColumnPredicate,
-    EngineConfig,
     Eq,
     In,
     Or,
     QueryExecutor,
     ScanPlanner,
+    evaluate_block_predicate,
 )
 from repro.storage import BlockStatistics, ColumnStatistics, Table
 
@@ -150,16 +150,6 @@ class TestPredicateEvaluation:
         assert isinstance(Between("x", 0, 1), Between)
         assert isinstance(In("x", [1]), In)
 
-    def test_column_predicate_escape_hatch(self):
-        pred = ColumnPredicate("x", lambda v: np.asarray(v) % 2 == 1, "x is odd")
-        assert isinstance(pred, ColumnPredicate)
-        assert pred.evaluate(self.VALUES).tolist() == [True, True, True, True]
-        assert pred.describe() == "x is odd"
-        # Opaque conditions can never prune or short-circuit.
-        stats = _stats(x=_int_stats(100, 200))
-        assert pred.might_match(stats)
-        assert not pred.matches_all(stats)
-
     def test_describe(self):
         assert Between("x", 1, 2).describe() == "1 <= x <= 2"
         assert "AND" in (Eq("x", 1) & Eq("x", 2)).describe()
@@ -259,11 +249,6 @@ class TestScanPlanner:
         plan = ScanPlanner(relation).plan(Between("ship", 8_000, 8_099))
         assert plan.count_of(BlockDecision.FULL) == relation.n_blocks
 
-    def test_use_statistics_false_scans_everything(self, sorted_relation):
-        _, relation = sorted_relation
-        plan = ScanPlanner(relation, use_statistics=False).plan(Eq("ship", 8_000))
-        assert plan.decisions == (BlockDecision.SCAN,) * relation.n_blocks
-
     def test_derived_diff_bounds_prune(self, sorted_relation):
         _, relation = sorted_relation
         plan = ScanPlanner(relation).plan(Between("receipt", 8_031 + 7, 8_038 + 7))
@@ -275,7 +260,6 @@ class TestExecutorPruning:
         table, relation = sorted_relation
         ship = table.column("ship")
         executor = QueryExecutor(relation)
-        brute = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         for predicate, expected_mask in (
             (Between("ship", 8_031, 8_038), (ship >= 8_031) & (ship <= 8_038)),
             (Eq("ship", 8_050), ship == 8_050),
@@ -283,7 +267,7 @@ class TestExecutorPruning:
         ):
             expected = np.flatnonzero(expected_mask)
             assert np.array_equal(executor.filter(predicate), expected)
-            assert np.array_equal(brute.filter(predicate), expected)
+            assert oracle.filter_rows(table, predicate) == expected.tolist()
 
     def test_metrics_report_pruning(self, sorted_relation):
         _, relation = sorted_relation
@@ -293,15 +277,16 @@ class TestExecutorPruning:
         assert metrics.n_blocks == relation.n_blocks
         assert metrics.blocks_scanned == 1
         assert metrics.blocks_pruned == relation.n_blocks - 1
-        # The surviving block is answered by the FOR word-space kernel;
-        # disabling kernels restores the decode accounting.
+        # The surviving block is answered by the FOR word-space kernel; an
+        # empty kernel registry restores the decode accounting.
         assert metrics.rows_decoded == 0
         assert metrics.rows_for_evaluated == 100
         assert metrics.pruned_fraction == pytest.approx(0.9)
         assert "pruned" in metrics.describe()
 
-        baseline = QueryExecutor(relation, config=EngineConfig(use_kernels=False))
-        baseline.filter(Between("ship", 8_031, 8_038))
+        with oracle.decode_engine() as decode:
+            baseline = decode.executor(relation)
+            baseline.filter(Between("ship", 8_031, 8_038))
         assert baseline.last_scan_metrics.rows_decoded == 100
         assert baseline.last_scan_metrics.rows_for_evaluated == 0
 
@@ -351,9 +336,15 @@ class TestExecutorPruning:
         plan = CompressionPlan.builder(table.schema).vertical("c", scheme).build()
         relation = TableCompressor(plan, block_size=100).compress(table)
         between = Between("c", low, high)
-        for config in (EngineConfig(), EngineConfig(use_statistics=False)):
-            assert relation.query(config=config).where(between).count() == 0
-            assert relation.query(config=config).where(~between).count() == relation.n_rows
+        assert oracle.filter_rows(table, between) == []
+        with oracle.decode_engine() as decode:
+            for engine in (None, decode):
+                assert relation.query(engine=engine).where(between).count() == 0
+                assert relation.query(engine=engine).where(~between).count() == relation.n_rows
+            # Every block offered to the kernels, none pruned by its zone map.
+            for block in relation:
+                assert not evaluate_block_predicate(block, between).any()
+                assert evaluate_block_predicate(block, ~between).all()
 
     def test_string_zone_maps_prune_eq(self):
         names = sorted(f"name-{i:03d}" for i in range(500))
@@ -386,10 +377,9 @@ class TestExecutorPruning:
         relation = TableCompressor(plan, block_size=1_250).compress(table)
         assert relation.n_blocks == 8
         executor = QueryExecutor(relation)
-        brute = QueryExecutor(relation, config=EngineConfig(use_statistics=False))
         for selectivity in (0.01, 0.1):
             predicate = Between("l_shipdate", int(ship[0]), int(ship[int(selectivity * ship.size)]))
-            assert executor.count(predicate) == brute.count(predicate)
+            assert executor.count(predicate) == len(oracle.filter_rows(table, predicate))
             # The leading range lies inside the first of eight blocks.
             assert executor.last_scan_metrics.blocks_pruned >= 6
 

@@ -4,11 +4,12 @@ A diff-encoded column's zone map is derived from its reference's bounds and
 the stored difference range, widened by the outlier region.  It is a
 superset of the block's true values, so it may both prune (the predicate
 misses the superset) and prove a block full (the superset lies inside the
-predicate).  The property below checks both decisions row by row against a
-Python-int oracle on tables that exercise every stored form of the
-difference stream — raw, zig-zag, framed, with and without outliers — and
-checks that answers agree with and without zone maps, in memory and on a
-cold :class:`~repro.storage.DiskRelation`.
+predicate).  The property below checks both decisions row by row against
+the Python-int oracle (``tests/oracle.py``) on tables that exercise every
+stored form of the difference stream — raw, zig-zag, framed, with and
+without outliers — and checks the default and the kernel-less engine's
+answers against it, in memory and on a cold
+:class:`~repro.storage.DiskRelation`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import repro.core.plan as core_plan
 from repro.core import CompressionPlan, NonHierarchicalEncoding, TableCompressor
 from repro.dtypes import INT64
@@ -29,7 +31,7 @@ from repro.query import (
     Between,
     BlockDecision,
     Count,
-    EngineConfig,
+    Engine,
     Eq,
     In,
     Max,
@@ -97,33 +99,13 @@ def _predicates(draw, constants):
     return draw(st.one_of(leaf, leaf.map(Not)))
 
 
-def _oracle(predicate, value: int) -> bool:
-    """The predicate on one Python int, written out case by case."""
-    if isinstance(predicate, Not):
-        return not _oracle(predicate.child, value)
-    if isinstance(predicate, Between):
-        return (predicate.low is None or predicate.low <= value) and (
-            predicate.high is None or value <= predicate.high
-        )
-    if isinstance(predicate, Eq):
-        return value == predicate.value
-    assert isinstance(predicate, In)
-    return value in predicate.values
+AGGREGATES = dict(n=Count(), total=Sum("b"), low=Min("b"), high=Max("b"))
 
 
-def _answers(relation, predicate, config: EngineConfig) -> tuple:
-    executor = QueryExecutor(relation, config=config)
-    result = (
-        relation.query(config=config)
-        .where(predicate)
-        .agg(n=Count(), total=Sum("b"), low=Min("b"), high=Max("b"))
-        .execute()
-    )
-    return (
-        executor.filter(predicate).tolist(),
-        executor.count(predicate),
-        tuple(result.scalar(name) for name in ("n", "total", "low", "high")),
-    )
+def _answers(relation, predicate, engine: Engine) -> tuple:
+    executor = QueryExecutor(relation, engine=engine)
+    result = engine.query(relation).where(predicate).agg(**AGGREGATES).execute()
+    return executor.filter(predicate).tolist(), executor.count(predicate), result.columns
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,37 +114,30 @@ def test_derived_zone_maps_are_sound(case, data):
     reference, target, block_size, budget, use_frame = case
     relation = _compress(reference, target, block_size, budget, use_frame)
     predicate = _predicates(data.draw, _constants(data.draw, relation))
-    matches = [_oracle(predicate, int(v)) for v in target]
+    table = Table.from_columns([("a", INT64, reference), ("b", INT64, target)])
+    hits = oracle.filter_rows(table, predicate)
+    matched = np.zeros(table.n_rows, dtype=bool)
+    matched[hits] = True
 
     decisions = ScanPlanner(relation).plan(predicate).decisions
     for index, decision in enumerate(decisions):
-        rows = matches[index * block_size : (index + 1) * block_size]
+        rows = matched[index * block_size : (index + 1) * block_size]
         if decision == BlockDecision.FULL:
             assert all(rows), (index, predicate)
         elif decision == BlockDecision.PRUNE:
             assert not any(rows), (index, predicate)
 
-    selected = [int(v) for v, hit in zip(target, matches) if hit]
-    expected = (
-        [i for i, hit in enumerate(matches) if hit],
-        len(selected),
-        (
-            len(selected),
-            sum(selected),
-            min(selected, default=None),
-            max(selected, default=None),
-        ),
-    )
-    configs = (EngineConfig(), EngineConfig(use_statistics=False))
-    for config in configs:
-        assert _answers(relation, predicate, config) == expected, config
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.corra"
-        write_table(path, relation)
-        for config in configs:
-            with DiskRelation(path, prefetch_workers=0) as disk:
-                assert ScanPlanner(disk).plan(predicate).decisions == decisions
-                assert _answers(disk, predicate, config) == expected, config
+    expected = (hits, len(hits), oracle.group_by(table, predicate, (), AGGREGATES))
+    with Engine() as engine, oracle.decode_engine() as decode:
+        for label, runner in (("default", engine), ("decode", decode)):
+            assert _answers(relation, predicate, runner) == expected, label
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.corra"
+            write_table(path, relation)
+            for label, runner in (("default", engine), ("decode", decode)):
+                with DiskRelation(path, prefetch_workers=0) as disk:
+                    assert ScanPlanner(disk).plan(predicate).decisions == decisions
+                    assert _answers(disk, predicate, runner) == expected, label
 
 
 def test_derived_bounds_answer_fully_covered_counts_from_metadata():
@@ -188,6 +163,7 @@ def test_wrapped_differences_neither_prune_nor_fill_wrongly():
     target = np.array([-(1 << 63) + 3, -(1 << 63) + 3, 5], dtype=np.int64)
     relation = _compress(reference, target, 3, None, False)
     for predicate in (Eq("b", -(1 << 63) + 3), Between("b", None, 0), Not(Eq("b", 5))):
-        want = [i for i, v in enumerate(target.tolist()) if _oracle(predicate, v)]
-        for config in (EngineConfig(), EngineConfig(use_statistics=False)):
-            assert QueryExecutor(relation, config=config).filter(predicate).tolist() == want
+        want = [i for i, v in enumerate(target.tolist()) if oracle.matches(predicate, {"b": v})]
+        assert QueryExecutor(relation).filter(predicate).tolist() == want
+        with oracle.decode_engine() as decode:
+            assert decode.executor(relation).filter(predicate).tolist() == want
