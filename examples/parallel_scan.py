@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Parallel morsel-driven scans and dictionary-domain predicates.
+"""Parallel scans on the engine's worker pool and dictionary-domain predicates.
 
-This walks through the parallel execution subsystem added in PR 2:
+This walks through parallel execution:
 
 1. build an *unsorted* two-column table (zone maps cannot prune it, so every
    block must actually be evaluated — the worst case for a serial scan);
 2. compress it on all cores with ``TableCompressor(workers=0)``;
-3. run the same predicate serially and through the morsel-driven
-   :class:`~repro.query.parallel.ParallelEngine` at increasing worker counts,
-   verifying the results are identical and timing each run;
+3. run the same predicate serially and on engines with increasing
+   ``EngineConfig(workers=...)``, whose one thread pool runs a task per
+   block, verifying the results are identical and timing each run;
 4. run an ``Eq`` predicate over a dictionary-encoded string column in
    dictionary code space, showing that no string is decoded from the heap
    (``string_heap_decodes`` stays zero).
@@ -54,7 +54,7 @@ def main(n_rows: int = 400_000) -> None:
         f"{relation.block(0).encoding_of('tag')})"
     )
 
-    # 3. The same scan, serial vs morsel-driven parallel.
+    # 3. The same scan, serial vs one task per block on the engine's pool.
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
     reference = QueryExecutor(relation, config=EngineConfig(workers=1))
     expected = reference.count(predicate)

@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads for the morsel-driven scan and for block compression "
-        "(0 = one per core; default 1 = serial)",
+        help="threads of the engine's worker pool, which runs the query's "
+        "per-block tasks, and for block compression (0 = one per core; default 1 = serial)",
     )
     query.add_argument(
         "--select",
@@ -321,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="threads per query for the morsel-driven scan (0 = one per core)",
+        default=1,
+        help="threads of the engine's worker pool, shared by every request's "
+        "per-block tasks (0 = one per core; default 1 = serial)",
     )
     serve.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES, metavar="N")
     serve.add_argument(
@@ -587,8 +588,6 @@ def _print_metrics(metrics, workers: int) -> None:
         ("rows for-evaluated", f"{metrics.rows_for_evaluated:,}"),
         ("rows kernel-aggregated", f"{metrics.rows_kernel_aggregated:,}"),
         ("kernel declines", f"{metrics.kernel_declines:,}"),
-        ("morsels stolen", f"{metrics.morsels_stolen:,}"),
-        ("steal attempts", f"{metrics.steal_attempts:,}"),
         ("string heap decodes", f"{metrics.string_heap_decodes:,}"),
         ("scan workers", f"{workers:,}"),
     ]

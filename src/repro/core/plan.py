@@ -19,6 +19,7 @@ Typical usage::
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -239,10 +240,10 @@ class TableCompressor:
     """Apply a :class:`CompressionPlan` to a table, block by block.
 
     ``workers`` > 1 compresses the blocks of a relation concurrently on a
-    thread pool (``None``/``0`` = one worker per core): every block is
-    self-contained and the encoders share no mutable state, so block
-    compression is embarrassingly parallel and the NumPy kernels release the
-    GIL.  Block order — and therefore the resulting relation — is identical
+    thread pool that lives for one :meth:`compress` call (``None``/``0`` =
+    one worker per core): every block is self-contained and the encoders
+    share no mutable state, so block compression is embarrassingly parallel
+    and the NumPy kernels release the GIL.  Block order — and therefore the resulting relation — is identical
     to serial compression.
     """
 
@@ -403,13 +404,14 @@ class TableCompressor:
         chunks = list(split_into_blocks(table, self._block_size))
         # Imported here to keep repro.core importable without pulling in the
         # whole query layer at module-import time.
-        from ..query.parallel import parallel_map
+        from ..query.parallel import parallel_map, resolve_workers
 
-        blocks = parallel_map(
-            lambda chunk: self.compress_block(chunk, plan),
-            chunks,
-            workers=self._workers,
-        )
+        n_workers = min(resolve_workers(self._workers), len(chunks))
+        if n_workers <= 1:
+            blocks = [self.compress_block(chunk, plan) for chunk in chunks]
+        else:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                blocks = parallel_map(lambda chunk: self.compress_block(chunk, plan), chunks, pool)
         return Relation(table.schema, blocks, self._block_size)
 
     def column_sizes(self, table: Table, plan: CompressionPlan | None = None) -> dict[str, int]:

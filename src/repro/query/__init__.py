@@ -54,11 +54,11 @@ Layers, bottom to top:
   Every kernel is exact — bit-identical to the decode baseline, which
   ``Engine(kernels=KernelRegistry())`` runs: an empty registry declines
   every column.
-* **Morsel-driven parallelism** (:mod:`~repro.query.parallel`) — post-
-  pruning blocks are dealt into per-worker deques over a persistent thread
-  pool, and drained workers steal from the back of a sibling's deque, so
-  skewed workloads rebalance; the NumPy kernels release the GIL, and
-  results are bit-identical to serial execution.
+* **Parallelism** (:mod:`~repro.query.parallel`) — every fan-out is one
+  ordered :func:`parallel_map` of per-block tasks over the engine's one
+  thread pool, whose shared queue hands the next block to whichever worker
+  is idle; the NumPy kernels release the GIL, and results are
+  bit-identical to serial execution.
 * **Logical plans** (:mod:`~repro.query.plan`) — ``Scan``/``Filter``/
   ``Project``/``Aggregate``/``Sort``/``TopK``/``Limit`` nodes, the fluent
   :class:`LazyQuery` builder, and the :class:`QueryCompiler`, which pushes
@@ -106,7 +106,7 @@ from .kernels import (
     KernelRegistry,
     RleKernel,
 )
-from .parallel import Morsel, ParallelEngine, parallel_map, resolve_workers
+from .parallel import parallel_map, resolve_workers
 from .plan import (
     Aggregate,
     AggregateFunction,
@@ -174,8 +174,6 @@ __all__ = [
     "FrequencyKernel",
     "KernelRegistry",
     "DEFAULT_KERNELS",
-    "Morsel",
-    "ParallelEngine",
     "parallel_map",
     "resolve_workers",
     "AggregateFunction",

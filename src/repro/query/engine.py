@@ -3,8 +3,8 @@
 Every query runs through an :class:`Engine`, which owns **one** of each
 shared resource —
 
-* one worker :class:`~concurrent.futures.ThreadPoolExecutor` fanning every
-  query's morsels and aggregation tasks;
+* one worker :class:`~concurrent.futures.ThreadPoolExecutor` running every
+  query's per-block tasks (scans, aggregates, top-k, gathers);
 * one read-ahead pool shared by every open table;
 * one :class:`~repro.storage.cache.BlockCache` bounding the combined
   resident bytes of every table (tenant round-robin eviction arbitrates
@@ -67,7 +67,8 @@ class EngineConfig:
     from it).  Invalid values are rejected here, at construction.
     """
 
-    #: Morsel-driven parallelism per query (``None``/``0`` = all cores).
+    #: Threads of the engine's one worker pool (``None``/``0`` = all cores;
+    #: ``1`` runs every query inline, without a pool).
     workers: int | None = 1
     #: Byte budget of the shared block cache (``None`` = unbounded).
     cache_bytes: int | None = DEFAULT_CACHE_BYTES
@@ -179,11 +180,11 @@ class Engine:
         return self._catalog
 
     def _worker_pool(self) -> ThreadPoolExecutor | None:
-        """The shared morsel/aggregation pool (``None`` when serial).
+        """The shared per-block task pool (``None`` when serial).
 
-        Created lazily under the engine lock; every compiler's
-        ``ParallelEngine`` receives it as an external pool, so concurrent
-        queries across relations share one set of worker threads.
+        Created lazily under the engine lock and handed to every compiler,
+        so concurrent queries across relations share one set of worker
+        threads.
         """
         if self._config.resolved_workers() <= 1:
             return None
@@ -234,10 +235,7 @@ class Engine:
             )
             self._compilers[token] = compiler
             while len(self._compilers) > self.MAX_CACHED_COMPILERS:
-                # close() only releases compiler-owned pools; the shared
-                # engine pool the evicted compiler was using stays up.
-                _, evicted = self._compilers.popitem(last=False)
-                evicted.close()
+                self._compilers.popitem(last=False)
             return compiler
 
     def planner_for(self, relation: Relation) -> ScanPlanner:
@@ -324,9 +322,9 @@ class Engine:
     def close(self) -> None:
         """Release every owned resource (idempotent).
 
-        Open tables, memoized compilers, the shared worker pool and the
-        prefetch pool are all shut down; the block cache's entries are
-        dropped so a closed engine holds no memory.
+        Open tables, the shared worker pool and the prefetch pool are shut
+        down; memoized compilers and the block cache's entries are dropped
+        so a closed engine holds no memory.
         """
         with self._lock:
             if self._closed:
@@ -334,7 +332,6 @@ class Engine:
             self._closed = True
             tables = list(self._tables.values())
             self._tables.clear()
-            compilers = list(self._compilers.values())
             self._compilers.clear()
             pool = self._pool
             self._pool = None
@@ -344,8 +341,6 @@ class Engine:
             close = getattr(relation, "close", None)
             if close is not None:
                 close()
-        for compiler in compilers:
-            compiler.close()
         if pool is not None:
             pool.shutdown(wait=True)
         if prefetch_pool is not None:

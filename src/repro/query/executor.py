@@ -5,9 +5,9 @@ direct calls: each builds a small logical plan (:mod:`repro.query.plan`)
 and hands it to its engine's :class:`~repro.query.plan.QueryCompiler`,
 which lowers it onto the structured scan pipeline — the memoizing
 :class:`~repro.query.scan.ScanPlanner` prunes blocks against their zone
-maps, the morsel-driven :class:`~repro.query.parallel.ParallelEngine`
-evaluates the surviving blocks (``workers=1`` inline, ``workers > 1`` on a
-persistent thread pool, bit-identical either way), and ``count`` is lowered
+maps, the surviving blocks are evaluated one task per block (``workers=1``
+inline, ``workers > 1`` on the engine's persistent thread pool,
+bit-identical either way), and ``count`` is lowered
 to an :class:`~repro.query.plan.Aggregate` node so fully-covered blocks are
 answered from metadata alone.
 

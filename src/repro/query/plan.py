@@ -19,11 +19,10 @@ API::
 composed, which is what lets the :class:`QueryCompiler` push work *down*
 before any value is materialised:
 
-* **predicate pushdown** — the filter is handed to the existing
-  :class:`~repro.query.scan.ScanPlanner` / morsel-driven
-  :class:`~repro.query.parallel.ParallelEngine` pipeline, so zone maps
-  prune blocks and dictionary leaves run in code space exactly as in the
-  imperative path;
+* **predicate pushdown** — the filter is handed to the memoizing
+  :class:`~repro.query.scan.ScanPlanner`, so zone maps prune blocks, and
+  the surviving blocks are evaluated one per task on the engine's worker
+  pool, where dictionary leaves run in code space;
 * **projection pushdown** — only the columns a node actually references
   are ever decoded; a plan without a projection materialises nothing but
   row ids;
@@ -53,7 +52,7 @@ pushdown is visible before (or without) running the query.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -77,7 +76,7 @@ from .aggregates import (
     moment_slots,
 )
 from .kernels import DEFAULT_KERNELS, KernelRegistry
-from .parallel import ParallelEngine
+from .parallel import parallel_map
 from .predicates import And, Predicate
 from .scan import (
     BlockDecision,
@@ -189,8 +188,8 @@ class Sort(LogicalNode):
     """Order the child's output rows by one column.
 
     Ordering is total and deterministic: equal keys keep ascending global
-    row id, so every execution strategy (serial, work-stealing parallel,
-    out-of-core) produces bit-identical output.
+    row id, so every execution strategy (serial, parallel, out-of-core)
+    produces bit-identical output.
     """
 
     child: LogicalNode
@@ -396,13 +395,13 @@ def _combine_filters(predicates: list[Predicate]) -> Predicate | None:
 
 
 class QueryCompiler:
-    """Lower logical plans onto the ScanPlanner/ParallelEngine pipeline.
+    """Lower logical plans onto the ScanPlanner and per-block tasks.
 
     One compiler serves one relation under one
     :class:`~repro.query.engine.EngineConfig`; it owns the memoizing
-    planner and the morsel engine, so repeated queries reuse zone-map
-    decisions and the worker pool (``pool``, when an
-    :class:`~repro.query.engine.Engine` shares its own).
+    planner, so repeated queries reuse zone-map decisions.  It owns no
+    threads: per-block tasks run on the ``pool`` an
+    :class:`~repro.query.engine.Engine` hands it, and inline without one.
     """
 
     def __init__(
@@ -410,7 +409,7 @@ class QueryCompiler:
         relation: Relation,
         config: "EngineConfig | None" = None,
         kernels: KernelRegistry | None = None,
-        pool: ThreadPoolExecutor | None = None,
+        pool: Executor | None = None,
     ) -> None:
         if config is None:
             from .engine import EngineConfig
@@ -420,13 +419,7 @@ class QueryCompiler:
         self._kernels = kernels if kernels is not None else DEFAULT_KERNELS
         self._workers = config.resolved_workers()
         self._planner = ScanPlanner(relation)
-        self._engine = ParallelEngine(
-            relation,
-            workers=self._workers,
-            planner=self._planner,
-            kernels=self._kernels,
-            pool=pool,
-        )
+        self._pool = pool
 
     @property
     def relation(self) -> Relation:
@@ -437,22 +430,8 @@ class QueryCompiler:
         return self._planner
 
     @property
-    def engine(self) -> ParallelEngine:
-        return self._engine
-
-    @property
     def workers(self) -> int:
         return self._workers
-
-    def close(self) -> None:
-        """Release the engine's worker threads (no-op when serial)."""
-        self._engine.close()
-
-    def __enter__(self) -> "QueryCompiler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- compilation -----------------------------------------------------------
 
@@ -661,7 +640,6 @@ class QueryCompiler:
         "execute",
         "plan",
         "scan",
-        "steal",
         "predicate",
         "fetch",
         "io",
@@ -713,7 +691,7 @@ class QueryCompiler:
                 row_ids = np.arange(self._relation.n_rows, dtype=np.int64)
                 metrics = None
             else:
-                row_ids, metrics = self._engine.scan(compiled.predicate)
+                row_ids, metrics = self._scan_row_ids(compiled)
             if compiled.order_by is not None:
                 row_ids = self._sorted_row_ids(compiled, row_ids)
             if compiled.limit is not None:
@@ -724,9 +702,46 @@ class QueryCompiler:
             columns: dict[str, "np.ndarray | list"] = {}
         else:
             columns = materialize_columns(
-                self._relation, compiled.projection, row_ids, workers=self._workers
+                self._relation, compiled.projection, row_ids, pool=self._pool
             )
         return PlanResult(columns=columns, row_ids=row_ids, metrics=metrics)
+
+    def _scan_row_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, ScanMetrics]:
+        """Ascending global row ids satisfying the plan's predicate, plus metrics."""
+        tracer = current_tracer()
+        with tracer.span("scan") as span:
+            tasks, metrics = self._classify_blocks(compiled.predicate)
+            prefetcher = self._make_prefetcher(compiled, tasks)
+            results = parallel_map(
+                lambda task: self._select_block(compiled.predicate, prefetcher, *task),
+                tasks,
+                self._pool,
+            )
+            for _, partial in results:
+                metrics.merge(partial)
+            if tracer.enabled:
+                span.annotate(rows=metrics.rows_matched, blocks=metrics.blocks_scanned)
+            if not results:
+                return np.zeros(0, dtype=np.int64), metrics
+            return np.concatenate([row_ids for row_ids, _ in results]), metrics
+
+    def _select_block(
+        self,
+        predicate: Predicate | None,
+        prefetcher: "Callable[[int], None] | None",
+        index: int,
+        offset: int,
+        full: bool,
+    ) -> tuple[np.ndarray, ScanMetrics]:
+        """Worker body: one block's qualifying global row ids plus metrics."""
+        if prefetcher is not None:
+            prefetcher(index)
+        block = self._relation.block(index)
+        partial = ScanMetrics()
+        mask, n_selected = self._block_selection(block, predicate, full, partial)
+        if mask is None:
+            return np.arange(offset, offset + n_selected, dtype=np.int64), partial
+        return np.flatnonzero(mask) + offset, partial
 
     # -- ordering and top-k ------------------------------------------------------
 
@@ -742,7 +757,7 @@ class QueryCompiler:
         with current_tracer().span("sort", rows=int(row_ids.size)):
             assert compiled.order_by is not None
             keys = materialize_columns(
-                self._relation, (compiled.order_by,), row_ids, workers=self._workers
+                self._relation, (compiled.order_by,), row_ids, pool=self._pool
             )[compiled.order_by]
             if isinstance(keys, np.ndarray):
                 # ``~x`` (= ``-x - 1``) reverses int64 order without the
@@ -774,11 +789,7 @@ class QueryCompiler:
         k = compiled.limit if compiled.limit is not None else 0
         tracer = current_tracer()
         with tracer.span("topk", column=column, k=k) as span:
-            scan_items, full_items, metrics = self._engine.classify(compiled.predicate)
-            entries = sorted(
-                [(index, offset, False) for index, offset in scan_items]
-                + [(index, offset, True) for index, offset in full_items]
-            )
+            entries, metrics = self._classify_blocks(compiled.predicate)
             if k == 0 or not entries:
                 for index, _, full in entries:
                     self._reclassify_pruned(metrics, full)
@@ -829,11 +840,10 @@ class QueryCompiler:
                         break
                 batch = order[position : position + wave]
                 position += len(batch)
-                results = self._engine.map_items(
+                results = parallel_map(
+                    lambda entry: self._topk_block(compiled, *entry, k),
                     [entries[p] for p in batch],
-                    lambda entry: self._topk_block(
-                        compiled, entry[0], entry[1], entry[2], k
-                    ),
+                    self._pool,
                 )
                 for pairs, partial in results:
                     metrics.merge(partial)
@@ -917,18 +927,28 @@ class QueryCompiler:
 
     def _classify_blocks(
         self, predicate: Predicate | None
-    ) -> tuple[list[tuple[int, bool]], ScanMetrics]:
-        """Plan the scan: ``(block index, fully covered)`` tasks + metrics.
+    ) -> tuple[list[tuple[int, int, bool]], ScanMetrics]:
+        """Plan the scan: ``(block index, row offset, fully covered)`` tasks.
 
-        Delegates to the engine's shared classification step, so the
-        aggregate path's block decisions and metrics pre-fill can never
-        diverge from the scan path's.
+        Tasks come in block order, pruned blocks omitted; the metrics carry
+        the block totals and per-decision counts.  Select, aggregate and
+        top-k all start here, so their block decisions never diverge.
+        ``predicate=None`` classifies every block as fully covered.
         """
-        scan_items, full_items, metrics = self._engine.classify(predicate)
-        tasks = sorted(
-            [(index, False) for index, _ in scan_items]
-            + [(index, True) for index, _ in full_items]
-        )
+        plan = self._planner.plan(predicate)
+        metrics = ScanMetrics(n_blocks=plan.n_blocks, rows_total=self._relation.n_rows)
+        tasks: list[tuple[int, int, bool]] = []
+        offset = 0
+        for index, decision in enumerate(plan.decisions):
+            if decision == BlockDecision.PRUNE:
+                metrics.blocks_pruned += 1
+            elif decision == BlockDecision.FULL:
+                metrics.blocks_full += 1
+                tasks.append((index, offset, True))
+            else:
+                metrics.blocks_scanned += 1
+                tasks.append((index, offset, False))
+            offset += self._relation.block(index).n_rows
         return tasks, metrics
 
     def _block_selection(
@@ -969,15 +989,16 @@ class QueryCompiler:
             return materialize_block_columns(block, names, positions)
 
     def _make_prefetcher(
-        self, compiled: CompiledQuery, tasks: list[tuple[int, bool]]
+        self, compiled: CompiledQuery, tasks: list[tuple[int, int, bool]]
     ) -> "Callable[[int], None] | None":
-        """A per-block read-ahead hint for the aggregate path, or ``None``.
+        """A per-block read-ahead hint for the select and aggregate paths.
 
         Each task's worker body calls the hint with its block index; the
         hint prefetches the *next scan-classified* block's required columns
-        (predicate + gather inputs) while the current block's kernel runs.
-        Fully-covered blocks are skipped as targets — statistics usually
-        answer them without any data, so prefetching them would waste reads.
+        (predicate + gather inputs; a select has no gather inputs) while
+        the current block's kernel runs.  Fully-covered blocks are skipped
+        as targets — they need no predicate data, and statistics usually
+        answer their aggregates, so prefetching them would waste reads.
         """
         prefetch = getattr(self._relation, "prefetch_block_columns", None)
         if prefetch is None or len(tasks) < 2:
@@ -991,7 +1012,7 @@ class QueryCompiler:
         required = tuple(columns)
         next_scan: dict[int, int | None] = {}
         following: int | None = None
-        for index, full in reversed(tasks):
+        for index, _, full in reversed(tasks):
             next_scan[index] = following
             if not full:
                 following = index
@@ -1007,9 +1028,10 @@ class QueryCompiler:
         tasks, metrics = self._classify_blocks(compiled.predicate)
         prefetcher = self._make_prefetcher(compiled, tasks)
         pairs, slots = moment_slots(compiled.aggregates)
-        results = self._engine.map_items(
+        results = parallel_map(
+            lambda task: self._aggregate_block(compiled, pairs, task[0], task[2], prefetcher),
             tasks,
-            lambda task: self._aggregate_block(compiled, pairs, task[0], task[1], prefetcher),
+            self._pool,
         )
         # A group's state is one partial per (column, moment) pair; the
         # ungrouped query is the single group ``()``.

@@ -30,6 +30,7 @@ the kernels achieved per query.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ from ..errors import UnknownColumnError, ValidationError
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
 from .kernels import DEFAULT_KERNELS, KernelRegistry
+from .parallel import parallel_map
 from .predicates import And, Not, Or, Predicate
 from .selection import SelectionVector
 from .tracing import current_tracer
@@ -126,13 +128,14 @@ def materialize_columns(
     relation: Relation,
     names: Sequence[str],
     selection: SelectionVector | np.ndarray,
-    workers: int = 1,
+    pool: Executor | None = None,
 ) -> QueryOutput:
     """Materialise ``names`` at the globally-selected rows of a relation.
 
-    The output preserves the selection vector's row order.  ``workers > 1``
-    gathers the per-block groups concurrently: each block writes a disjoint
-    slice of the preallocated outputs, so no merge step is needed.
+    The output preserves the selection vector's row order.  With a
+    ``pool`` the per-block groups are gathered concurrently: each block
+    writes a disjoint slice of the preallocated outputs, so no merge step
+    is needed.
     """
     row_ids = (
         selection.row_ids if isinstance(selection, SelectionVector) else np.asarray(selection)
@@ -167,11 +170,8 @@ def materialize_columns(
                 outputs[name][output_positions] = np.asarray(values)
 
     with current_tracer().span("gather", rows=n, columns=len(names), blocks=len(groups)):
-        if workers != 1 and len(groups) > 1:
-            # Imported lazily: repro.query.parallel itself imports this module.
-            from .parallel import parallel_map
-
-            parallel_map(gather_group, groups, workers=workers)
+        if pool is not None and len(groups) > 1:
+            parallel_map(gather_group, groups, pool)
             return outputs
 
         prefetch = getattr(relation, "prefetch_block_columns", None)
@@ -227,12 +227,6 @@ class ScanMetrics:
     offered but declined — an outlier-bearing diff column that cannot
     dispatch, a non-monotonic delta column, a non-integer constant — i.e.
     why a block fell off the fast path and decoded instead.
-
-    The scheduler counters account the work-stealing morsel scheduler:
-    ``steal_attempts`` counts probes of another worker's deque by a
-    drained worker, ``morsels_stolen`` the probes that actually took a
-    morsel.  Both stay zero under serial execution or a perfectly
-    balanced parallel scan.
     """
 
     n_blocks: int = 0
@@ -250,15 +244,13 @@ class ScanMetrics:
     rows_for_evaluated: int = 0
     rows_kernel_aggregated: int = 0
     kernel_declines: int = 0
-    morsels_stolen: int = 0
-    steal_attempts: int = 0
 
     def merge(self, other: "ScanMetrics") -> "ScanMetrics":
         """Fold another metrics object (covering disjoint work) into this one.
 
-        Used by the parallel engine to combine per-morsel worker metrics;
-        every counter is summed, so each block/row must be accounted for by
-        exactly one of the merged objects.
+        Used to combine the per-block metrics of one query; every counter
+        is summed, so each block/row must be accounted for by exactly one
+        of the merged objects.
         """
         self.n_blocks += other.n_blocks
         self.blocks_scanned += other.blocks_scanned
@@ -275,8 +267,6 @@ class ScanMetrics:
         self.rows_for_evaluated += other.rows_for_evaluated
         self.rows_kernel_aggregated += other.rows_kernel_aggregated
         self.kernel_declines += other.kernel_declines
-        self.morsels_stolen += other.morsels_stolen
-        self.steal_attempts += other.steal_attempts
         return self
 
     @property
@@ -302,8 +292,7 @@ class ScanMetrics:
             f"{self.rows_rle_evaluated:,} rle-evaluated, "
             f"{self.rows_for_evaluated:,} for-evaluated, "
             f"{self.rows_matched:,} matched; "
-            f"{self.kernel_declines:,} kernel declines, "
-            f"{self.morsels_stolen:,}/{self.steal_attempts:,} morsels stolen/steal attempts"
+            f"{self.kernel_declines:,} kernel declines"
         )
 
 

@@ -30,8 +30,8 @@ Request lifecycle::
           │   └─ miss
           ▼
         ENGINE  (shared repro.query.Engine)
-          │   LazyQuery over the memoized compiler; morsels fan out on
-          │   the shared worker pool; wall-clock timeout ──▶ 504
+          │   LazyQuery over the memoized compiler; per-block tasks fan
+          │   out on the shared worker pool; wall-clock timeout ──▶ 504
           ▼
         METRICS  (metrics.ServerMetrics)
               per-query latency into the p50/p99 window, ScanMetrics

@@ -170,8 +170,6 @@ class ServerMetrics:
                     "rows_for_evaluated": scan.rows_for_evaluated,
                     "rows_kernel_aggregated": scan.rows_kernel_aggregated,
                     "kernel_declines": scan.kernel_declines,
-                    "morsels_stolen": scan.morsels_stolen,
-                    "steal_attempts": scan.steal_attempts,
                     "string_heap_decodes": scan.string_heap_decodes,
                 },
                 "latency": self.latency.snapshot(),
@@ -240,8 +238,6 @@ def prometheus_exposition(snapshot: dict, stages: "dict | None" = None) -> str:
         "rows_for_evaluated": "Rows answered in FOR/delta word space.",
         "rows_kernel_aggregated": "Rows aggregated inside compressed-domain kernels.",
         "kernel_declines": "Predicate subtrees a compressed-domain kernel declined.",
-        "morsels_stolen": "Morsels executed by a worker that stole them.",
-        "steal_attempts": "Probes of a sibling worker's deque by a drained worker.",
         "string_heap_decodes": "String values decoded from the shared heap.",
         # IOMetrics (under corra_table_io_*)
         "bytes_read": "Bytes read from table files.",

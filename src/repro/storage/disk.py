@@ -3,7 +3,7 @@
 :class:`DiskRelation` satisfies the same protocol as the in-memory
 :class:`~repro.storage.relation.Relation` — it *is* one, holding
 :class:`LazyBlock` proxies instead of materialised blocks — so the whole
-query stack (``ScanPlanner``, ``QueryCompiler``, ``ParallelEngine``, the
+query stack (``ScanPlanner``, ``QueryCompiler``, the engine's worker pool, the
 fluent ``Relation.query()`` chain) runs over it unchanged.  The difference
 is *when* (and since format v3, *how much of*) a block moves:
 

@@ -18,6 +18,13 @@ class TestParser:
             )
             assert args.command == command
 
+    def test_every_workers_flag_defaults_to_serial(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "cat"]).workers == 1
+        assert parser.parse_args(["query", "taxi"]).workers == 1
+        assert parser.parse_args(["compress", "taxi"]).workers == 1
+        assert parser.parse_args(["serve", "cat", "--workers", "2"]).workers == 2
+
     def test_format_table_aligns_columns(self):
         text = format_table(("a", "bb"), [(1, 2), (333, 4)])
         lines = text.splitlines()

@@ -119,12 +119,12 @@ class TestEngineSharedState:
         with Engine(EngineConfig(workers=2)) as engine:
             a = engine.compiler_for(_relation())
             b = engine.compiler_for(_relation())
-            assert a.engine._shared_pool is b.engine._shared_pool is not None
+            assert a._pool is b._pool is not None
 
     def test_serial_engine_has_no_pool(self):
         with Engine(EngineConfig(workers=1)) as engine:
             compiler = engine.compiler_for(_relation())
-            assert compiler.engine._shared_pool is None
+            assert compiler._pool is None
 
     def test_query_results_match_direct_path(self):
         relation = _relation()

@@ -9,6 +9,7 @@ mix (which the registry must decline, falling back to decode).
 """
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -460,8 +461,9 @@ class TestParallelMaterialize:
         relation = compress(table, block_size=500)
         selection = np.flatnonzero(rng.random(4_000) < 0.3)
         names = ["c0", "c2", "c3"]
-        serial = materialize_columns(relation, names, selection, workers=1)
-        threaded = materialize_columns(relation, names, selection, workers=3)
+        serial = materialize_columns(relation, names, selection)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = materialize_columns(relation, names, selection, pool=pool)
         for name in names:
             assert np.array_equal(np.asarray(serial[name]), np.asarray(threaded[name]))
 

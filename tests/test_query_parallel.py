@@ -1,7 +1,13 @@
-"""Tests for the morsel-driven parallel engine, dictionary-domain predicate
-evaluation, planner memoization, and parallel block compression."""
+"""Tests for parallel execution on the engine's pool, dictionary-domain
+predicate evaluation, planner memoization, and parallel block compression."""
 
 from __future__ import annotations
+
+import ast
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +22,12 @@ from repro.query import (
     DEFAULT_KERNELS,
     And,
     Between,
+    Count,
     Engine,
     EngineConfig,
     Eq,
     In,
     Or,
-    ParallelEngine,
     QueryExecutor,
     ScanPlanner,
     parallel_map,
@@ -107,11 +113,11 @@ class TestParallelMatchesSerial:
             without = decode.executor(relation).filter(predicate)
         assert np.array_equal(with_dict, without)
 
-    def test_engine_results_are_sorted_and_complete(self, relation):
-        with ParallelEngine(relation, workers=4) as engine:
-            row_ids, metrics = engine.scan(Between("v", 0, 499))
-        assert np.array_equal(row_ids, np.arange(relation.n_rows))
-        assert metrics.rows_matched == relation.n_rows
+    def test_pooled_results_are_sorted_and_complete(self, relation):
+        with Engine(EngineConfig(workers=4)) as engine:
+            result = engine.query(relation).where(Between("v", 0, 499)).select("v").execute()
+        assert np.array_equal(result.row_ids, np.arange(relation.n_rows))
+        assert result.metrics.rows_matched == relation.n_rows
 
     def test_opaque_predicates_run_in_parallel(self, relation):
         predicate = oracle.Opaque(
@@ -276,9 +282,9 @@ class TestParallelCompression:
 class TestParallelHelpers:
     def test_parallel_map_preserves_order(self):
         items = list(range(57))
-        assert parallel_map(lambda x: x * x, items, workers=4) == [
-            x * x for x in items
-        ]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert parallel_map(lambda x: x * x, items, pool) == [x * x for x in items]
+        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -287,20 +293,114 @@ class TestParallelHelpers:
         with pytest.raises(ValidationError):
             resolve_workers(-2)
 
-    def test_morsel_grouping(self, relation):
-        engine = ParallelEngine(relation, workers=2, morsel_blocks=3)
-        items = [(i, i * relation.block_size) for i in range(7)]
-        morsels = engine.morsels(items)
-        assert [m.n_blocks for m in morsels] == [3, 3, 1]
-        assert [i for m in morsels for i in m.block_indices] == list(range(7))
-
-    def test_engine_context_manager_closes_pool(self, relation):
-        with ParallelEngine(relation, workers=2) as engine:
-            engine.scan(Between("v", 0, 100))
-        assert engine._pool is None
-
     def test_executor_context_manager_closes_pool(self, relation):
         with QueryExecutor(relation, config=EngineConfig(workers=2)) as executor:
             executor.count(Between("v", 0, 100))
         assert executor._engine._pool is None
         QueryExecutor(relation, config=EngineConfig(workers=1)).close()  # serial: no-op
+
+
+class TestFailureStopsTheQuery:
+    """A block that raises cancels the blocks no worker has started yet."""
+
+    N_BLOCKS = 64
+
+    def _failing_predicate(self, evaluated: list):
+        lock = threading.Lock()
+
+        def condition(values):
+            with lock:
+                evaluated.append(int(values[0]))
+            time.sleep(0.005)
+            if values[0] == 0:
+                raise RuntimeError("block 0 is corrupt")
+            return values >= 0
+
+        return oracle.Opaque("b", condition, description="b >= 0 (fails on block 0)")
+
+    @pytest.mark.parametrize("terminal", ["select", "agg"])
+    def test_failing_block_stops_a_parallel_query(self, terminal):
+        block_size = 32
+        blocks = np.repeat(np.arange(self.N_BLOCKS, dtype=np.int64), block_size)
+        table = Table.from_columns([("b", INT64, blocks)])
+        relation = TableCompressor(block_size=block_size).compress(table)
+        evaluated: list[int] = []
+        engine = Engine(EngineConfig(workers=2))
+        query = engine.query(relation).where(self._failing_predicate(evaluated))
+        query = query.select("b") if terminal == "select" else query.agg(n=Count())
+        with pytest.raises(RuntimeError, match="block 0 is corrupt"):
+            query.execute()
+        engine.close()  # joins the pool: every started block has finished
+        assert 0 in evaluated
+        assert len(evaluated) <= 8, f"{len(evaluated)} of {self.N_BLOCKS} blocks evaluated"
+
+
+# -- one scheduler -------------------------------------------------------------
+
+QUERY_SRC = Path(__file__).resolve().parents[1] / "src" / "repro" / "query"
+#: Identifiers of the work-stealing scheduler the query layer used to carry.
+SCHEDULER_WORDS = ("morsel", "parallelengine", "map_items", "steal", "deque")
+
+
+def scheduler_leftovers(root: Path) -> list[str]:
+    """``file:line what`` for every second scheduler or private pool under ``root``.
+
+    Flags a ``ThreadPoolExecutor(...)`` call outside ``engine.py`` (the
+    engine owns the one pool) and any identifier, import or span name
+    containing one of :data:`SCHEDULER_WORDS`.
+    """
+    found = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Call) and path.name != "engine.py":
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == "ThreadPoolExecutor":
+                    found.add((*where, "ThreadPoolExecutor()"))
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.arg):
+                names = [node.arg]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value] if node.value.isidentifier() else []
+            else:
+                names = []
+            for name in names:
+                if any(word in name.lower() for word in SCHEDULER_WORDS):
+                    found.add((*where, name))
+    return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
+
+
+def test_query_layer_has_one_scheduler():
+    assert scheduler_leftovers(QUERY_SRC) == []
+
+
+def test_the_walk_sees_every_leftover(tmp_path):
+    (tmp_path / "plan.py").write_text(
+        "from collections import deque\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "class Morsel: ...\n"
+        "def run(engine, map_items):\n"
+        "    pool = ThreadPoolExecutor(2)\n"
+        "    engine.steal_attempts += 1\n"
+        "    return ParallelEngine, 'steal'\n"
+    )
+    (tmp_path / "engine.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\npool = ThreadPoolExecutor(2)\n"
+    )
+    assert scheduler_leftovers(tmp_path) == [
+        "plan.py:1 deque",
+        "plan.py:3 Morsel",
+        "plan.py:4 map_items",
+        "plan.py:5 ThreadPoolExecutor()",
+        "plan.py:6 steal_attempts",
+        "plan.py:7 ParallelEngine",
+        "plan.py:7 steal",
+    ]
