@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitpack import packed_size_bytes, required_bits
+from ..core.hierarchical import ColumnCodes, HierarchicalEncoding, sorted_pair_keys
 from ..encodings.base import ensure_int_array
 from ..errors import EncodingError
 from ..storage.table import Table
@@ -110,28 +111,18 @@ def one_to_one_size(target, reference) -> int:
     if n == 0:
         return _METADATA_BYTES
 
-    target_arr = np.asarray(target, dtype=object)
-    ref_arr = np.asarray(reference, dtype=object)
-    _, target_codes = np.unique(target_arr, return_inverse=True)
-    ref_domain, ref_codes = np.unique(ref_arr, return_inverse=True)
-    n_targets = int(target_codes.max()) + 1
-
-    pair_key = ref_codes.astype(np.int64) * n_targets + target_codes
-    pairs, counts = np.unique(pair_key, return_counts=True)
-    pair_group = pairs // n_targets
+    target_codes = ColumnCodes.of(target)
+    ref_codes = ColumnCodes.of(reference)
+    keys, first = sorted_pair_keys(target_codes, ref_codes)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=keys.size)
 
     # Most frequent target per reference value ("the" inferred value).
-    mode_count = np.zeros(len(ref_domain), dtype=np.int64)
-    order = np.argsort(counts)[::-1]
-    seen: set[int] = set()
-    for idx in order:
-        group = int(pair_group[idx])
-        if group not in seen:
-            mode_count[group] = int(counts[idx])
-            seen.add(group)
+    mode_count = np.zeros(ref_codes.n_distinct, dtype=np.int64)
+    np.maximum.at(mode_count, keys[starts] // target_codes.n_distinct, counts)
 
     n_exceptions = n - int(mode_count.sum())
-    mapping_bytes = 8 * len(ref_domain)
+    mapping_bytes = 8 * ref_codes.n_distinct
     exception_bytes = n_exceptions * (4 + 8)
     return mapping_bytes + exception_bytes + _METADATA_BYTES
 
@@ -144,8 +135,6 @@ def c3_hierarchical_size(target, reference) -> int:
     purposes those coincide with Corra's hierarchical layout (per-group value
     lists + group-local codes), so this reuses that estimator.
     """
-    from ..core.hierarchical import HierarchicalEncoding
-
     return HierarchicalEncoding().estimate_size(target, reference)
 
 

@@ -24,10 +24,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..bitpack import required_bits
+from ..encodings.base import ensure_int_array
 from ..encodings.selector import BestOfSelector
 from ..errors import ValidationError
 from ..storage.table import Table
-from .hierarchical import HierarchicalEncoding
+from .hierarchical import ColumnCodes, PairStatistics
 from .multi_reference import MultiReferenceConfig
 
 __all__ = [
@@ -90,34 +91,25 @@ def hierarchy_score(target: Sequence, reference: Sequence) -> dict:
     """
     if len(target) != len(reference):
         raise ValidationError("target and reference must have the same length")
-    if len(target) == 0:
-        return {
-            "global_distinct": 0,
-            "max_group_distinct": 0,
-            "n_groups": 0,
-            "bits_saved_per_row": 0,
-        }
-    target_arr = np.asarray(target, dtype=object)
-    ref_arr = np.asarray(reference, dtype=object)
-    _, target_codes = np.unique(target_arr, return_inverse=True)
-    ref_domain, ref_codes = np.unique(ref_arr, return_inverse=True)
-
-    global_distinct = int(target_codes.max()) + 1
-    n_targets = global_distinct
-    pair_key = ref_codes.astype(np.int64) * n_targets + target_codes
-    unique_pairs = np.unique(pair_key)
-    pair_group = unique_pairs // n_targets
-    _, group_counts = np.unique(pair_group, return_counts=True)
-    max_group_distinct = int(group_counts.max())
-
-    global_bits = required_bits(global_distinct - 1)
-    local_bits = required_bits(max_group_distinct - 1)
+    stats = PairStatistics.of(ColumnCodes.of(target), ColumnCodes.of(reference))
     return {
-        "global_distinct": global_distinct,
-        "max_group_distinct": max_group_distinct,
-        "n_groups": int(len(ref_domain)),
-        "bits_saved_per_row": global_bits - local_bits,
+        "global_distinct": stats.n_targets,
+        "max_group_distinct": stats.max_fanout,
+        "n_groups": stats.n_groups,
+        "bits_saved_per_row": stats.global_code_bits - stats.local_code_bits,
     }
+
+
+def _fanout_bound(n_targets: int, n_groups: int) -> int:
+    """Most bits per row that grouping ``n_targets`` values ``n_groups`` ways can save.
+
+    Every target value lies in some group, so by pigeonhole the largest
+    group holds at least ``ceil(n_targets / n_groups)`` of them.
+    """
+    if n_groups == 0:
+        return 0
+    least_fanout = -(-n_targets // n_groups)
+    return required_bits(max(n_targets - 1, 0)) - required_bits(least_fanout - 1)
 
 
 def arithmetic_rule_coverage(
@@ -175,6 +167,7 @@ class CorrelationDetector:
             name: self._selector.best_size(sample.column(name), sample.dtype(name))
             for name in all_columns
         }
+        ints = {name: ensure_int_array(sample.column(name)) for name in integer_columns}
 
         # Non-hierarchical candidates: ordered pairs of integer-like columns.
         from .diff_encoding import estimate_diff_encoded_size
@@ -183,16 +176,12 @@ class CorrelationDetector:
             for reference in integer_columns:
                 if target == reference:
                     continue
-                diff_size = estimate_diff_encoded_size(
-                    sample.column(target), sample.column(reference)
-                )
+                diff_size = estimate_diff_encoded_size(ints[target], ints[reference])
                 baseline = baseline_sizes[target]
                 saving = baseline - diff_size
                 rate = saving / baseline if baseline else 0.0
                 if rate >= self._min_saving_rate:
-                    score = bounded_difference_score(
-                        sample.column(target), sample.column(reference)
-                    )
+                    score = bounded_difference_score(ints[target], ints[reference])
                     suggestions.append(
                         EncodingSuggestion(
                             kind="non_hierarchical",
@@ -205,21 +194,20 @@ class CorrelationDetector:
                     )
 
         # Hierarchical candidates: any target grouped by any other column.
-        hierarchical = HierarchicalEncoding()
+        # Each column is factorised once; a pair costs one sort of its codes,
+        # and none when the pigeonhole bound shows it cannot save a bit.
+        codes = {name: ColumnCodes.of(sample.column(name)) for name in all_columns}
         for target in all_columns:
             for reference in all_columns:
                 if target == reference:
                     continue
-                score = hierarchy_score(
-                    sample.column(target), sample.column(reference)
-                )
-                if score["bits_saved_per_row"] <= 0:
+                if _fanout_bound(codes[target].n_distinct, codes[reference].n_distinct) <= 0:
                     continue
-                size = hierarchical.estimate_size(
-                    sample.column(target), sample.column(reference)
-                )
+                stats = PairStatistics.of(codes[target], codes[reference])
+                if stats.global_code_bits <= stats.local_code_bits:
+                    continue
                 baseline = baseline_sizes[target]
-                saving = baseline - size
+                saving = baseline - stats.size_bytes
                 rate = saving / baseline if baseline else 0.0
                 if rate >= self._min_saving_rate:
                     suggestions.append(
@@ -230,8 +218,8 @@ class CorrelationDetector:
                             estimated_saving_bytes=int(saving * scale),
                             estimated_saving_rate=rate,
                             detail=(
-                                f"{score['global_distinct']} distinct globally, "
-                                f"<= {score['max_group_distinct']} per group"
+                                f"{stats.n_targets} distinct globally, "
+                                f"<= {stats.max_fanout} per group"
                             ),
                         )
                     )

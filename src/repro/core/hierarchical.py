@@ -22,9 +22,17 @@ paper's "reducing the necessary bit-width for storing the unique IPs via a
 dict-encoding".
 
 Decoding follows Algorithm 1: fetch the reference value, map it to its group,
-then read ``group_values[offsets[group] + local_code]``.  The reference →
-group mapping reuses the reference column's own dictionary order, so it is
-not charged to this column's size (it already exists in the block).
+then read ``group_values[offsets[group] + local_code]``.  Groups are numbered
+in the sorted order of the distinct reference values, and the reference →
+group mapping is rebuilt from the decoded reference values (a dict for
+strings, a ``searchsorted`` over the sorted domain for integers).  That
+domain is not charged to this column's size: the reference column stores
+the same values.  Handing the reference column's own dictionary codes to
+the gather instead would skip the decode and the lookup (ROADMAP 11B).
+
+The size of the layout follows from four counts of the (reference, target)
+pairs, so :meth:`HierarchicalEncoding.estimate_size` and the correlation
+detector compute it without encoding (see :class:`PairStatistics`).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..bitpack import BitPackedArray, required_bits
+from ..bitpack import BitPackedArray, packed_size_bytes, required_bits
 from ..encodings.dictionary import StringHeap
 from ..errors import DecodingError, EncodingError
 from .base import HorizontalEncodedColumn, ReferenceValues
@@ -43,6 +51,9 @@ __all__ = [
     "HierarchicalEncodedColumn",
     "HierarchicalEncoding",
     "HierarchicalStats",
+    "ColumnCodes",
+    "PairStatistics",
+    "sorted_pair_keys",
 ]
 
 #: Fixed per-column metadata: counts and widths.
@@ -87,6 +98,97 @@ def _to_codes(values) -> tuple[np.ndarray, np.ndarray | list[str], bool]:
         )
     domain, codes = np.unique(arr.astype(np.int64), return_inverse=True)
     return codes.astype(np.int64), domain.astype(np.int64), False
+
+
+@dataclass(frozen=True)
+class ColumnCodes:
+    """One column factorised once: dense codes, domain size, string heap bytes.
+
+    ``heap_bytes`` is what the column's distinct values cost as a hierarchical
+    target: a string domain is stored as a :class:`StringHeap` (UTF-8 payload
+    plus a 4-byte offset per entry and one terminating offset); an integer
+    domain costs nothing beyond ``group_values``.
+    """
+
+    codes: np.ndarray
+    n_distinct: int
+    heap_bytes: int
+
+    @classmethod
+    def of(cls, values) -> ColumnCodes:
+        codes, domain, is_string = _to_codes(values)
+        heap_bytes = 0
+        if is_string:
+            payload = sum(len(s.encode("utf-8")) for s in domain)
+            heap_bytes = payload + 4 * (len(domain) + 1)
+        return cls(codes, len(domain), heap_bytes)
+
+
+def sorted_pair_keys(target: ColumnCodes, reference: ColumnCodes) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's pair key in ascending order, and where each distinct key starts.
+
+    A key is ``reference_code · n_targets + target_code``, exactly as the
+    encoder forms it, so ``keys[first]`` are the distinct pairs, group-major.
+    Sort and compare rather than ``np.unique``: numpy 2's hash-based
+    ``np.unique`` on int64 is an order of magnitude slower than the sort.
+    """
+    keys = np.sort(reference.codes * np.int64(target.n_distinct) + target.codes)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys, first
+
+
+@dataclass(frozen=True)
+class PairStatistics:
+    """The counts that fix the size of ``target`` encoded under ``reference``.
+
+    A group is a distinct reference value; a pair is a distinct
+    (reference, target) combination, i.e. one entry of ``group_values``.
+    """
+
+    n_values: int
+    n_targets: int
+    n_groups: int
+    n_pairs: int
+    max_fanout: int
+    heap_bytes: int
+
+    @classmethod
+    def of(cls, target: ColumnCodes, reference: ColumnCodes) -> PairStatistics:
+        if target.codes.size == 0:
+            return cls(0, 0, 0, 0, 0, 0)
+        keys, first = sorted_pair_keys(target, reference)
+        pairs = keys[first]
+        return cls(
+            n_values=int(target.codes.size),
+            n_targets=target.n_distinct,
+            n_groups=reference.n_distinct,
+            n_pairs=int(pairs.size),
+            max_fanout=int(np.bincount(pairs // target.n_distinct).max()),
+            heap_bytes=target.heap_bytes,
+        )
+
+    @property
+    def global_code_bits(self) -> int:
+        """Bits per row of a global dictionary code over the target domain."""
+        return required_bits(max(self.n_targets - 1, 0))
+
+    @property
+    def local_code_bits(self) -> int:
+        """Bits per row of the group-local code (the widest group decides)."""
+        return required_bits(max(self.max_fanout - 1, 0))
+
+    @property
+    def size_bytes(self) -> int:
+        """Equal to ``HierarchicalEncodedColumn.size_bytes`` for the same pair."""
+        return (
+            packed_size_bytes(self.n_values, self.local_code_bits)
+            + packed_size_bytes(self.n_pairs, self.global_code_bits)
+            + 4 * (self.n_groups + 1)
+            + self.heap_bytes
+            + _METADATA_BYTES
+        )
 
 
 class HierarchicalEncodedColumn(HorizontalEncodedColumn):
@@ -256,8 +358,17 @@ class HierarchicalEncoding:
         return column
 
     def estimate_size(self, target, reference) -> int:
-        """Size estimate; hierarchical sizes have no cheap closed form, so encode."""
-        return self.encode(target, reference, "__estimate__").size_bytes
+        """Exact encoded size, from the pair counts alone (no encode).
+
+        ``packed(n, bits(max_fanout − 1)) + packed(n_pairs, bits(n_targets − 1))
+        + 4·(n_groups + 1) + heap_bytes + 16`` — see :class:`PairStatistics`.
+        """
+        if len(target) != len(reference):
+            raise EncodingError(
+                f"target and reference must have equal length, got "
+                f"{len(target)} vs {len(reference)}"
+            )
+        return PairStatistics.of(ColumnCodes.of(target), ColumnCodes.of(reference)).size_bytes
 
     def __repr__(self) -> str:
         return "HierarchicalEncoding()"

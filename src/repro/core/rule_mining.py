@@ -134,40 +134,47 @@ def discover_groups(target: np.ndarray, candidates: Mapping[str, np.ndarray],
 
     names = list(columns)
 
-    def score(base: Sequence[str]) -> tuple[float, float]:
-        """Score a base group: (exact coverage, median |target − base sum|).
+    def coverage(r: np.ndarray, optional: Sequence[str]) -> float:
+        """Share of rows the base explains, alone or plus one or two optional columns.
 
-        Coverage is the share of rows explained by the base sum plus any
-        subset of at most two non-base columns (the paper's rule arity).  The
-        residual statistic breaks ties while coverage is still zero — it
-        steers the search away from columns (timestamps, counters) whose
-        magnitude alone rules them out of the arithmetic.
+        ``r`` is the base's residual ``target − base sum``: the base plus
+        ``c_i`` (and ``c_j``) explains a row where ``r − c_i`` is zero (equals
+        ``c_j``).  int64 equality holds modulo 2^64 either way.
         """
-        base_sum = np.zeros_like(tgt)
-        for name in base:
-            base_sum = base_sum + columns[name]
-        optional = [name for name in names if name not in base]
-        covered = np.zeros(tgt.size, dtype=bool)
-        subsets: list[tuple[str, ...]] = [()]
-        subsets += [(name,) for name in optional]
-        subsets += list(itertools.combinations(optional, 2))
-        for subset in subsets:
-            prediction = base_sum.copy()
-            for name in subset:
-                prediction = prediction + columns[name]
-            covered |= prediction == tgt
-        coverage = float(covered.mean()) if tgt.size else 0.0
-        residual = float(np.median(np.abs(tgt - base_sum))) if tgt.size else 0.0
-        return coverage, residual
+        covered = r == 0
+        after = {name: r - columns[name] for name in optional}
+        for name in optional:
+            covered |= after[name] == 0
+        for first, second in itertools.combinations(optional, 2):
+            covered |= after[first] == columns[second]
+        return float(covered.mean()) if tgt.size else 0.0
+
+    def spread(r: np.ndarray) -> float:
+        """Median ``|target − base sum|``, the tie-break between equal coverages.
+
+        While coverage is still zero it steers the search away from columns
+        (timestamps, counters) whose magnitude alone rules them out of the
+        arithmetic.
+        """
+        return float(np.median(np.abs(r))) if tgt.size else 0.0
 
     base = list(names)
-    current_coverage, current_residual = score(base)
+    r_base = tgt.copy()
+    for name in base:
+        r_base -= columns[name]
+    current_coverage, current_residual = coverage(r_base, []), spread(r_base)
     while len(base) > 1:
-        scores = {
-            name: score([n for n in base if n != name]) for name in base
+        # Moving ``name`` out of the base adds it back into the residual.
+        residuals = {name: r_base + columns[name] for name in base}
+        coverages = {
+            name: coverage(residuals[name], [n for n in names if n not in base or n == name])
+            for name in base
         }
-        best_name = max(scores, key=lambda name: (scores[name][0], -scores[name][1]))
-        best_coverage, best_residual = scores[best_name]
+        top = max(coverages.values())
+        # The first of the best-covering candidates with the least spread.
+        spreads = {name: spread(residuals[name]) for name in base if coverages[name] == top}
+        best_name = min(spreads, key=spreads.__getitem__)
+        best_coverage, best_residual = top, spreads[best_name]
         improves_coverage = best_coverage > current_coverage + min_gain
         improves_residual = (
             best_coverage >= current_coverage - min_gain
@@ -176,6 +183,7 @@ def discover_groups(target: np.ndarray, candidates: Mapping[str, np.ndarray],
         if not improves_coverage and not improves_residual:
             break
         base = [n for n in base if n != best_name]
+        r_base = residuals[best_name]
         current_coverage, current_residual = best_coverage, best_residual
 
     groups: dict[str, tuple[str, ...]] = {"A": tuple(base)}
@@ -228,12 +236,22 @@ def mine_rules(
         for subset in itertools.combinations(optional, size):
             candidate_rules.append((base_name,) + subset)
 
-    predictions = {}
-    for rule in candidate_rules:
-        prediction = np.zeros_like(tgt)
-        for name in rule:
-            prediction = prediction + group_sums[name]
-        predictions[rule] = prediction == tgt
+    # A rule matches where its residual ``target − Σ groups`` is zero.  Each
+    # rule's residual is its prefix rule's minus one group sum, so a
+    # depth-first walk holds one residual per level instead of one sum per rule.
+    # Pending entries: (rule, its prefix's residual, the group it adds, the
+    # first optional group it may be extended by).
+    hits: dict[tuple[str, ...], np.ndarray] = {}
+    pending = [((base_name,), tgt, base_name, 0)]
+    while pending:
+        rule, prefix_residual, added, start = pending.pop()
+        residual = prefix_residual - group_sums[added]
+        hits[rule] = residual == 0
+        pending.extend(
+            (rule + (optional[i],), residual, optional[i], i + 1)
+            for i in range(start, len(optional))
+        )
+    predictions = {rule: hits[rule] for rule in candidate_rules}
 
     unexplained = np.ones(tgt.size, dtype=bool)
     mined: list[MinedRule] = []
@@ -243,7 +261,7 @@ def mine_rules(
         for rule, matches in predictions.items():
             if any(rule == m.groups for m in mined):
                 continue
-            gain = int((matches & unexplained).sum())
+            gain = int(np.count_nonzero(matches & unexplained))
             if gain > best_gain:
                 best_gain = gain
                 best_rule = rule

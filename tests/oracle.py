@@ -11,6 +11,9 @@ The engine-side reference is :func:`decode_engine`: an engine whose empty
 kernel registry declines every column, so every predicate, aggregate,
 group-by and top-k runs the decode fallback a declined kernel takes.
 :class:`Opaque` is the leaf that no zone map and no kernel can answer.
+
+:func:`hierarchy_score` is the correlation detector's pair score computed
+the direct way: both raw columns sorted as Python objects, per pair.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.bitpack import required_bits
 from repro.query import (
     AggregateFunction,
     And,
@@ -178,3 +182,33 @@ def order_by(
     # ``sorted(..., reverse=True)`` keeps equal elements in input order.
     ranked = sorted(filter_rows(table, predicate), key=keys.__getitem__, reverse=descending)
     return ranked if limit is None else ranked[:limit]
+
+
+def hierarchy_score(target: Sequence, reference: Sequence) -> dict:
+    """``repro.core.hierarchy_score``: each raw column factorised as objects.
+
+    The global distinct count of ``target``, the largest per-reference-group
+    distinct count, the number of groups, and the code bits a group-local
+    code saves over a global one.
+    """
+    assert len(target) == len(reference)
+    if len(target) == 0:
+        return {
+            "global_distinct": 0,
+            "max_group_distinct": 0,
+            "n_groups": 0,
+            "bits_saved_per_row": 0,
+        }
+    _, target_codes = np.unique(np.asarray(target, dtype=object), return_inverse=True)
+    ref_domain, ref_codes = np.unique(np.asarray(reference, dtype=object), return_inverse=True)
+    global_distinct = int(target_codes.max()) + 1
+    pair_key = ref_codes.astype(np.int64) * global_distinct + target_codes
+    _, group_counts = np.unique(np.unique(pair_key) // global_distinct, return_counts=True)
+    max_group_distinct = int(group_counts.max())
+    return {
+        "global_distinct": global_distinct,
+        "max_group_distinct": max_group_distinct,
+        "n_groups": int(len(ref_domain)),
+        "bits_saved_per_row": required_bits(global_distinct - 1)
+        - required_bits(max_group_distinct - 1),
+    }

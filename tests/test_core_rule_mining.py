@@ -1,5 +1,7 @@
 """Unit tests for automatic multi-reference rule mining (future-work extension)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,22 @@ class TestMineRules:
         text = result.describe()
         assert "group A" in text
         assert "outliers" in text
+
+    def test_mining_leaves_no_reference_cycles(self, taxi_monetary):
+        # A cycle would hold every candidate rule's match vector until the
+        # cyclic collector happens to run, so memory grows with each call.
+        candidates = {
+            name: taxi_monetary.column(name)
+            for name in taxi_monetary.column_names
+            if name != "total_amount"
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            mine_rules(taxi_monetary.column("total_amount"), candidates)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMinedConfigEndToEnd:
