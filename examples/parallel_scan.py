@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, EngineConfig, Eq, QueryExecutor
+from repro.query import Between, Engine, EngineConfig, Eq
 from repro.storage import Table
 
 
@@ -56,15 +56,15 @@ def main(n_rows: int = 400_000) -> None:
 
     # 3. The same scan, serial vs one task per block on the engine's pool.
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
-    reference = QueryExecutor(relation, config=EngineConfig(workers=1))
-    expected = reference.count(predicate)
+    expected = relation.query().where(predicate).count()
     print(f"\nscan {predicate.describe()} -> {expected:,} rows")
     for workers in (1, 2, os.cpu_count() or 1):
-        executor = QueryExecutor(relation, config=EngineConfig(workers=workers))
-        assert executor.count(predicate) == expected  # identical to serial
-        start = time.perf_counter()
-        executor.count(predicate)
-        seconds = time.perf_counter() - start
+        with Engine(EngineConfig(workers=workers)) as engine:
+            query = engine.query(relation).where(predicate)
+            assert query.count() == expected  # identical to serial
+            start = time.perf_counter()
+            query.count()
+            seconds = time.perf_counter() - start
         print(
             f"  workers={workers}: {seconds * 1e3:6.2f} ms "
             f"({relation.n_rows / seconds / 1e6:.1f}M rows/s)"
@@ -73,11 +73,11 @@ def main(n_rows: int = 400_000) -> None:
     # 4. Dictionary-domain evaluation: Eq over the dict-encoded string column.
     predicate = Eq("tag", "cat_042")
     print(f"\nscan {predicate.describe()}")
-    executor = QueryExecutor(relation)
+    query = relation.query().where(predicate)
     start = time.perf_counter()
-    count = executor.count(predicate)
+    count = query.count()
     seconds = time.perf_counter() - start
-    metrics = executor.last_scan_metrics
+    metrics = query.last_metrics
     print(
         f"  code-space: {count:,} rows in {seconds * 1e3:6.2f} ms, "
         f"{metrics.string_heap_decodes:,} heap decodes, "

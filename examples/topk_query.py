@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Count, EngineConfig, Std, Var
+from repro.query import Between, Count, Std, Var
 from repro.storage import DiskRelation, Table, write_table
 
 
@@ -51,31 +51,30 @@ def main(n_rows: int = 500_000) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.corra"
         write_table(str(path), relation)
-        disk = DiskRelation(str(path), prefetch_workers=0)
+        with DiskRelation(str(path), prefetch_workers=0) as disk:
+            for desc, label in ((False, "oldest"), (True, "newest")):
+                result = (
+                    disk.query()
+                    .select("ts", "tag")
+                    .order_by("ts", desc=desc)
+                    .limit(10)
+                    .execute()
+                )
+                metrics = result.metrics
+                visited = metrics.blocks_scanned + metrics.blocks_full
+                print(f"10 {label} readings: {[int(v) for v in result.columns['ts'][:5]]} ...")
+                print(
+                    f"  visited {visited}/{metrics.n_blocks} blocks "
+                    f"({metrics.blocks_pruned} skipped before any fetch); "
+                    f"{disk.io.column_bytes_read:,} column bytes read so far"
+                )
 
-        for desc, label in ((False, "oldest"), (True, "newest")):
-            result = (
-                disk.query(config=EngineConfig(workers=1))
-                .select("ts", "tag")
-                .order_by("ts", desc=desc)
-                .limit(10)
-                .execute()
-            )
-            metrics = result.metrics
-            visited = metrics.blocks_scanned + metrics.blocks_full
-            print(f"10 {label} readings: {[int(v) for v in result.columns['ts'][:5]]} ...")
+            # The skipped blocks never reached the I/O layer at all.
             print(
-                f"  visited {visited}/{metrics.n_blocks} blocks "
-                f"({metrics.blocks_pruned} skipped before any fetch); "
-                f"{disk.io.column_bytes_read:,} column bytes read so far"
+                f"\ntotal I/O after both top-k queries: "
+                f"{disk.io.columns_read} column segment(s), "
+                f"{disk.io.column_bytes_read:,} of {disk.size_bytes:,} table bytes"
             )
-
-        # The skipped blocks never reached the I/O layer at all.
-        print(
-            f"\ntotal I/O after both top-k queries: "
-            f"{disk.io.columns_read} column segment(s), "
-            f"{disk.io.column_bytes_read:,} of {disk.size_bytes:,} table bytes"
-        )
 
     # HAVING filters *aggregated* rows by output name, and Var/Std are
     # exact population moments (integer partials, one pass).

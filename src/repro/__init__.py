@@ -33,11 +33,11 @@ Querying uses the predicate IR; blocks whose zone maps rule out a match are
 skipped without decoding, and :class:`~repro.query.ScanMetrics` reports how
 much work that saved::
 
-    from repro import Between, QueryExecutor
+    from repro import Between
 
-    executor = QueryExecutor(relation)
-    n = executor.count(Between("l_shipdate", 9_000, 9_030))
-    print(n, executor.last_scan_metrics.describe())
+    query = relation.query().where(Between("l_shipdate", 9_000, 9_030))
+    n = query.count()
+    print(n, query.last_metrics.describe())
 """
 
 from .baselines import C3Selector, SingleColumnBaseline, UncompressedBaseline
@@ -95,8 +95,6 @@ from .query import (
     In,
     Or,
     Predicate,
-    QueryExecutor,
-    QueryResult,
     ScanMetrics,
     ScanPlanner,
     SelectionVector,
@@ -152,7 +150,7 @@ __all__ = [
     "PlanBuilder", "ColumnPlan", "TableCompressor",
     # query
     "SelectionVector", "generate_selection_vectors", "materialize_columns",
-    "QueryExecutor", "QueryResult", "Predicate",
+    "Predicate",
     "Eq", "Between", "In", "And", "Or",
     "ScanMetrics", "ScanPlanner",
     # datasets

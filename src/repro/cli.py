@@ -65,6 +65,7 @@ from .errors import CorraError
 from .query import (
     And,
     Between,
+    Engine,
     EngineConfig,
     Eq,
     In,
@@ -635,18 +636,19 @@ def _reject_generation_flags(args: argparse.Namespace, target: str) -> None:
         )
 
 
-def _load_query_relation(args: argparse.Namespace):
-    """The relation `corra query` runs over: compressed dataset or disk table."""
-    prefetch_workers = 0 if args.no_prefetch else DEFAULT_PREFETCH_WORKERS
+def _load_query_relation(args: argparse.Namespace, engine: Engine):
+    """The relation `corra query` runs over: compressed dataset or disk table.
+
+    A catalogued table is opened by (and closed with) ``engine``; a table
+    file shares the engine's cache but is the caller's to close.
+    """
     if args.catalog is not None:
         _reject_generation_flags(args, f"catalogued table {args.name!r}")
-        return Catalog(args.catalog, cache_bytes=args.cache_bytes).open(
-            args.name, prefetch_workers=prefetch_workers
-        )
+        return engine.table(args.name)
     if args.name.endswith(TABLE_SUFFIX):
         _reject_generation_flags(args, f"table file {args.name!r}")
         return DiskRelation(
-            args.name, cache_bytes=args.cache_bytes, prefetch_workers=prefetch_workers
+            args.name, cache=engine.cache, prefetch_workers=engine.config.prefetch_workers
         )
     generator = dataset_by_name(args.name)
     table = generator.generate(args.rows, seed=args.seed)
@@ -682,10 +684,24 @@ def _dump_trace(tracer: Tracer, destination: str, query_name: str) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    try:
-        relation = _load_query_relation(args)
-    except OSError as error:
-        raise CorraError(f"cannot open table {args.name!r}: {error}") from error
+    config = EngineConfig(
+        workers=args.workers,
+        cache_bytes=args.cache_bytes,
+        prefetch_workers=0 if args.no_prefetch else DEFAULT_PREFETCH_WORKERS,
+    )
+    with Engine(config, catalog=args.catalog) as engine:
+        try:
+            relation = _load_query_relation(args, engine)
+        except OSError as error:
+            raise CorraError(f"cannot open table {args.name!r}: {error}") from error
+        try:
+            return _run_query(args, engine, relation)
+        finally:
+            if args.catalog is None and isinstance(relation, DiskRelation):
+                relation.close()
+
+
+def _run_query(args: argparse.Namespace, engine: Engine, relation) -> int:
     predicate = _build_predicate(args)
     aggregates = {}
     for spec in args.agg:
@@ -717,7 +733,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "(or aggregate the whole relation with --agg/--group-by)"
         )
 
-    lazy = relation.query(config=EngineConfig(workers=args.workers))
+    lazy = engine.query(relation)
     if predicate is not None:
         lazy = lazy.where(predicate)
         print(f"query: {predicate.describe()}")

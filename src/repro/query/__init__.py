@@ -78,24 +78,21 @@ Layers, bottom to top:
   merges the exact partials (Σx and Σx² never wrap) and finalises once at
   output.  Adding an aggregate is a subclass declaring ``moments`` and
   ``finalize``; see that module's docstring.
-* **Imperative facade** (:mod:`~repro.query.executor`) —
-  :class:`QueryExecutor` offers ``scan``/``filter``/``select``/``count``
-  as direct calls, each a thin layer that builds the equivalent plan.
 * **Engine** (:mod:`~repro.query.engine`) — every query runs through an
   :class:`Engine`, which owns all cross-query state (one worker pool, one
   prefetch pool, one block cache, one kernel registry, one memoized
   compiler/planner per relation) and is configured by one immutable
   :class:`EngineConfig` — the only spelling of ``workers``,
-  ``cache_bytes`` and ``prefetch_workers``.  ``relation.query(config=...)`` and
-  ``QueryExecutor(relation, config=...)`` build a private engine;
-  ``engine=`` shares one, as the query service (:mod:`repro.server`) does.
+  ``cache_bytes`` and ``prefetch_workers``.  A query starts from
+  ``engine.query(relation)``, which shares the engine's state with every
+  other query on it, as the query service (:mod:`repro.server`) does;
+  ``relation.query()`` is the same chain on a fresh default engine.
 
 :mod:`~repro.query.selection` carries the paper's selection-vector
 workload unchanged.
 """
 
 from .engine import Engine, EngineConfig
-from .executor import QueryExecutor, QueryResult
 from .kernels import (
     DEFAULT_KERNELS,
     ColumnKernel,
@@ -153,8 +150,6 @@ __all__ = [
     "resolve_block",
     "Engine",
     "EngineConfig",
-    "QueryExecutor",
-    "QueryResult",
     "Predicate",
     "Eq",
     "Between",

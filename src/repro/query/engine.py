@@ -16,13 +16,12 @@ shared resource —
 
 — configured once through an immutable :class:`EngineConfig`.  Queries
 start from :meth:`Engine.query` (a :class:`~repro.query.plan.LazyQuery`
-bound to the engine) or :meth:`Engine.executor`; tables open by name via
-:meth:`Engine.table` when the engine fronts a
-:class:`~repro.storage.catalog.Catalog`.  ``relation.query()`` and
-``QueryExecutor(relation)`` called without ``engine=`` run on a private
-engine of their own (see :func:`resolve_engine`).  The engine is
-thread-safe: the query service calls it from many request threads at once,
-and results are bit-identical to serial, per-call execution.
+bound to the engine); tables open by name via :meth:`Engine.table` when the
+engine fronts a :class:`~repro.storage.catalog.Catalog`.
+``relation.query()`` is the same chain on a fresh default engine, which
+starts no thread and so has nothing to close.  The engine is thread-safe:
+the query service calls it from many request threads at once, and results
+are bit-identical to serial, per-call execution.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..errors import ValidationError
 from ..storage.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
@@ -41,11 +40,7 @@ from ..storage.catalog import Catalog
 from ..storage.relation import Relation
 from .kernels import DEFAULT_KERNELS, KernelRegistry
 from .plan import LazyQuery, QueryCompiler
-from .scan import ScanPlanner
 from .tracing import StageHistograms, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .executor import QueryExecutor
 
 __all__ = ["Engine", "EngineConfig"]
 
@@ -62,9 +57,8 @@ def _is_count(value: object) -> bool:
 class EngineConfig:
     """Every knob of query execution, as one immutable value.
 
-    Handed to :class:`Engine` directly, or as ``config=`` to
-    ``relation.query()`` / ``QueryExecutor`` (which build a private engine
-    from it).  Invalid values are rejected here, at construction.
+    Handed to :class:`Engine`, the one place a query's execution is
+    configured.  Invalid values are rejected here, at construction.
     """
 
     #: Threads of the engine's one worker pool (``None``/``0`` = all cores;
@@ -238,10 +232,6 @@ class Engine:
                 self._compilers.popitem(last=False)
             return compiler
 
-    def planner_for(self, relation: Relation) -> ScanPlanner:
-        """The memoized zone-map planner for ``relation``."""
-        return self.compiler_for(relation).planner
-
     # -- query entry points ----------------------------------------------------
 
     def query(self, relation: Relation) -> LazyQuery:
@@ -270,12 +260,6 @@ class Engine:
         the shared :attr:`stage_latency` buckets.
         """
         return Tracer(histograms=self._stage_latency)
-
-    def executor(self, relation: Relation) -> "QueryExecutor":
-        """An imperative :class:`~repro.query.executor.QueryExecutor` adapter."""
-        from .executor import QueryExecutor
-
-        return QueryExecutor(relation, engine=self)
 
     # -- catalog tables --------------------------------------------------------
 
@@ -360,18 +344,3 @@ class Engine:
             f"tables={len(self._tables)}, compilers={len(self._compilers)})"
         )
 
-
-def resolve_engine(
-    engine: Engine | None = None, config: EngineConfig | None = None
-) -> tuple[Engine, bool]:
-    """The engine a ``relation.query()`` chain or ``QueryExecutor`` runs on.
-
-    Returns ``(engine, owned)``: the caller's shared ``engine`` (never the
-    callee's to close), or a private ``Engine(config)`` the callee created
-    and therefore closes.
-    """
-    if engine is not None and config is not None:
-        raise ValidationError("pass engine= or config=, not both")
-    if engine is not None:
-        return engine, False
-    return Engine(config), True

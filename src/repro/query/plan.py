@@ -1,8 +1,7 @@
 """Lazy logical query plans: builder, compiler, and aggregate pushdown.
 
-This is the composable front door of the query engine.  Instead of calling
-the imperative :class:`~repro.query.executor.QueryExecutor` methods, a query
-is *described* first — as a small tree of logical nodes (:class:`Scan`,
+This is the one front door of the query engine.  A query is *described*
+first — as a small tree of logical nodes (:class:`Scan`,
 :class:`Filter`, :class:`Project`, :class:`Aggregate`, :class:`Sort`,
 :class:`TopK`, :class:`Limit`) built with the fluent :class:`LazyQuery`
 API::
@@ -52,6 +51,7 @@ pushdown is visible before (or without) running the query.
 from __future__ import annotations
 
 import heapq
+import operator
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -428,10 +428,6 @@ class QueryCompiler:
     @property
     def planner(self) -> ScanPlanner:
         return self._planner
-
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     # -- compilation -----------------------------------------------------------
 
@@ -1346,6 +1342,16 @@ class _QuerySpec:
     having_predicate: Predicate | None = None
 
 
+def _check_predicates(method: str, predicates: Sequence[object]) -> None:
+    if not predicates:
+        raise ValidationError(f"{method}() needs at least one predicate")
+    for predicate in predicates:
+        if not isinstance(predicate, Predicate):
+            raise ValidationError(
+                f"{method}() takes Predicate objects (Eq/Between/In/...), got {predicate!r}"
+            )
+
+
 class LazyQuery:
     """Fluent, lazy query builder over one compressed relation.
 
@@ -1364,11 +1370,11 @@ class LazyQuery:
         by_tag = relation.query().group_by("tag").agg(n=Count()).execute()
 
     A chain runs on the :class:`~repro.query.engine.Engine` it was started
-    from — ``engine.query(relation)``, or ``relation.query()``, which
-    builds a private engine from ``config=`` — and resolves its compiler
-    (planner memo, worker pool, kernel registry) through that engine on
-    every terminal, so every link of a chain and every other query on the
-    same engine and relation share one.  The metrics of the most recent
+    from — ``engine.query(relation)``, or ``relation.query()``, which runs
+    on a fresh default engine (no threads, nothing to close) — and
+    resolves its compiler (planner memo, worker pool, kernel registry)
+    through that engine on every terminal, so every link of a chain and
+    every other query on the same engine and relation share one.  The metrics of the most recent
     terminal run on *this* chain link are available as
     :attr:`last_metrics`.
     """
@@ -1376,17 +1382,11 @@ class LazyQuery:
     def __init__(
         self,
         relation: Relation,
-        engine: "Engine | None" = None,
+        engine: "Engine",
         _spec: _QuerySpec | None = None,
-        _owns_engine: bool = False,
     ) -> None:
-        if engine is None:
-            from .engine import resolve_engine
-
-            engine, _owns_engine = resolve_engine()
         self._relation = relation
         self._engine = engine
-        self._owns_engine = _owns_engine
         self._spec = _spec if _spec is not None else _QuerySpec()
         self._last_metrics: ScanMetrics | None = None
 
@@ -1397,13 +1397,11 @@ class LazyQuery:
             self._relation,
             engine=self._engine,
             _spec=replace(self._spec, **changes),
-            _owns_engine=self._owns_engine,
         )
 
     def where(self, *predicates: Predicate) -> "LazyQuery":
         """Add filter predicates (AND-combined with any existing ones)."""
-        if not predicates:
-            raise ValidationError("where() needs at least one predicate")
+        _check_predicates("where", predicates)
         terms = [self._spec.predicate] if self._spec.predicate is not None else []
         terms.extend(predicates)
         combined = terms[0] if len(terms) == 1 else And(*terms)
@@ -1456,8 +1454,7 @@ class LazyQuery:
         dropped, mirroring SQL's NULL comparison semantics.  Requires an
         aggregation on the chain by the time a terminal runs.
         """
-        if not predicates:
-            raise ValidationError("having() needs at least one predicate")
+        _check_predicates("having", predicates)
         terms = (
             [self._spec.having_predicate]
             if self._spec.having_predicate is not None
@@ -1483,10 +1480,18 @@ class LazyQuery:
         return self._chain(order_column=column, order_desc=bool(desc))
 
     def limit(self, n: int) -> "LazyQuery":
-        """Keep at most ``n`` output rows (applied before materialisation)."""
-        if n < 0:
-            raise ValidationError("limit must be non-negative")
-        return self._chain(limit=n)
+        """Keep at most ``n`` output rows (applied before materialisation).
+
+        ``n`` is any non-negative integer (numpy integers included); a
+        ``bool``, a float or a string is rejected here, not at execution.
+        """
+        try:
+            count = operator.index(n)
+        except TypeError:
+            count = -1
+        if isinstance(n, bool) or count < 0:
+            raise ValidationError(f"limit must be a non-negative integer, got {n!r}")
+        return self._chain(limit=count)
 
     # -- plan assembly ---------------------------------------------------------
 
@@ -1572,13 +1577,3 @@ class LazyQuery:
         if spec.limit is not None:
             total = min(total, spec.limit)
         return total
-
-    def close(self) -> None:
-        """Close the chain's private engine; a shared ``engine=`` is left alone.
-
-        Optional: a serial engine holds no threads, and a parallel one's
-        pool is joined when the chain is garbage-collected.  Every link of
-        the chain shares the engine, so none of them can run afterwards.
-        """
-        if self._owns_engine:
-            self._engine.close()

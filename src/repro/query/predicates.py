@@ -1,6 +1,6 @@
 """A structured predicate IR that compiles to vectorized kernels and prunes.
 
-The executor used to take an opaque ``(column, callable)`` pair, which could
+Queries used to take an opaque ``(column, callable)`` pair, which could
 only ever be evaluated by decoding every block in full.  The small IR here
 keeps the vectorized NumPy evaluation path but adds structure the scan
 planner can exploit: every node can be *tested against block statistics*

@@ -111,25 +111,23 @@ class Relation:
 
     # -- querying -------------------------------------------------------------
 
-    def query(self, engine=None, config=None):
-        """Start a lazy query chain over this relation.
+    def query(self):
+        """Start a lazy query chain over this relation on a default engine.
 
         Returns a :class:`~repro.query.plan.LazyQuery`: compose with
         ``.where()/.select()/.group_by()/.agg()/.limit()`` and run with
         ``.execute()`` (or ``.count()``); ``.explain()`` renders the plan
-        without executing it.  The chain runs on a shared
-        :class:`~repro.query.engine.Engine` (``engine=``, whose memoized
-        compiler and worker pool it then shares) or on a private engine
-        built from an :class:`~repro.query.engine.EngineConfig`
-        (``config=``; defaults when omitted) — one or the other, not both.
+        without executing it.  The chain runs on a fresh default
+        :class:`~repro.query.engine.Engine`, which starts no thread and so
+        has nothing to close.  To run under an
+        :class:`~repro.query.engine.EngineConfig`, a kernel registry or a
+        shared cache, start from ``engine.query(relation)`` instead.
         """
         # Imported lazily: the storage layer must stay importable without
         # pulling in the query layer (which imports storage) at module load.
-        from ..query.engine import resolve_engine
-        from ..query.plan import LazyQuery
+        from ..query.engine import Engine
 
-        engine, owned = resolve_engine(engine, config)
-        return LazyQuery(self, engine=engine, _owns_engine=owned)
+        return Engine().query(self)
 
     # -- sizes ----------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from repro.datasets import (
     TpchLineitemGenerator,
 )
 from repro.dtypes import DATE, INT64, STRING
+from repro.query import Engine, EngineConfig
 from repro.storage import Table
 
 
@@ -78,3 +79,12 @@ def dates_schema_table() -> Table:
             ("receipt", DATE, ship + 7),
         ]
     )
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """Engines at 1, 2 and 4 workers, shared by a module's serial == parallel checks."""
+    opened = {workers: Engine(EngineConfig(workers=workers)) for workers in (1, 2, 4)}
+    yield opened
+    for engine in opened.values():
+        engine.close()

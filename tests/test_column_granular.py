@@ -26,7 +26,20 @@ from hypothesis import strategies as st
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import SerializationError
-from repro.query import Avg, Between, Count, EngineConfig, Eq, In, Max, Min, Not, Or, Sum
+from repro.query import (
+    Avg,
+    Between,
+    Count,
+    Engine,
+    EngineConfig,
+    Eq,
+    In,
+    Max,
+    Min,
+    Not,
+    Or,
+    Sum,
+)
 from repro.storage import (
     DiskRelation,
     LazyBlockStatistics,
@@ -178,12 +191,8 @@ class TestColumnPrunedParity:
         expected = relation.query().where(predicate).agg(**dict(aggs)).execute()
         for disk in (disk_v2, disk_v3):
             serial = disk.query().where(predicate).agg(**dict(aggs)).execute()
-            parallel = (
-                disk.query(config=EngineConfig(workers=4))
-                .where(predicate)
-                .agg(**dict(aggs))
-                .execute()
-            )
+            with Engine(EngineConfig(workers=4)) as engine:
+                parallel = engine.query(disk).where(predicate).agg(**dict(aggs)).execute()
             for name, fn in aggs:
                 assert serial.scalar(name) == expected.scalar(name), fn.describe()
                 assert parallel.scalar(name) == expected.scalar(name), fn.describe()

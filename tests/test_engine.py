@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -13,8 +14,8 @@ import pytest
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
-from repro.query import Count, Engine, EngineConfig, Eq, QueryExecutor, Sum
-from repro.storage import DEFAULT_CACHE_BYTES, Catalog, Table
+from repro.query import Between, Count, Engine, EngineConfig, Eq, LazyQuery, Sum
+from repro.storage import DEFAULT_CACHE_BYTES, Catalog, DiskRelation, Table, write_table
 
 
 def _table(n: int = 2_000, seed: int = 5) -> Table:
@@ -140,14 +141,12 @@ class TestEngineSharedState:
         )
         assert shared.columns == direct.columns
 
-    def test_executor_adapter_shares_compiler(self):
+    def test_query_chain_shares_the_engine_compiler(self):
         relation = _relation()
         with Engine() as engine:
-            executor = engine.executor(relation)
-            assert executor.compiler is engine.compiler_for(relation)
-            assert executor.count(Eq("tag", "tag_2")) == relation.query().where(
-                Eq("tag", "tag_2")
-            ).count()
+            query = engine.query(relation).where(Eq("tag", "tag_2"))
+            assert query._compiler() is engine.compiler_for(relation)
+            assert query.count() == relation.query().where(Eq("tag", "tag_2")).count()
 
     def test_closed_engine_rejects_use(self):
         engine = Engine()
@@ -187,40 +186,50 @@ class TestEngineCatalog:
                 engine.table("t")
 
 
-class TestFrontDoors:
-    def test_engine_and_config_together_are_rejected(self):
+def _new_engine_threads(before: set[threading.Thread]) -> list[str]:
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("corra-engine")
+    ]
+
+
+class TestOneQuerySurface:
+    """``relation.query()`` needs no close: a default engine starts no thread."""
+
+    def test_relation_query_takes_no_arguments(self):
         relation = _relation()
         with Engine() as engine:
-            with pytest.raises(ValidationError, match="pass engine= or config=, not both"):
-                relation.query(engine=engine, config=EngineConfig(workers=2))
-            with pytest.raises(ValidationError, match="pass engine= or config=, not both"):
-                QueryExecutor(relation, engine=engine, config=EngineConfig(workers=2))
+            with pytest.raises(TypeError):
+                relation.query(engine=engine)
+        with pytest.raises(TypeError):
+            relation.query(config=EngineConfig(workers=2))
+        with pytest.raises(TypeError):
+            LazyQuery(relation)  # a chain always runs on an engine
 
-    def test_config_reaches_the_private_engine(self):
-        relation = _relation()
-        config = EngineConfig(workers=2, prefetch_workers=0)
-        chain = relation.query(config=config)
-        with QueryExecutor(relation, config=config) as executor:
-            assert executor.workers == 2
-            assert chain.where(Eq("v", 3)).count() == executor.count(Eq("v", 3))
-        assert chain._engine.config is config
-        chain.close()
+    def _run_every_terminal(self, relation) -> None:
+        query = relation.query().where(Between("ship", 8_100, 8_900))
+        assert query.execute().n_rows == 801
+        assert query.count() == 801
+        top = query.select("ship").order_by("ship", desc=True).limit(3).execute()
+        assert top.column("ship").tolist() == [8_900, 8_899, 8_898]
 
-    def test_close_only_closes_what_it_created(self):
+    def test_relation_query_starts_no_engine_thread(self, tmp_path):
         relation = _relation()
+        write_table(tmp_path / "t.corra", relation)
+        before = set(threading.enumerate())
+        self._run_every_terminal(relation)
+        with DiskRelation(tmp_path / "t.corra") as disk:
+            self._run_every_terminal(disk)
+        assert _new_engine_threads(before) == []
+
+    def test_engine_block_leaves_no_thread_behind(self):
+        relation = _relation()
+        before = set(threading.enumerate())
         with Engine(EngineConfig(workers=2)) as engine:
-            chain = relation.query(engine=engine).where(Eq("v", 3))
-            expected = chain.count()
-            chain.close()
-            with QueryExecutor(relation, engine=engine) as executor:
-                assert executor.count(Eq("v", 3)) == expected
-            # Neither close touched the shared engine.
-            assert engine.query(relation).where(Eq("v", 3)).count() == expected
-        private = relation.query().where(Eq("v", 3))
-        assert private.count() == expected
-        private.close()
-        with pytest.raises(ValidationError, match="closed"):
-            private.count()
+            assert engine.query(relation).where(Eq("v", 3)).count() >= 0
+            assert _new_engine_threads(before)  # the pool did start
+        assert _new_engine_threads(before) == []
 
 
 class TestDeprecatedKeywordPaths:
@@ -229,14 +238,14 @@ class TestDeprecatedKeywordPaths:
         with pytest.raises(TypeError):
             relation.query(workers=2)
         with pytest.raises(TypeError):
-            QueryExecutor(relation, use_kernels=False)
+            EngineConfig(use_kernels=False)
 
     def test_engine_bound_query_does_not_warn(self):
         relation = _relation()
         with Engine() as engine:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert relation.query(engine=engine).where(Eq("v", 1)).count() >= 0
+                assert engine.query(relation).where(Eq("v", 1)).count() >= 0
 
 
 # -- no A/B switch is left in any layer ------------------------------------------------------

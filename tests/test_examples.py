@@ -1,4 +1,4 @@
-"""The query-API examples run clean: exit 0 with every DeprecationWarning an error."""
+"""Every example runs clean: exit 0 with every DeprecationWarning an error."""
 
 from __future__ import annotations
 
@@ -11,17 +11,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-QUERY_EXAMPLES = (
-    "lazy_query",
-    "parallel_scan",
-    "topk_query",
-    "out_of_core",
-    "traced_query",
-    "serve_and_query",
-)
+EXAMPLES = sorted(path.stem for path in (ROOT / "examples").glob("*.py"))
 
 
-@pytest.mark.parametrize("name", QUERY_EXAMPLES)
+def test_examples_are_found():
+    assert "quickstart" in EXAMPLES and "dmv_hierarchical" in EXAMPLES
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs_without_deprecation_warnings(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -20,7 +20,6 @@ from repro.query import (
     Count,
     Eq,
     In,
-    LazyQuery,
     Not,
     Or,
     Predicate,
@@ -79,7 +78,7 @@ class TestPlanFingerprints:
     def test_same_plan_same_fingerprint(self):
         relation = _relation()
         compiler = QueryCompiler(relation)
-        base = LazyQuery(relation)
+        base = relation.query()
         one = compiler.compile(base.where(Eq("a", 1) & Eq("b", 2)).logical_plan())
         two = compiler.compile(base.where(Eq("b", 2) & Eq("a", 1)).logical_plan())
         assert one.fingerprint() == two.fingerprint()
@@ -87,7 +86,7 @@ class TestPlanFingerprints:
     def test_plan_shape_distinguishes(self):
         relation = _relation()
         compiler = QueryCompiler(relation)
-        base = LazyQuery(relation)
+        base = relation.query()
         filter_only = compiler.compile(base.where(Eq("a", 1)).logical_plan())
         projected = compiler.compile(base.where(Eq("a", 1)).select("b").logical_plan())
         limited = compiler.compile(base.where(Eq("a", 1)).limit(5).logical_plan())
@@ -106,7 +105,7 @@ class TestPlanFingerprints:
     def test_no_predicate_still_fingerprints(self):
         relation = _relation()
         compiler = QueryCompiler(relation)
-        compiled = compiler.compile(LazyQuery(relation).select("a").logical_plan())
+        compiled = compiler.compile(relation.query().select("a").logical_plan())
         assert isinstance(compiled.fingerprint(), str)
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro import (
     CompressionPlan,
     CorrelationDetector,
-    QueryExecutor,
     SingleColumnBaseline,
     TableCompressor,
     TpchLineitemGenerator,
@@ -69,10 +68,14 @@ class TestTpchPipeline:
 
     def test_predicate_query_on_compressed_relation(self, setup):
         table, relation = setup
-        executor = QueryExecutor(relation)
         ship = table.column("l_shipdate")
         lo, hi = int(np.quantile(ship, 0.4)), int(np.quantile(ship, 0.6))
-        result = executor.select(["l_receiptdate"], Between("l_shipdate", lo, hi))
+        result = (
+            relation.query()
+            .where(Between("l_shipdate", lo, hi))
+            .select("l_receiptdate")
+            .execute()
+        )
         expected_rows = np.flatnonzero((ship >= lo) & (ship <= hi))
         assert np.array_equal(result.row_ids, expected_rows)
         assert np.array_equal(

@@ -33,7 +33,6 @@ from repro.query import (
     Aggregate,
     Between,
     Count,
-    EngineConfig,
     Eq,
     Limit,
     Min,
@@ -81,7 +80,8 @@ def relation(table):
 def disk_relation(table, tmp_path_factory):
     path = tmp_path_factory.mktemp("topk") / "t.corra"
     write_table(str(path), TableCompressor(block_size=256).compress(table))
-    return DiskRelation(str(path), prefetch_workers=0)
+    with DiskRelation(str(path), prefetch_workers=0) as disk:
+        yield disk
 
 
 # -- parity: order_by / top-k across workers and storage ----------------------
@@ -99,7 +99,7 @@ class TestOrderedParity:
         order_column=st.sampled_from(["v", "tag"]),
     )
     def test_matches_reference_across_workers(
-        self, table, relation, lo, hi, descending, k, order_column
+        self, table, relation, engines, lo, hi, descending, k, order_column
     ):
         lo, hi = min(lo, hi), max(lo, hi)
         keys = oracle.column(table, order_column)
@@ -108,7 +108,7 @@ class TestOrderedParity:
 
         for workers in WORKER_COUNTS:
             query = (
-                relation.query(config=EngineConfig(workers=workers))
+                engines[workers].query(relation)
                 .where(Between("v", lo, hi))
                 .select(order_column)
                 .order_by(order_column, desc=descending)
@@ -138,10 +138,9 @@ class TestOrderedParity:
     def test_topk_and_decode_match_the_oracle(self, table, relation, descending):
         expected = oracle.order_by(table, None, "v", descending, limit=9)
         with oracle.decode_engine() as decode:
-            for engine in (None, decode):
+            for query in (relation.query(), decode.query(relation)):
                 result = (
-                    relation.query(engine=engine)
-                    .select("v")
+                    query.select("v")
                     .order_by("v", desc=descending)
                     .limit(9)
                     .execute()
@@ -174,19 +173,16 @@ class TestDescendingInt64Extremes:
         assert relation.blocks[0].column("v").encoding_name == request.param
         path = tmp_path_factory.mktemp("extremes") / f"{request.param}.corra"
         write_table(str(path), relation)
-        return relation, DiskRelation(str(path), prefetch_workers=0)
+        with DiskRelation(str(path), prefetch_workers=0) as disk:
+            yield relation, disk
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("k", (None, 1, 3, 60, 120))
-    def test_desc_ranks_like_python_ints(self, relations, workers, k):
+    def test_desc_ranks_like_python_ints(self, relations, engines, workers, k):
         keys = [int(v) for v in self.VALUES]
         expected = sorted(range(len(keys)), key=lambda i: (-keys[i], i))[:k]
         for relation in relations:
-            query = (
-                relation.query(config=EngineConfig(workers=workers))
-                .select("v")
-                .order_by("v", desc=True)
-            )
+            query = engines[workers].query(relation).select("v").order_by("v", desc=True)
             if k is not None:
                 query = query.limit(k)
             result = query.execute()
@@ -273,15 +269,10 @@ class TestSkewedParallelScan:
 
         return oracle.Opaque("m", condition, description="m >= 0 (slowed)")
 
-    def test_skewed_workload_stays_bit_identical(self):
+    def test_skewed_workload_stays_bit_identical(self, engines):
         skewed = self._skewed_relation()
         serial = skewed.query().where(self._slow_predicate()).select("m").execute()
-        parallel = (
-            skewed.query(config=EngineConfig(workers=2))
-            .where(self._slow_predicate())
-            .select("m")
-            .execute()
-        )
+        parallel = engines[2].query(skewed).where(self._slow_predicate()).select("m").execute()
         assert list(parallel.columns["m"]) == list(serial.columns["m"])
         assert np.array_equal(parallel.row_ids, serial.row_ids)
 
@@ -292,44 +283,32 @@ class TestSkewedParallelScan:
 class TestEarlyExit:
     """Top-k over a clustered column visits a fraction of the blocks."""
 
-    def _clustered(self, tmp_path, n_rows=20_000, block_size=512):
+    def _clustered(self, n_rows=20_000, block_size=512):
         rng = np.random.default_rng(3)
         table = Table.from_columns([
             ("ts", INT64, np.sort(rng.integers(0, 1_000_000, n_rows))),
             ("payload", INT64, rng.integers(0, 1000, n_rows)),
         ])
-        relation = TableCompressor(block_size=block_size).compress(table)
-        path = tmp_path / "clustered.corra"
-        write_table(str(path), relation)
-        return table, relation, DiskRelation(str(path), prefetch_workers=0)
+        return table, TableCompressor(block_size=block_size).compress(table)
 
     def test_skipped_blocks_are_never_fetched(self, tmp_path):
-        table, relation, disk = self._clustered(tmp_path)
+        table, relation = self._clustered()
+        path = tmp_path / "clustered.corra"
+        write_table(str(path), relation)
         expected = np.asarray(table.column("ts"), dtype=np.int64)
-        for descending in (False, True):
-            result = (
-                disk.query(config=EngineConfig(workers=1))
-                .select("ts")
-                .order_by("ts", desc=descending)
-                .limit(20)
-                .execute()
-            )
-            ref = np.sort(expected)[::-1][:20] if descending else np.sort(expected)[:20]
-            assert list(result.columns["ts"]) == ref.tolist()
-            metrics = result.metrics
-            visited = metrics.blocks_scanned + metrics.blocks_full
-            assert visited <= 0.25 * metrics.n_blocks
-            assert metrics.blocks_pruned == metrics.n_blocks - visited
+        with DiskRelation(str(path), prefetch_workers=0) as disk:
+            for descending in (False, True):
+                result = disk.query().select("ts").order_by("ts", desc=descending).limit(20).execute()
+                ref = np.sort(expected)[::-1][:20] if descending else np.sort(expected)[:20]
+                assert list(result.columns["ts"]) == ref.tolist()
+                metrics = result.metrics
+                visited = metrics.blocks_scanned + metrics.blocks_full
+                assert visited <= 0.25 * metrics.n_blocks
+                assert metrics.blocks_pruned == metrics.n_blocks - visited
 
-    def test_early_exit_counts_blocks_as_pruned_in_memory(self, tmp_path):
-        _, relation, _ = self._clustered(tmp_path)
-        result = (
-            relation.query(config=EngineConfig(workers=1))
-            .select("ts")
-            .order_by("ts")
-            .limit(10)
-            .execute()
-        )
+    def test_early_exit_counts_blocks_as_pruned_in_memory(self):
+        _, relation = self._clustered()
+        result = relation.query().select("ts").order_by("ts").limit(10).execute()
         metrics = result.metrics
         assert metrics.blocks_pruned > 0.7 * metrics.n_blocks
 
@@ -598,7 +577,7 @@ class TestHavingAndMoments:
             relation.query().agg(v=Var("tag")).execute()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_having_and_var_parity_across_workers(self, table, relation, workers):
+    def test_having_and_var_parity_across_workers(self, table, relation, engines, workers):
         serial = (
             relation.query()
             .where(Between("v", 50, 450))
@@ -608,7 +587,7 @@ class TestHavingAndMoments:
             .execute()
         )
         parallel = (
-            relation.query(config=EngineConfig(workers=workers))
+            engines[workers].query(relation)
             .where(Between("v", 50, 450))
             .group_by("tag")
             .agg(n=Count(), v=Var("v"))

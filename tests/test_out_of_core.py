@@ -20,7 +20,20 @@ from hypothesis import strategies as st
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import DATE, INT64, STRING
 from repro.errors import SerializationError, ValidationError
-from repro.query import Avg, Between, Count, EngineConfig, Eq, In, Max, Min, Not, Or, Sum
+from repro.query import (
+    Avg,
+    Between,
+    Count,
+    Engine,
+    EngineConfig,
+    Eq,
+    In,
+    Max,
+    Min,
+    Not,
+    Or,
+    Sum,
+)
 from repro.storage import (
     BlockCache,
     Catalog,
@@ -146,9 +159,8 @@ class TestDiskMemoryParity:
     def test_aggregate_parity(self, relation, disk, predicate, aggs):
         expected = relation.query().where(predicate).agg(**dict(aggs)).execute()
         serial = disk.query().where(predicate).agg(**dict(aggs)).execute()
-        parallel = (
-            disk.query(config=EngineConfig(workers=4)).where(predicate).agg(**dict(aggs)).execute()
-        )
+        with Engine(EngineConfig(workers=4)) as engine:
+            parallel = engine.query(disk).where(predicate).agg(**dict(aggs)).execute()
         for name, fn in aggs:
             assert serial.scalar(name) == expected.scalar(name), fn.describe()
             assert parallel.scalar(name) == expected.scalar(name), fn.describe()
@@ -301,9 +313,9 @@ class TestFormatRoundTrip:
     def test_writer_rejects_bad_versions_and_oversized_blocks(self, relation, tmp_path):
         with pytest.raises(ValidationError):
             TableWriter(tmp_path / "x.corra", relation.schema, BLOCK_SIZE, version=99)
-        writer = TableWriter(tmp_path / "y.corra", relation.schema, block_size=10)
-        with pytest.raises(ValidationError):
-            writer.write_block(relation.block(0))  # 250 rows > block size 10
+        with TableWriter(tmp_path / "y.corra", relation.schema, block_size=10) as writer:
+            with pytest.raises(ValidationError):
+                writer.write_block(relation.block(0))  # 250 rows > block size 10
 
     def test_write_table_defaults_to_current_version(self, relation, tmp_path):
         path = tmp_path / "default.corra"

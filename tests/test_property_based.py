@@ -33,7 +33,7 @@ from repro.encodings import (
     FrequencyEncoding,
     RleEncoding,
 )
-from repro.query import And, Between, Eq, In, Or, QueryExecutor
+from repro.query import And, Between, Eq, In, Or
 from repro.storage import Table
 
 # Bounded 64-bit signed integers that never overflow when differenced.
@@ -249,13 +249,13 @@ class TestScanPruningProperties:
             )
         )
 
-        pruned = QueryExecutor(relation)
+        pruned = relation.query().where(predicate)
         expected = oracle.filter_rows(table, predicate)
-        assert pruned.filter(predicate).tolist() == expected
+        assert pruned.execute().row_ids.tolist() == expected
         with oracle.decode_engine() as decode:
-            assert decode.executor(relation).filter(predicate).tolist() == expected
-        assert pruned.count(predicate) == len(expected)
-        assert pruned.last_scan_metrics.rows_decoded <= pruned.last_scan_metrics.rows_total
+            assert decode.query(relation).where(predicate).execute().row_ids.tolist() == expected
+        assert pruned.count() == len(expected)
+        assert pruned.last_metrics.rows_decoded <= pruned.last_metrics.rows_total
 
 
 class TestOptimizerProperties:

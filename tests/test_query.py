@@ -1,4 +1,4 @@
-"""Unit tests for selection vectors, scans and the executor."""
+"""Unit tests for selection vectors, scans and query chains."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.query import (
     Between,
     Eq,
     In,
-    QueryExecutor,
     generate_selection_vector,
     generate_selection_vectors,
     materialize_columns,
@@ -110,28 +109,28 @@ class TestMaterialization:
         assert out["ship"].size == 0
 
 
-class TestQueryExecutor:
+class TestQueryChain:
     @pytest.fixture
     def executor(self, dates_schema_table):
         relation = TableCompressor(block_size=300).compress(dates_schema_table)
-        return QueryExecutor(relation), dates_schema_table
+        return relation, dates_schema_table
 
     def test_filter_equals(self, executor):
         ex, table = executor
         ship = table.column("ship")
         target = int(ship[17])
-        rows = ex.filter(Eq("ship", target))
+        rows = ex.query().where(Eq("ship", target)).execute().row_ids
         assert np.array_equal(rows, np.flatnonzero(ship == target))
 
     def test_filter_between(self, executor):
         ex, table = executor
         ship = table.column("ship")
-        rows = ex.filter(Between("ship", 8_100, 8_200))
+        rows = ex.query().where(Between("ship", 8_100, 8_200)).execute().row_ids
         assert np.array_equal(rows, np.flatnonzero((ship >= 8_100) & (ship <= 8_200)))
 
     def test_select_with_predicate(self, executor):
         ex, table = executor
-        result = ex.select(["receipt"], Between("ship", 8_100, 8_110))
+        result = ex.query().where(Between("ship", 8_100, 8_110)).select("receipt").execute()
         expected_rows = np.flatnonzero(
             (table.column("ship") >= 8_100) & (table.column("ship") <= 8_110)
         )
@@ -142,22 +141,21 @@ class TestQueryExecutor:
 
     def test_select_without_predicate_returns_everything(self, executor):
         ex, table = executor
-        result = ex.select(["ship"])
+        result = ex.query().select("ship").execute()
         assert result.n_rows == table.n_rows
 
     def test_count(self, executor):
         ex, table = executor
-        assert ex.count(Between("ship", 8_000, 8_499)) == 500
+        assert ex.query().where(Between("ship", 8_000, 8_499)).count() == 500
 
     def test_is_in_predicate_on_strings(self):
         table = Table.from_columns(
             [("s", STRING, ["a", "b", "c", "a", "b"])]
         )
         relation = TableCompressor(block_size=5).compress(table)
-        ex = QueryExecutor(relation)
-        assert ex.count(In("s", ["a", "c"])) == 3
+        assert relation.query().where(In("s", ["a", "c"])).count() == 3
 
     def test_unknown_predicate_column(self, executor):
         ex, _ = executor
         with pytest.raises(UnknownColumnError):
-            ex.filter(Eq("nope", 1))
+            ex.query().where(Eq("nope", 1)).execute()

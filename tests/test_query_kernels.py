@@ -27,6 +27,7 @@ from repro.query import (
     Avg,
     Between,
     Count,
+    Engine,
     EngineConfig,
     Eq,
     In,
@@ -81,9 +82,8 @@ def assert_query_parity(relation, predicate):
     agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
     with oracle.decode_engine() as decode:
         got = relation.query().where(predicate).agg(**agg).execute()
-        got_parallel = (
-            relation.query(config=EngineConfig(workers=2)).where(predicate).agg(**agg).execute()
-        )
+        with Engine(EngineConfig(workers=2)) as parallel:
+            got_parallel = parallel.query(relation).where(predicate).agg(**agg).execute()
         want = decode.query(relation).where(predicate).agg(**agg).execute()
         for name in agg:
             assert got.scalar(name) == want.scalar(name), name
@@ -381,8 +381,8 @@ class TestForKernel:
         values = np.random.default_rng(5).integers(0, 65_536, size=4_000).astype(np.int64)
         relation = single_column_relation(values, "for_bitpack", block_size=4_000)
         with oracle.decode_engine() as decode:
-            for engine, for_evaluated in ((None, values.size), (decode, 0)):
-                chain = relation.query(engine=engine).where(Between("x", 100, 300))
+            for chain, for_evaluated in ((relation.query(), values.size), (decode.query(relation), 0)):
+                chain = chain.where(Between("x", 100, 300))
                 if path == "count":
                     assert chain.count() == int(((values >= 100) & (values <= 300)).sum())
                     metrics = chain.last_metrics

@@ -28,7 +28,6 @@ from repro.query import (
     Eq,
     In,
     Or,
-    QueryExecutor,
     ScanPlanner,
     parallel_map,
     resolve_workers,
@@ -85,32 +84,29 @@ class TestParallelMatchesSerial:
 
     @settings(max_examples=40, deadline=None)
     @given(predicate=_predicates)
-    def test_scan_identical_across_worker_counts(self, relation, predicate):
-        serial = QueryExecutor(relation, config=EngineConfig(workers=1))
-        expected_ids, expected_metrics = serial.scan(predicate)
+    def test_scan_identical_across_worker_counts(self, relation, engines, predicate):
+        expected = relation.query().where(predicate).execute()
         for workers in WORKER_COUNTS:
-            with QueryExecutor(relation, config=EngineConfig(workers=workers)) as executor:
-                row_ids, metrics = executor.scan(predicate)
-                assert np.array_equal(row_ids, expected_ids)
-                assert executor.count(predicate) == expected_ids.size
-                # Metrics totals must agree: planning is shared and every
-                # block is evaluated exactly once regardless of scheduling.
-                for field in (
-                    "n_blocks", "blocks_scanned", "blocks_pruned",
-                    "blocks_full", "rows_total", "rows_decoded",
-                    "rows_matched", "rows_dict_evaluated",
-                    "string_heap_decodes",
-                ):
-                    assert getattr(metrics, field) == getattr(
-                        expected_metrics, field
-                    )
+            query = engines[workers].query(relation).where(predicate)
+            result = query.execute()
+            assert np.array_equal(result.row_ids, expected.row_ids)
+            assert query.count() == expected.row_ids.size
+            # Metrics totals must agree: planning is shared and every
+            # block is evaluated exactly once regardless of scheduling.
+            for field in (
+                "n_blocks", "blocks_scanned", "blocks_pruned",
+                "blocks_full", "rows_total", "rows_decoded",
+                "rows_matched", "rows_dict_evaluated",
+                "string_heap_decodes",
+            ):
+                assert getattr(result.metrics, field) == getattr(expected.metrics, field)
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
     def test_dictionary_domain_matches_decode_path(self, relation, predicate):
-        with_dict = QueryExecutor(relation).filter(predicate)
+        with_dict = relation.query().where(predicate).execute().row_ids
         with oracle.decode_engine() as decode:
-            without = decode.executor(relation).filter(predicate)
+            without = decode.query(relation).where(predicate).execute().row_ids
         assert np.array_equal(with_dict, without)
 
     def test_pooled_results_are_sorted_and_complete(self, relation):
@@ -119,20 +115,20 @@ class TestParallelMatchesSerial:
         assert np.array_equal(result.row_ids, np.arange(relation.n_rows))
         assert result.metrics.rows_matched == relation.n_rows
 
-    def test_opaque_predicates_run_in_parallel(self, relation):
+    def test_opaque_predicates_run_in_parallel(self, relation, engines):
         predicate = oracle.Opaque(
             "tag", lambda values: np.char.endswith(values, "7"), "tag ends with 7"
         )
-        serial = QueryExecutor(relation, config=EngineConfig(workers=1)).filter(predicate)
-        with QueryExecutor(relation, config=EngineConfig(workers=4)) as executor:
-            assert np.array_equal(serial, executor.filter(predicate))
+        serial = relation.query().where(predicate).execute().row_ids
+        threaded = engines[4].query(relation).where(predicate).execute().row_ids
+        assert np.array_equal(serial, threaded)
 
 
 class TestDictionaryDomain:
     def test_eq_decodes_zero_string_heaps(self, relation):
-        executor = QueryExecutor(relation)
-        executor.count(Eq("tag", "tag_07"))
-        metrics = executor.last_scan_metrics
+        query = relation.query().where(Eq("tag", "tag_07"))
+        query.count()
+        metrics = query.last_metrics
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
         # Code-space-only blocks materialise nothing at all.
@@ -140,19 +136,18 @@ class TestDictionaryDomain:
 
     def test_decode_path_pays_heap_decodes(self, relation):
         with oracle.decode_engine() as decode:
-            executor = decode.executor(relation)
-            executor.count(Eq("tag", "tag_07"))
-        metrics = executor.last_scan_metrics
+            query = decode.query(relation).where(Eq("tag", "tag_07"))
+            query.count()
+        metrics = query.last_metrics
         assert metrics.rows_dict_evaluated == 0
         assert metrics.string_heap_decodes == relation.n_rows
         assert metrics.rows_decoded == relation.n_rows
 
     def test_absent_and_mistyped_values_match_nothing(self, relation):
-        executor = QueryExecutor(relation)
-        assert executor.count(Eq("tag", "no_such_tag")) == 0
-        assert executor.count(Eq("tag", 123)) == 0
-        assert executor.count(In("tag", ["nope", "also_nope"])) == 0
-        assert executor.last_scan_metrics.string_heap_decodes == 0
+        for predicate in (Eq("tag", "no_such_tag"), Eq("tag", 123), In("tag", ["nope", "x"])):
+            query = relation.query().where(predicate)
+            assert query.count() == 0
+            assert query.last_metrics.string_heap_decodes == 0
 
     def test_lookup_codes_string_column(self, relation):
         column = relation.block(0).column("tag")
@@ -198,20 +193,19 @@ class TestDictionaryDomain:
         rel = TableCompressor(plan, block_size=64).compress(table)
         expected = int(np.count_nonzero(values == 5.0))
         with oracle.decode_engine() as decode, Engine(EngineConfig(workers=2)) as parallel:
-            for engine in (None, decode, parallel):
-                executor = QueryExecutor(rel, engine=engine)
-                assert executor.count(Eq("c", 5.0)) == expected
-                assert executor.count(Eq("c", True)) == 0
-                assert executor.count(In("c", [5.0, 5.5])) == expected
+            for query in (rel.query(), decode.query(rel), parallel.query(rel)):
+                assert query.where(Eq("c", 5.0)).count() == expected
+                assert query.where(Eq("c", True)).count() == 0
+                assert query.where(In("c", [5.0, 5.5])).count() == expected
 
     def test_leaf_statistics_shortcut_inside_compound(self, relation):
         # "absent" sorts outside every block's [min, max], so the tag leaf of
         # the Or is answered all-false from statistics without any code
         # unpack — and the result must still match the decode path.
         predicate = Or(Eq("v", 5), Eq("tag", "absent"))
-        with_dict = QueryExecutor(relation).filter(predicate)
+        with_dict = relation.query().where(predicate).execute().row_ids
         with oracle.decode_engine() as decode:
-            without = decode.executor(relation).filter(predicate)
+            without = decode.query(relation).where(predicate).execute().row_ids
         assert np.array_equal(with_dict, without)
 
     def test_code_space_column_excludes_horizontal(self, relation):
@@ -293,11 +287,11 @@ class TestParallelHelpers:
         with pytest.raises(ValidationError):
             resolve_workers(-2)
 
-    def test_executor_context_manager_closes_pool(self, relation):
-        with QueryExecutor(relation, config=EngineConfig(workers=2)) as executor:
-            executor.count(Between("v", 0, 100))
-        assert executor._engine._pool is None
-        QueryExecutor(relation, config=EngineConfig(workers=1)).close()  # serial: no-op
+    def test_engine_context_manager_closes_pool(self, relation):
+        with Engine(EngineConfig(workers=2)) as engine:
+            engine.query(relation).where(Between("v", 0, 100)).count()
+            assert engine._pool is not None
+        assert engine._pool is None
 
 
 class TestFailureStopsTheQuery:

@@ -1,8 +1,8 @@
 """Tests for the lazy query API: logical plans, builder, compiler, pushdowns.
 
-The property-based section checks three-way parity — lazy API ==
-imperative ``QueryExecutor`` == a plain full-decode reference over the raw
-table values — and serial == parallel, for randomized predicates
+The property-based section checks three-way parity — lazy API == the
+compiler's row-ids-only plan (no ``Project`` node) == a plain full-decode
+reference over the raw table values — and serial == parallel, for randomized predicates
 (including ``Not`` and string ``Between``) and randomized aggregates over
 a relation mixing vertical encodings (FOR/delta/dictionary/RLE candidates)
 with a diff-encoded horizontal column.
@@ -24,7 +24,7 @@ from repro.query import (
     Avg,
     Between,
     Count,
-    EngineConfig,
+    Engine,
     Eq,
     Filter,
     In,
@@ -36,7 +36,6 @@ from repro.query import (
     Or,
     Project,
     QueryCompiler,
-    QueryExecutor,
     Scan,
     ScanMetrics,
     Sum,
@@ -167,37 +166,32 @@ def _reference_aggregate(table, mask, fn):
 
 
 class TestLazyParity:
-    """Lazy API == QueryExecutor == full-decode reference; serial == parallel."""
+    """Lazy API == row-ids-only plan == full-decode reference; serial == parallel."""
 
     @settings(max_examples=30, deadline=None)
     @given(predicate=_predicates)
     def test_filter_parity(self, relation, table, predicate):
         expected = np.flatnonzero(_reference_mask(table, predicate))
-        executor_ids = QueryExecutor(relation).filter(predicate)
+        row_ids = QueryCompiler(relation).execute(Filter(Scan(relation), predicate)).row_ids
         lazy = relation.query().where(predicate).execute()
-        assert np.array_equal(executor_ids, expected)
+        assert np.array_equal(row_ids, expected)
         assert np.array_equal(lazy.row_ids, expected)
         assert relation.query().where(predicate).count() == expected.size
 
     @settings(max_examples=25, deadline=None)
     @given(predicate=_predicates, aggs=_aggregate_sets)
-    def test_aggregate_parity(self, relation, table, predicate, aggs):
+    def test_aggregate_parity(self, relation, table, engines, predicate, aggs):
         mask = _reference_mask(table, predicate)
         serial = relation.query().where(predicate).agg(**dict(aggs)).execute()
-        parallel = (
-            relation.query(config=EngineConfig(workers=4))
-            .where(predicate)
-            .agg(**dict(aggs))
-            .execute()
-        )
+        threaded = engines[4].query(relation).where(predicate).agg(**dict(aggs)).execute()
         for name, fn in aggs:
             expected = _reference_aggregate(table, mask, fn)
             assert serial.scalar(name) == expected, fn.describe()
-            assert parallel.scalar(name) == expected, fn.describe()
+            assert threaded.scalar(name) == expected, fn.describe()
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
-    def test_group_by_parity(self, relation, table, predicate):
+    def test_group_by_parity(self, relation, table, engines, predicate):
         mask = _reference_mask(table, predicate)
         result = relation.query().where(predicate).group_by("tag").agg(
             n=Count(), total=Sum("v"), first=Min("ship")
@@ -218,14 +212,14 @@ class TestLazyParity:
         assert list(result.column("total")) == [expected[k][1] for k in keys]
         assert list(result.column("first")) == [expected[k][2] for k in keys]
         # Parallel grouping merges the same per-block states in block order.
-        parallel = (
-            relation.query(config=EngineConfig(workers=4))
+        threaded = (
+            engines[4].query(relation)
             .where(predicate)
             .group_by("tag")
             .agg(n=Count(), total=Sum("v"), first=Min("ship"))
             .execute()
         )
-        assert parallel.columns == result.columns
+        assert threaded.columns == result.columns
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
@@ -237,13 +231,13 @@ class TestLazyParity:
         want = oracle.group_by(table, predicate, (), aggregates)
         assert tuned.columns == baseline.columns == want
 
-    def test_select_matches_executor_select(self, relation, table):
+    def test_select_matches_reference(self, relation, table):
         predicate = Between("ship", 8_300, 8_700)
         lazy = relation.query().where(predicate).select("receipt", "tag").execute()
-        imperative = QueryExecutor(relation).select(["receipt", "tag"], predicate)
-        assert np.array_equal(lazy.row_ids, imperative.row_ids)
-        assert np.array_equal(lazy.column("receipt"), imperative.column("receipt"))
-        assert lazy.column("tag") == imperative.column("tag")
+        rows = np.flatnonzero(_reference_mask(table, predicate))
+        assert np.array_equal(lazy.row_ids, rows)
+        assert np.array_equal(lazy.column("receipt"), table.column("receipt")[rows])
+        assert list(lazy.column("tag")) == [table.column("tag")[i] for i in rows]
 
 
 class TestAggregationPushdown:
@@ -386,6 +380,26 @@ class TestBuilderValidation:
         with pytest.raises(ValidationError):
             relation.query().limit(-1)
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, "3", None, np.float64(2.0)])
+    def test_non_integer_limit_is_rejected_at_the_call(self, relation, n):
+        with pytest.raises(ValidationError, match="limit must be a non-negative integer"):
+            relation.query().limit(n)
+
+    def test_numpy_integer_limit_is_accepted(self, relation):
+        query = relation.query().where(Between("ship", 8_000, 8_499)).limit(np.int64(3))
+        count = query.count()
+        assert count == 3 and type(count) is int
+        assert query.execute().n_rows == 3
+
+    @pytest.mark.parametrize("method", ["where", "having"])
+    @pytest.mark.parametrize("value", [True, "ship > 3", None, ("ship", 3)])
+    def test_non_predicates_are_rejected_at_the_call(self, relation, method, value):
+        query = relation.query()
+        with pytest.raises(ValidationError, match=rf"{method}\(\) takes Predicate objects"):
+            getattr(query, method)(value)
+        with pytest.raises(ValidationError, match=rf"{method}\(\) takes Predicate objects"):
+            getattr(query, method)(Eq("ship", 1), value)
+
     def test_agg_requires_aggregate_functions(self, relation):
         with pytest.raises(ValidationError):
             relation.query().agg(n=42)
@@ -459,7 +473,6 @@ class TestBuilderValidation:
         assert query.limit(5)._compiler() is compiler
         sibling.count()
         assert sibling._compiler() is compiler
-        query.close()
 
     def test_count_honours_limit_like_execute(self, relation):
         query = relation.query().where(Between("ship", 8_000, 8_499)).limit(10)
@@ -527,9 +540,9 @@ class TestExplainAndRendering:
         assert rendered.splitlines()[0].startswith("Limit")
         assert rendered.splitlines()[-1].strip().startswith("Scan")
 
-    def test_executor_exposes_compiler(self, relation):
-        executor = QueryExecutor(relation)
-        assert executor.compiler.relation is relation
+    def test_engine_compiler_is_bound_to_relation(self, relation):
+        with Engine() as engine:
+            assert engine.compiler_for(relation).relation is relation
 
     def test_lazy_query_type(self, relation):
         assert isinstance(relation.query(), LazyQuery)
@@ -568,37 +581,36 @@ class TestNotPredicate:
         assert Not(Eq("c", 5)).fingerprint() != Eq("c", 5).fingerprint()
 
     def test_not_stays_in_code_space(self, relation):
-        executor = QueryExecutor(relation)
-        count = executor.count(Not(Eq("tag", TAGS[0])))
-        metrics = executor.last_scan_metrics
+        query = relation.query().where(Not(Eq("tag", TAGS[0])))
+        count = query.count()
+        metrics = query.last_metrics
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
         with oracle.decode_engine() as decode:
-            assert decode.executor(relation).count(Not(Eq("tag", TAGS[0]))) == count
+            assert decode.query(relation).where(Not(Eq("tag", TAGS[0]))).count() == count
 
 
 class TestBetweenCodeSpace:
     def test_string_range_never_touches_the_heap(self, relation, table):
         predicate = Between("tag", TAGS[2], TAGS[6])
-        executor = QueryExecutor(relation)
-        count = executor.count(predicate)
-        metrics = executor.last_scan_metrics
+        query = relation.query().where(predicate)
+        count = query.count()
+        metrics = query.last_metrics
         assert count == sum(TAGS[2] <= t <= TAGS[6] for t in table.column("tag"))
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
-        assert executor.count(Between("tag", "zzz", None)) == 0
+        assert relation.query().where(Between("tag", "zzz", None)).count() == 0
 
     def test_open_and_mistyped_bounds_match_decode_path(self, relation):
-        with_dict = QueryExecutor(relation)
         with oracle.decode_engine() as decode:
-            without = decode.executor(relation)
             for predicate in (
                 Between("tag", None, TAGS[4]),
                 Between("tag", TAGS[4], None),
                 Between("tag", 3, 7),
                 Between("tag", TAGS[1], 9),
             ):
-                assert with_dict.count(predicate) == without.count(predicate)
+                with_dict = relation.query().where(predicate).count()
+                assert with_dict == decode.query(relation).where(predicate).count()
 
     def test_int_dictionary_code_range(self):
         from repro.encodings.dictionary import DictEncodedIntColumn
@@ -684,20 +696,15 @@ class TestAvgAggregate:
         result = relation.query().where(Eq("v", -1)).agg(mean=Avg("v")).execute()
         assert result.scalar("mean") is None
 
-    def test_grouped_avg_matches_python_reference(self, relation, table):
+    def test_grouped_avg_matches_python_reference(self, relation, table, engines):
         result = relation.query().group_by("tag").agg(mean=Avg("v"), n=Count()).execute()
         expected: dict[str, list[int]] = {}
         for tag, value in zip(table.column("tag"), table.column("v")):
             expected.setdefault(tag, []).append(int(value))
         for tag, mean in zip(result.column("tag"), result.column("mean")):
             assert mean == sum(expected[tag]) / len(expected[tag])
-        parallel = (
-            relation.query(config=EngineConfig(workers=4))
-            .group_by("tag")
-            .agg(mean=Avg("v"), n=Count())
-            .execute()
-        )
-        assert parallel.columns == result.columns
+        threaded = engines[4].query(relation).group_by("tag").agg(mean=Avg("v"), n=Count()).execute()
+        assert threaded.columns == result.columns
 
     def test_avg_of_string_column_is_rejected(self, relation):
         with pytest.raises(ValidationError):

@@ -15,7 +15,6 @@ from repro.query import (
     Eq,
     In,
     Or,
-    QueryExecutor,
     ScanPlanner,
     evaluate_block_predicate,
 )
@@ -255,25 +254,22 @@ class TestScanPlanner:
         assert plan.count_of(BlockDecision.PRUNE) >= relation.n_blocks - 2
 
 
-class TestExecutorPruning:
+class TestChainPruning:
     def test_filter_matches_brute_force(self, sorted_relation):
         table, relation = sorted_relation
         ship = table.column("ship")
-        executor = QueryExecutor(relation)
         for predicate, expected_mask in (
             (Between("ship", 8_031, 8_038), (ship >= 8_031) & (ship <= 8_038)),
             (Eq("ship", 8_050), ship == 8_050),
             (In("ship", [8_001, 8_099]), np.isin(ship, [8_001, 8_099])),
         ):
             expected = np.flatnonzero(expected_mask)
-            assert np.array_equal(executor.filter(predicate), expected)
+            assert np.array_equal(relation.query().where(predicate).execute().row_ids, expected)
             assert oracle.filter_rows(table, predicate) == expected.tolist()
 
     def test_metrics_report_pruning(self, sorted_relation):
         _, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        executor.filter(Between("ship", 8_031, 8_038))
-        metrics = executor.last_scan_metrics
+        metrics = relation.query().where(Between("ship", 8_031, 8_038)).execute().metrics
         assert metrics.n_blocks == relation.n_blocks
         assert metrics.blocks_scanned == 1
         assert metrics.blocks_pruned == relation.n_blocks - 1
@@ -285,28 +281,26 @@ class TestExecutorPruning:
         assert "pruned" in metrics.describe()
 
         with oracle.decode_engine() as decode:
-            baseline = decode.executor(relation)
-            baseline.filter(Between("ship", 8_031, 8_038))
-        assert baseline.last_scan_metrics.rows_decoded == 100
-        assert baseline.last_scan_metrics.rows_for_evaluated == 0
+            baseline = decode.query(relation).where(Between("ship", 8_031, 8_038))
+            baseline.execute()
+        assert baseline.last_metrics.rows_decoded == 100
+        assert baseline.last_metrics.rows_for_evaluated == 0
 
     def test_count_equals_filter_size_without_decoding_covered_blocks(self, sorted_relation):
         table, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        predicate = Between("ship", 8_005, 8_060)
-        count = executor.count(predicate)
+        query = relation.query().where(Between("ship", 8_005, 8_060))
+        count = query.count()
         assert count == int(np.count_nonzero(
             (table.column("ship") >= 8_005) & (table.column("ship") <= 8_060)
         ))
-        metrics = executor.last_scan_metrics
+        metrics = query.last_metrics
         # Interior blocks are answered from statistics alone.
         assert metrics.blocks_full >= 4
         assert metrics.rows_decoded <= 200
 
     def test_select_attaches_metrics(self, sorted_relation):
         table, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        result = executor.select(["receipt"], Between("ship", 8_031, 8_038))
+        result = relation.query().where(Between("ship", 8_031, 8_038)).select("receipt").execute()
         assert result.metrics is not None
         assert result.metrics.blocks_scanned == 1
         expected = np.flatnonzero(
@@ -318,16 +312,18 @@ class TestExecutorPruning:
     def test_unknown_column_raises(self, sorted_relation):
         _, relation = sorted_relation
         with pytest.raises(UnknownColumnError):
-            QueryExecutor(relation).filter(Eq("nope", 1))
+            relation.query().where(Eq("nope", 1)).execute()
 
-    def test_predicate_less_select_clears_metrics(self, sorted_relation):
+    def test_predicate_less_execute_has_no_metrics(self, sorted_relation):
         _, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        executor.count(Between("ship", 8_031, 8_038))
-        assert executor.last_scan_metrics is not None
-        result = executor.select(["ship"])
+        filtered = relation.query().where(Between("ship", 8_031, 8_038))
+        assert filtered.last_metrics is None  # nothing has run yet
+        filtered.count()
+        assert filtered.last_metrics is not None
+        everything = relation.query().select("ship")
+        result = everything.execute()
         assert result.metrics is None
-        assert executor.last_scan_metrics is None
+        assert everything.last_metrics is None
 
     @pytest.mark.parametrize("scheme", ["for_bitpack", "dictionary", "rle", "plain"])
     @pytest.mark.parametrize("low, high", [(NAN, None), (None, NAN), (NAN, 8_050)])
@@ -338,9 +334,9 @@ class TestExecutorPruning:
         between = Between("c", low, high)
         assert oracle.filter_rows(table, between) == []
         with oracle.decode_engine() as decode:
-            for engine in (None, decode):
-                assert relation.query(engine=engine).where(between).count() == 0
-                assert relation.query(engine=engine).where(~between).count() == relation.n_rows
+            for query in (relation.query(), decode.query(relation)):
+                assert query.where(between).count() == 0
+                assert query.where(~between).count() == relation.n_rows
             # Every block offered to the kernels, none pruned by its zone map.
             for block in relation:
                 assert not evaluate_block_predicate(block, between).any()
@@ -350,18 +346,17 @@ class TestExecutorPruning:
         names = sorted(f"name-{i:03d}" for i in range(500))
         table = Table.from_columns([("s", STRING, names)])
         relation = TableCompressor(block_size=100).compress(table)
-        executor = QueryExecutor(relation)
-        rows = executor.filter(Eq("s", "name-250"))
-        assert rows.tolist() == [250]
-        assert executor.last_scan_metrics.blocks_scanned == 1
+        result = relation.query().where(Eq("s", "name-250")).execute()
+        assert result.row_ids.tolist() == [250]
+        assert result.metrics.blocks_scanned == 1
 
     def test_relation_without_statistics_still_correct(self):
         table = Table.from_columns([("x", INT64, np.arange(1_000, dtype=np.int64))])
         relation = TableCompressor(block_size=100, collect_statistics=False).compress(table)
         assert all(block.statistics is None for block in relation)
-        executor = QueryExecutor(relation)
-        assert np.array_equal(executor.filter(Between("x", 10, 19)), np.arange(10, 20))
-        assert executor.last_scan_metrics.blocks_pruned == 0
+        result = relation.query().where(Between("x", 10, 19)).execute()
+        assert np.array_equal(result.row_ids, np.arange(10, 20))
+        assert result.metrics.blocks_pruned == 0
 
     def test_sorted_prefix_range_prunes_most_blocks(self):
         dates = TpchLineitemGenerator().generate_dates_only(10_000, seed=42)
@@ -376,12 +371,12 @@ class TestExecutorPruning:
         )
         relation = TableCompressor(plan, block_size=1_250).compress(table)
         assert relation.n_blocks == 8
-        executor = QueryExecutor(relation)
         for selectivity in (0.01, 0.1):
             predicate = Between("l_shipdate", int(ship[0]), int(ship[int(selectivity * ship.size)]))
-            assert executor.count(predicate) == len(oracle.filter_rows(table, predicate))
+            query = relation.query().where(predicate)
+            assert query.count() == len(oracle.filter_rows(table, predicate))
             # The leading range lies inside the first of eight blocks.
-            assert executor.last_scan_metrics.blocks_pruned >= 6
+            assert query.last_metrics.blocks_pruned >= 6
 
 
 class TestAcceptanceSortedMillionRows:
@@ -401,9 +396,8 @@ class TestAcceptanceSortedMillionRows:
 
         stats = relation.block(5).column_statistics("l_shipdate")
         predicate = Between("l_shipdate", stats.min_value + 1, stats.max_value - 1)
-        executor = QueryExecutor(relation)
-        row_ids = executor.filter(predicate)
-        metrics = executor.last_scan_metrics
+        result = relation.query().where(predicate).execute()
+        row_ids, metrics = result.row_ids, result.metrics
 
         assert metrics.blocks_scanned + metrics.blocks_full <= 2
         assert metrics.blocks_pruned >= 14

@@ -145,14 +145,14 @@ class TestTracedQueryParity:
     @settings(max_examples=15, deadline=None)
     def test_in_memory_serial_and_parallel(self, lo, span):
         for workers in (1, 4):
-            config = EngineConfig(workers=workers)
-            lazy = (
-                RELATION.query(config=config)
-                .where(Between("grade", lo, lo + span))
-                .agg(n=Count(), s=Sum("word"))
-            )
-            untraced = lazy.execute()
-            traced = lazy.execute(tracer=Tracer())
+            with Engine(EngineConfig(workers=workers)) as engine:
+                lazy = (
+                    engine.query(RELATION)
+                    .where(Between("grade", lo, lo + span))
+                    .agg(n=Count(), s=Sum("word"))
+                )
+                untraced = lazy.execute()
+                traced = lazy.execute(tracer=Tracer())
             _assert_identical(traced, untraced)
 
     @given(lo=st.integers(0, N_GRADES - 1), span=st.integers(0, N_GRADES))
@@ -168,10 +168,9 @@ class TestTracedQueryParity:
         _assert_identical(traced, untraced)
 
     def test_traced_count_matches_untraced(self):
-        lazy = RELATION.query(config=EngineConfig(workers=2)).where(
-            Between("grade", 5, 25)
-        )
-        assert lazy.count(tracer=Tracer()) == lazy.count()
+        with Engine(EngineConfig(workers=2)) as engine:
+            lazy = engine.query(RELATION).where(Between("grade", 5, 25))
+            assert lazy.count(tracer=Tracer()) == lazy.count()
 
 
 class TestSpanTreeShape:
@@ -225,12 +224,13 @@ class TestSpanTreeShape:
 class TestExplainAnalyze:
     def test_stage_rows_match_scan_metrics(self):
         tracer = Tracer()
-        lazy = (
-            RELATION.query(config=EngineConfig(workers=2))
-            .where(Between("grade", 10, 30))
-            .agg(n=Count(), s=Sum("word"))
-        )
-        result = lazy.execute(tracer=tracer)
+        with Engine(EngineConfig(workers=2)) as engine:
+            lazy = (
+                engine.query(RELATION)
+                .where(Between("grade", 10, 30))
+                .agg(n=Count(), s=Sum("word"))
+            )
+            result = lazy.execute(tracer=tracer)
         stages = QueryTrace.from_tracer(tracer).stage_summary()
         # The gather spans annotate exactly the rows they materialise, so
         # the per-stage sum equals the final counter.
@@ -251,7 +251,7 @@ class TestExplainAnalyze:
             assert re.search(rf"^{stage}\s", text, flags=re.MULTILINE), stage
 
     def test_explain_without_analyze_does_not_execute(self):
-        lazy = RELATION.query(config=EngineConfig()).where(Between("grade", 0, 9))
+        lazy = RELATION.query().where(Between("grade", 0, 9))
         text = lazy.explain()
         assert "== execution (analyze) ==" not in text
 

@@ -37,7 +37,6 @@ from repro.query import (
     Max,
     Min,
     Not,
-    QueryExecutor,
     ScanPlanner,
     Sum,
 )
@@ -103,9 +102,9 @@ AGGREGATES = dict(n=Count(), total=Sum("b"), low=Min("b"), high=Max("b"))
 
 
 def _answers(relation, predicate, engine: Engine) -> tuple:
-    executor = QueryExecutor(relation, engine=engine)
-    result = engine.query(relation).where(predicate).agg(**AGGREGATES).execute()
-    return executor.filter(predicate).tolist(), executor.count(predicate), result.columns
+    query = engine.query(relation).where(predicate)
+    result = query.agg(**AGGREGATES).execute()
+    return query.execute().row_ids.tolist(), query.count(), result.columns
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,6 +163,6 @@ def test_wrapped_differences_neither_prune_nor_fill_wrongly():
     relation = _compress(reference, target, 3, None, False)
     for predicate in (Eq("b", -(1 << 63) + 3), Between("b", None, 0), Not(Eq("b", 5))):
         want = [i for i, v in enumerate(target.tolist()) if oracle.matches(predicate, {"b": v})]
-        assert QueryExecutor(relation).filter(predicate).tolist() == want
+        assert relation.query().where(predicate).execute().row_ids.tolist() == want
         with oracle.decode_engine() as decode:
-            assert decode.executor(relation).filter(predicate).tolist() == want
+            assert decode.query(relation).where(predicate).execute().row_ids.tolist() == want
