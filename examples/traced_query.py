@@ -3,7 +3,7 @@
 
 This walks through the observability subsystem (:mod:`repro.query.tracing`):
 
-1. compress a relation whose predicate column is RLE-encoded, persist it
+1. compress a relation whose predicate column is FOR-bit-packed, persist it
    and open it through a shared :class:`Engine` — the traced query below
    runs out-of-core, so the trace covers the storage layer too;
 2. run the same aggregate twice: untraced (the default — every
@@ -43,7 +43,7 @@ from repro.storage import Catalog, Table
 
 
 def main(n_rows: int = 200_000) -> None:
-    # 1. An RLE-friendly relation on disk: the predicate below evaluates
+    # 1. A FOR-bit-packed relation on disk: the predicate below evaluates
     #    in the compressed domain, and the trace records which kernel ran.
     rng = np.random.default_rng(11)
     run_length = 64
@@ -54,7 +54,7 @@ def main(n_rows: int = 200_000) -> None:
     ])
     plan = (
         CompressionPlan.builder(table.schema)
-        .vertical("grade", "rle")
+        .vertical("grade", "for_bitpack")
         .vertical("word", "for_bitpack")
         .build()
     )

@@ -1,15 +1,15 @@
 """kernel-purity: compressed-domain kernels must stay in the encoded domain.
 
 The whole value proposition of ``query/kernels.py`` (and of the paper's
-compressed-domain execution) is that predicate masks, aggregates and
-group keys are computed on run-lengths, FOR/delta words and dictionary
-codes — *never* by decoding a column or materialising the string heap.
-One stray ``column.decode()`` inside a kernel silently turns the fast
-path into the slow path while every test still passes; the perf
-regression only shows up in benchmarks.  This rule makes the purity
-contract structural: inside the configured kernel modules, calls to the
-materialisation API (``decode``, ``gather``, ``gather_with_reference``,
-``materialize_columns``, heap accessors) are findings.
+compressed-domain execution) is that predicate masks and group keys are
+computed on FOR/delta words and dictionary codes — *never* by decoding a
+column or materialising the string heap.  One stray ``column.decode()``
+inside a kernel silently turns the fast path into the slow path while
+every test still passes; the perf regression only shows up in
+benchmarks.  This rule makes the purity contract structural: inside the
+configured kernel modules, calls to the materialisation API (``decode``,
+``gather``, ``gather_with_reference``, ``materialize_columns``, heap
+accessors) are findings.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class KernelPurityRule(Rule):
     name = "kernel-purity"
     description = (
         "query/kernels.py never calls decode/gather/heap materialisation — "
-        "kernels operate on runs, words and codes only"
+        "kernels operate on words and codes only"
     )
 
     def __init__(self, modules: tuple[str, ...] = DEFAULT_KERNEL_MODULES):
@@ -73,8 +73,7 @@ class KernelPurityRule(Rule):
                         line=node.lineno,
                         message=f"kernel module calls materialising API {impure!r}",
                         hint=(
-                            "kernels must work on encoded values (run_values, "
-                            "compare_range, code spaces); decode in scan.py's "
-                            "fallback path instead"
+                            "kernels must work on encoded values (compare_range, "
+                            "code spaces); decode in scan.py's fallback path instead"
                         ),
                     )

@@ -584,8 +584,6 @@ def _print_metrics(metrics, workers: int) -> None:
         ("decoded fraction", f"{metrics.decoded_fraction:.2%}"),
         ("rows gathered", f"{metrics.rows_gathered:,}"),
         ("rows dict-evaluated", f"{metrics.rows_dict_evaluated:,}"),
-        ("rows rle-evaluated", f"{metrics.rows_rle_evaluated:,}"),
-        ("runs evaluated", f"{metrics.runs_evaluated:,}"),
         ("rows for-evaluated", f"{metrics.rows_for_evaluated:,}"),
         ("rows kernel-aggregated", f"{metrics.rows_kernel_aggregated:,}"),
         ("kernel declines", f"{metrics.kernel_declines:,}"),

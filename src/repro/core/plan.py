@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -131,16 +131,20 @@ class CompressionPlan:
         would create a reference chain.
         """
         builder = cls.builder(schema)
+        encoders: dict[str, Callable[[str, str], PlanBuilder]] = {
+            "non_hierarchical": builder.diff_encode,
+            "hierarchical": builder.hierarchical_encode,
+        }
+        encoded: set[str] = set()
         for suggestion in suggestions:
+            encode = encoders.get(suggestion.kind)
+            if encode is None or suggestion.target in encoded:
+                continue
             try:
-                if suggestion.kind == "non_hierarchical":
-                    builder.diff_encode(suggestion.target, suggestion.references[0])
-                elif suggestion.kind == "hierarchical":
-                    builder.hierarchical_encode(suggestion.target, suggestion.references[0])
-                else:
-                    continue
+                encode(suggestion.target, suggestion.references[0])
             except ConfigurationError:
                 continue
+            encoded.add(suggestion.target)
         return builder.build()
 
     # -- accessors --------------------------------------------------------------

@@ -86,24 +86,6 @@ class FrequencyEncodedColumn(EncodedColumn):
         out[self._exception_positions] = self._exception_values
         return out
 
-    def evaluate_hot(self, fn) -> np.ndarray:
-        """Row mask for an element-wise predicate, evaluated in code space.
-
-        ``fn`` maps an ``int64`` value array to a boolean mask.  It runs over
-        the (at most ``n_hot``) hot values and the exception values only; the
-        verdicts fan out to rows through the packed codes, so the value array
-        itself is never materialised.
-        """
-        if self._n == 0:
-            return np.zeros(0, dtype=bool)
-        hot_mask = np.asarray(fn(self._hot_values), dtype=bool)
-        out = hot_mask[self._codes.to_numpy()]
-        if self.n_exceptions:
-            out[self._exception_positions] = np.asarray(
-                fn(self._exception_values), dtype=bool
-            )
-        return out
-
     def gather(self, positions: np.ndarray) -> np.ndarray:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.size == 0:

@@ -49,35 +49,6 @@ class RleEncodedColumn(EncodedColumn):
         return int(self._run_starts.size)
 
     @property
-    def run_starts(self) -> np.ndarray:
-        """Block-local start position of each run (sorted, starts at 0)."""
-        return self._run_starts
-
-    def run_values(self) -> np.ndarray:
-        """The decoded value of each run.
-
-        Memoized under a ``_cached`` attribute (excluded from serialization)
-        so run-space kernels pay the small unpack once per column.
-        """
-        cached = getattr(self, "_cached_run_values", None)
-        if cached is None:
-            cached = self._run_values.to_numpy() + self._frame
-            self._cached_run_values = cached
-        return cached
-
-    def run_lengths(self) -> np.ndarray:
-        """The length of each run (memoized alongside :meth:`run_values`)."""
-        cached = getattr(self, "_cached_run_lengths", None)
-        if cached is None:
-            cached = np.diff(np.concatenate([self._run_starts, [self._n]])).astype(np.int64)
-            self._cached_run_lengths = cached
-        return cached
-
-    def expand_run_mask(self, run_mask: np.ndarray) -> np.ndarray:
-        """Fan a per-run verdict out to a per-row boolean mask."""
-        return np.repeat(np.asarray(run_mask, dtype=bool), self.run_lengths())
-
-    @property
     def n_values(self) -> int:
         return self._n
 

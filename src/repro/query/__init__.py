@@ -39,16 +39,11 @@ Layers, bottom to top:
              │                binary search, compared over the packed
              │                codes (zero string-heap materialisation);
              │                code-space group-by
-             ├─ rle ────────▶ run space: evaluate per (value, length) run,
-             │                fan out with np.repeat; selected runs for
-             │                aggregation, run-space group-by
              ├─ for_bitpack ─▶ word space: shift constants by the frame,
              │                compare the packed words (zero-copy lane
              │                views for 8/16/32/64-bit widths)
              ├─ delta ───────▶ checkpoint space: two binary searches over
              │                the checkpoint index (monotonic columns)
-             ├─ frequency ───▶ hot-value space: verdicts over the hot
-             │                values + exceptions fan out through codes
              └─ (no kernel, or kernel declines) ─▶ decode then compare
 
   Every kernel is exact — bit-identical to the decode baseline, which
@@ -70,14 +65,13 @@ Layers, bottom to top:
 * **How an aggregate is computed** (:mod:`~repro.query.aggregates`) — the
   one module that knows what an aggregate is.  Five *moments* (``count``,
   ``sum``, ``sumsq``, ``min``, ``max``) are each defined once as
-  ``(from_values, from_runs, scatter_by_group, merge)``, and the seven
-  aggregates are ``(moments, finalize)`` over them.  Per block the
-  compiler resolves each distinct ``(column, moment)`` pair through one
-  cascade — *zone map* of a fully-covered block → *selected runs* of an
-  RLE column → *gathered values*, scattered by group id when grouping —
-  merges the exact partials (Σx and Σx² never wrap) and finalises once at
-  output.  Adding an aggregate is a subclass declaring ``moments`` and
-  ``finalize``; see that module's docstring.
+  ``(from_values, scatter_by_group, merge)``, and the seven aggregates
+  are ``(moments, finalize)`` over them.  Per block the compiler resolves
+  each distinct ``(column, moment)`` pair through one cascade — *zone
+  map* of a fully-covered block → *gathered values*, scattered by group
+  id when grouping — merges the exact partials (Σx and Σx² never wrap)
+  and finalises once at output.  Adding an aggregate is a subclass
+  declaring ``moments`` and ``finalize``; see that module's docstring.
 * **Engine** (:mod:`~repro.query.engine`) — every query runs through an
   :class:`Engine`, which owns all cross-query state (one worker pool, one
   prefetch pool, one block cache, one kernel registry, one memoized
@@ -99,9 +93,7 @@ from .kernels import (
     DeltaKernel,
     DictionaryKernel,
     ForKernel,
-    FrequencyKernel,
     KernelRegistry,
-    RleKernel,
 )
 from .parallel import parallel_map, resolve_workers
 from .plan import (
@@ -163,10 +155,8 @@ __all__ = [
     "ScanPlanner",
     "ColumnKernel",
     "DictionaryKernel",
-    "RleKernel",
     "ForKernel",
     "DeltaKernel",
-    "FrequencyKernel",
     "KernelRegistry",
     "DEFAULT_KERNELS",
     "parallel_map",

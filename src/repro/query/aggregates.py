@@ -10,8 +10,6 @@ Each of the five rows of :data:`MOMENTS` — ``count``, ``sum``, ``sumsq``,
 
 * ``from_values(values, bound=None)`` — gathered values (an integer array;
   ``count``/``min``/``max`` also take a string list);
-* ``from_runs(run_values, counts, bound=None)`` — run space:
-  ``run_values[i]`` selected ``counts[i]`` times;
 * ``scatter_by_group(values, inverse, n_groups, bound=None)`` — one partial
   per group, ``inverse[i]`` being row ``i``'s group;
 * ``merge(a, b)`` and ``empty`` — folding partials, and the partial of no
@@ -74,7 +72,6 @@ class Moment:
 
     name: str
     from_values: Callable[..., Any]
-    from_runs: Callable[..., Any]
     scatter_by_group: Callable[..., list]
     merge: Callable[[Any, Any], Any]
     empty: Any
@@ -83,29 +80,25 @@ class Moment:
 def _power_sum(name: str, power: int) -> Moment:
     """Σ x**power — in int64 when that is exact, in Python ints otherwise."""
 
-    def terms(values: Any, n: int, bound: int | None) -> tuple[np.ndarray, type]:
+    def terms(values: Any, bound: int | None) -> tuple[np.ndarray, type]:
         if not isinstance(values, np.ndarray):
             raise ValidationError(f"cannot {name} a string column")
         if bound is None:
             bound = max(abs(int(values.min(initial=0))), abs(int(values.max(initial=0))))
-        dtype: type = np.int64 if fits_int64(n, bound, power) else object
+        dtype: type = np.int64 if fits_int64(len(values), bound, power) else object
         cast = values.astype(dtype, copy=False)
         return (cast if power == 1 else cast * cast), dtype
 
     def from_values(values: Any, bound: int | None = None) -> int:
-        return int(terms(values, len(values), bound)[0].sum())
-
-    def from_runs(run_values: Any, counts: np.ndarray, bound: int | None = None) -> int:
-        powers, dtype = terms(run_values, int(counts.sum()), bound)
-        return int((powers * counts.astype(dtype, copy=False)).sum())
+        return int(terms(values, bound)[0].sum())
 
     def scatter(values: Any, inverse: np.ndarray, n_groups: int, bound: int | None = None) -> list:
-        powers, dtype = terms(values, len(values), bound)
+        powers, dtype = terms(values, bound)
         out = np.zeros(n_groups, dtype=dtype)
         np.add.at(out, inverse, powers)
         return out.tolist()
 
-    return Moment(name, from_values, from_runs, scatter, operator.add, 0)
+    return Moment(name, from_values, scatter, operator.add, 0)
 
 
 def _extreme(name: str, ufunc: np.ufunc, pick: Callable[..., Any], fill: int) -> Moment:
@@ -121,9 +114,6 @@ def _extreme(name: str, ufunc: np.ufunc, pick: Callable[..., Any], fill: int) ->
             return None
         return int(ufunc.reduce(values)) if isinstance(values, np.ndarray) else pick(values)
 
-    def from_runs(run_values: np.ndarray, counts: np.ndarray, bound: int | None = None) -> Any:
-        return from_values(run_values[counts > 0])
-
     def scatter(values: Any, inverse: np.ndarray, n_groups: int, bound: int | None = None) -> list:
         if isinstance(values, np.ndarray):
             out = np.full(n_groups, fill)
@@ -135,7 +125,7 @@ def _extreme(name: str, ufunc: np.ufunc, pick: Callable[..., Any], fill: int) ->
             partials[group] = merge(partials[group], value)
         return partials
 
-    return Moment(name, from_values, from_runs, scatter, merge, None)
+    return Moment(name, from_values, scatter, merge, None)
 
 
 #: The moment table — the single definition of every reduction.
@@ -145,7 +135,6 @@ MOMENTS: dict[str, Moment] = {
         Moment(
             "count",
             from_values=lambda values, bound=None: len(values),
-            from_runs=lambda run_values, counts, bound=None: int(counts.sum()),
             scatter_by_group=lambda values, inverse, n_groups, bound=None: (
                 np.bincount(inverse, minlength=n_groups).tolist()
             ),
@@ -169,7 +158,7 @@ class AggregateFunction:
     their merged values, passed in that order, into the output value;
     ``needs_int`` rejects string inputs at compile time.  Instances are
     immutable descriptors; the compiler decides per block whether a moment
-    is answered from statistics, in run space, or by gather-and-reduce.
+    is answered from statistics or by gather-and-reduce.
     """
 
     kind: str = ""

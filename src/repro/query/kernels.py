@@ -1,4 +1,4 @@
-"""Compressed-domain predicate and aggregate kernels per encoding.
+"""Compressed-domain predicate and group-by kernels per encoding.
 
 A predicate says *what* it compares (:meth:`Predicate.comparison`,
 :attr:`Predicate.elementwise`); an encoded column says *how*, in its own
@@ -10,15 +10,6 @@ physical layout; this module is the only thing that connects the two:
   the packed codes.  On an integer dictionary a whole element-wise subtree
   is decided once per dictionary entry and fanned out through a single
   unpack of the codes.  Group-by keys are the distinct selected codes.
-* **RLE — run space.**  Any single-column subtree of element-wise nodes
-  (``Eq``/``Between``/``In`` composed with ``And``/``Or``/``Not``) is
-  evaluated once per *run* over the (value, length) arrays and fanned out to
-  a row mask with ``np.repeat``.  Aggregation receives the selection as
-  ``(run_values, selected count per run)`` and reduces it run-weighted
-  (:mod:`~repro.query.aggregates`), group-by keys are the surviving run
-  values, and top-k walks the runs best-first — pushing each
-  (value, run-length) pair once per run — so the row values are never
-  materialised.
 * **FOR/bit-packing — word space.**  Constant comparisons are shifted by the
   frame of reference and run directly over the packed words
   (:meth:`~repro.bitpack.BitPackedArray.compare_range`); machine lane widths
@@ -27,13 +18,13 @@ physical layout; this module is the only thing that connects the two:
   two binary searches over the checkpoint index, each decoding exactly one
   segment; the mask is a contiguous span.  Non-monotonic columns decline and
   fall back to the decode path.
-* **Frequency — hot-value space.**  An element-wise subtree runs over the
-  (at most ``n_hot``) hot values plus the exception list, and the verdicts
-  fan out to rows through the packed codes.
 
-A :class:`KernelRegistry` maps ``encoding_name`` to its kernel; the scan,
-aggregation and group-by layers consult it per (encoding, predicate) pair.
-Every kernel is *exact*: it answers with the same mask/aggregate the
+Every other encoding (RLE, frequency, plain, FSST) has no kernel: its
+columns decode and compare like any column a kernel declines.
+
+A :class:`KernelRegistry` maps ``encoding_name`` to its kernel; the scan
+and group-by layers consult it per (encoding, predicate) pair.
+Every kernel is *exact*: it answers with the same mask or group keys the
 decode-then-compare path would produce, or returns ``None`` to decline.
 An empty ``KernelRegistry()`` declines every column, so an engine built
 on one runs that decode path everywhere — the parity suites' reference.
@@ -48,18 +39,14 @@ import numpy as np
 from ..encodings.bitpacked import ForBitPackedColumn
 from ..encodings.delta import DeltaEncodedColumn
 from ..encodings.dictionary import DictEncodedIntColumn, DictEncodedStringColumn
-from ..encodings.frequency import FrequencyEncodedColumn
-from ..encodings.rle import RleEncodedColumn
 from .predicates import Predicate
 from .tracing import current_tracer
 
 __all__ = [
     "ColumnKernel",
     "DictionaryKernel",
-    "RleKernel",
     "ForKernel",
     "DeltaKernel",
-    "FrequencyKernel",
     "KernelRegistry",
     "DEFAULT_KERNELS",
 ]
@@ -108,30 +95,12 @@ class ColumnKernel:
         """Row mask for ``node`` over the encoded column, or ``None``."""
         return None
 
-    def selected_runs(self, column, mask: "np.ndarray | None"):
-        """``(run_values, counts)`` of the rows selected by ``mask``, or ``None``.
-
-        ``counts[i]`` is how many selected rows fall in run ``i``;
-        ``mask=None`` selects every row.  What is reduced over the runs is
-        not the kernel's business — :mod:`~repro.query.aggregates` owns that.
-        """
-        return None
-
     def group_keys(self, column, mask: "np.ndarray | None"):
         """``(keys, inverse)`` for grouping the selected rows, or ``None``.
 
         ``keys`` are the distinct selected values (sorted; Python ints, or
         raw UTF-8 heap slices for strings) and ``inverse`` maps each selected
         row — in ascending row order — to its index in ``keys``.
-        """
-        return None
-
-    def topk(self, column, mask: np.ndarray, k: int, descending: bool):
-        """Top-``k`` ``(values, positions)`` over the selected rows, or ``None``.
-
-        ``positions`` are block-local row indices already in final rank
-        order (best first, equal keys broken by ascending position) and
-        ``values`` are the matching keys, both length ``min(k, selected)``.
         """
         return None
 
@@ -180,96 +149,6 @@ class DictionaryKernel(ColumnKernel):
         metrics.rows_dict_evaluated += column.n_values
 
 
-class RleKernel(ColumnKernel):
-    """Run-space evaluation over :class:`RleEncodedColumn`.
-
-    Every element-wise node evaluates over the ``n_runs`` distinct run
-    values, so a whole single-column subtree collapses to one pass over runs
-    plus one fan-out.
-    """
-
-    encoding_name = "rle"
-
-    def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
-        if not isinstance(column, RleEncodedColumn) or not node.elementwise:
-            return None
-        run_mask = np.asarray(node.evaluate({name: column.run_values()}), dtype=bool)
-        return column.expand_run_mask(run_mask)
-
-    def _selected_per_run(self, column, mask: "np.ndarray | None") -> np.ndarray:
-        """How many selected rows fall in each run (``mask=None``: all of them).
-
-        The ``int64`` cast matters: ``np.add.reduceat`` over a boolean array
-        computes logical OR per segment, not a sum.
-        """
-        if mask is None:
-            return column.run_lengths()
-        if column.n_runs == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.add.reduceat(np.asarray(mask, dtype=np.int64), column.run_starts)
-
-    def selected_runs(self, column, mask: "np.ndarray | None"):
-        if not isinstance(column, RleEncodedColumn):
-            return None
-        return column.run_values(), self._selected_per_run(column, mask)
-
-    def group_keys(self, column, mask: "np.ndarray | None"):
-        runs = self.selected_runs(column, mask)
-        if runs is None:
-            return None
-        run_values, counts = runs
-        survivors = counts > 0
-        unique_values, run_inverse = np.unique(run_values[survivors], return_inverse=True)
-        # Rows expand run by run (runs are in row order), so repeating each
-        # run's group id by its selected count yields the inverse in the same
-        # ascending row order as ``np.flatnonzero(mask)``.
-        mapped = np.zeros(column.n_runs, dtype=np.int64)
-        mapped[survivors] = run_inverse
-        inverse = np.repeat(mapped, counts)
-        return [int(v) for v in unique_values], inverse
-
-    def topk(self, column, mask: np.ndarray, k: int, descending: bool):
-        if not isinstance(column, RleEncodedColumn) or k <= 0:
-            return None
-        counts = self._selected_per_run(column, mask)
-        survivors = np.flatnonzero(counts > 0)
-        if survivors.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        run_values = column.run_values()
-        keys = run_values[survivors]
-        # Stable argsort keeps equal-valued runs in ascending run (= row)
-        # order, which is exactly the (key, row id) tie-break the sort
-        # operator promises; ``~x`` (= ``-x - 1``) flips the key order without
-        # touching the tie-break, and without the overflow ``-x`` has at
-        # ``-2**63``.
-        order = np.argsort(~keys if descending else keys, kind="stable")
-        starts = column.run_starts
-        lengths = column.run_lengths()
-        mask_arr = np.asarray(mask, dtype=bool)
-        out_values: list[int] = []
-        out_positions: list[int] = []
-        remaining = k
-        for run_index in survivors[order]:
-            start = int(starts[run_index])
-            length = int(lengths[run_index])
-            positions = np.flatnonzero(mask_arr[start : start + length]) + start
-            take = positions[:remaining]
-            out_positions.extend(int(p) for p in take)
-            out_values.extend([int(run_values[run_index])] * int(take.size))
-            remaining -= int(take.size)
-            if remaining <= 0:
-                break
-        return (
-            np.asarray(out_values, dtype=np.int64),
-            np.asarray(out_positions, dtype=np.int64),
-        )
-
-    def charge(self, metrics, column) -> None:
-        metrics.rows_rle_evaluated += column.n_values
-        metrics.runs_evaluated += column.n_runs
-
-
 class ForKernel(ColumnKernel):
     """Word-space comparisons over :class:`ForBitPackedColumn`.
 
@@ -306,34 +185,13 @@ class DeltaKernel(ColumnKernel):
         metrics.rows_for_evaluated += column.n_values
 
 
-class FrequencyKernel(ColumnKernel):
-    """Hot-value evaluation over :class:`FrequencyEncodedColumn`.
-
-    An element-wise subtree runs over the hot values and the exception list
-    only, then fans out through the packed codes — a small dictionary, so it
-    charges the dictionary code-space counter.
-    """
-
-    encoding_name = "frequency"
-
-    def predicate_mask(self, name: str, column, node: Predicate) -> np.ndarray | None:
-        if not isinstance(column, FrequencyEncodedColumn) or not node.elementwise:
-            return None
-        return column.evaluate_hot(
-            lambda values: np.asarray(node.evaluate({name: values}), dtype=bool)
-        )
-
-    def charge(self, metrics, column) -> None:
-        metrics.rows_dict_evaluated += column.n_values
-
-
 class KernelRegistry:
     """Dispatch table from ``encoding_name`` to its compressed-domain kernel.
 
-    Consulted by :func:`~repro.query.scan.evaluate_block_predicate` (masks),
-    the aggregation layer (selected runs) and the group-by layer
-    (code- and run-space group keys).  Horizontally encoded columns never
-    dispatch — a kernel sees only self-contained vertical columns.
+    Consulted by :func:`~repro.query.scan.evaluate_block_predicate` (masks)
+    and the group-by layer (code-space group keys).  Horizontally encoded
+    columns never dispatch — a kernel sees only self-contained vertical
+    columns.
     """
 
     def __init__(self, kernels: Iterable[ColumnKernel] = ()):
@@ -389,16 +247,6 @@ class KernelRegistry:
         current_tracer().annotate(kernel=kernel.encoding_name)
         return np.asarray(mask, dtype=bool)
 
-    def selected_runs(self, block, name: str, mask: "np.ndarray | None"):
-        """Run-space ``(run_values, counts)`` of the selected rows, or ``None``."""
-        kernel, column = self._lookup(block, name)
-        if kernel is None:
-            return None
-        runs = kernel.selected_runs(column, mask)
-        if runs is not None:
-            current_tracer().annotate(kernel=kernel.encoding_name)
-        return runs
-
     def group_keys(self, block, name: str, mask: "np.ndarray | None"):
         """Compressed-domain ``(keys, inverse)`` for a group-by column, or ``None``."""
         kernel, column = self._lookup(block, name)
@@ -406,18 +254,6 @@ class KernelRegistry:
             return None
         return kernel.group_keys(column, mask)
 
-    def topk(self, block, name: str, mask: np.ndarray, k: int, descending: bool):
-        """Compressed-domain top-``k`` ``(values, positions)``, or ``None``."""
-        kernel, column = self._lookup(block, name)
-        if kernel is None:
-            return None
-        result = kernel.topk(column, mask, k, descending)
-        if result is not None:
-            current_tracer().annotate(kernel=kernel.encoding_name)
-        return result
-
 
 #: The registry the query layers use unless handed a custom one.
-DEFAULT_KERNELS = KernelRegistry(
-    (DictionaryKernel(), RleKernel(), ForKernel(), DeltaKernel(), FrequencyKernel())
-)
+DEFAULT_KERNELS = KernelRegistry((DictionaryKernel(), ForKernel(), DeltaKernel()))

@@ -29,19 +29,17 @@ before any value is materialised:
   exactly-mergeable moments of :mod:`~repro.query.aggregates`, and each
   moment is resolved per block through one cascade: the per-block
   :class:`~repro.storage.statistics.ColumnStatistics` of a *fully covered*
-  block (no row decoded), then the selected runs of an RLE column, then
-  gathered values; a group-by on a dictionary-encoded column aggregates in
-  code space, deferring the string-heap materialisation to one decode per
-  distinct group;
+  block (no row decoded), then gathered values; a group-by on a
+  dictionary-encoded column aggregates in code space, deferring the
+  string-heap materialisation to one decode per distinct group;
 * **limit pushdown** — ``limit(k)`` truncates the row-id stream *before*
   the projection is materialised;
 * **top-k pushdown** — ``order_by(col).limit(k)`` compiles to a fused
   :class:`TopK` that keeps a bounded set of ``k`` candidates per block
-  (RLE columns answer in run space) and visits blocks in zone-map bound
-  order, stopping as soon as no remaining block's bound can beat the
-  current ``k``-th candidate — on a clustered column most blocks are
-  never touched, and on a :class:`~repro.storage.disk.DiskRelation`
-  never even fetched.
+  and visits blocks in zone-map bound order, stopping as soon as no
+  remaining block's bound can beat the current ``k``-th candidate — on a
+  clustered column most blocks are never touched, and on a
+  :class:`~repro.storage.disk.DiskRelation` never even fetched.
 
 :meth:`LazyQuery.explain` renders the logical tree together with the
 planner's per-block prune/full/scan decisions, so the effect of every
@@ -772,8 +770,8 @@ class QueryCompiler:
 
         Blocks are visited in order of the sort column's min (ascending) or
         max (descending) zone-map bound, one worker-sized wave at a time;
-        each visited block contributes at most ``k`` ``(key, row id)``
-        candidates (RLE columns in run space, everything else gathered).
+        each visited block contributes at most ``k`` gathered
+        ``(key, row id)`` candidates.
         The scan stops as soon as no remaining block's bound can *strictly*
         beat the current ``k``-th candidate — a tie could still displace it
         on the ascending-row-id tie-break, so ties keep scanning.  Blocks
@@ -877,10 +875,8 @@ class QueryCompiler:
     ) -> tuple[list[tuple[Any, int]], ScanMetrics]:
         """Worker body: one block's ``k`` best ``(key, global row id)`` pairs.
 
-        The pairs come back already in final rank order.  An RLE sort
-        column answers in run space — each run contributes its value once
-        and only the winning runs' positions are expanded; otherwise the
-        key column is gathered at the selected positions and ranked by
+        The pairs come back already in final rank order.  The key column
+        is gathered at the selected positions and ranked by
         :func:`_ranked_positions` — a partition to the ``k``-th key, a
         stable sort of only the keys strictly before it, then the ``k``-th
         key's first ties in row order — never a sort of more than ``k``
@@ -893,16 +889,6 @@ class QueryCompiler:
             return [], partial
         column = compiled.order_by
         assert column is not None
-        block = resolve_block(block, columns=(column,))
-        kernel_mask = mask if mask is not None else np.ones(block.n_rows, dtype=bool)
-        run_space = self._kernels.topk(block, column, kernel_mask, k, compiled.descending)
-        if run_space is not None:
-            values, positions = run_space
-            partial.rows_kernel_aggregated += n_selected
-            return (
-                [(int(v), int(offset + p)) for v, p in zip(values, positions)],
-                partial,
-            )
         positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
         gathered = self._gather_inputs(block, (column,), positions, partial)
         keys = gathered[column]
@@ -1110,12 +1096,10 @@ class QueryCompiler:
         """Every needed moment of one block's (non-empty) selection, per group.
 
         Each ``(column, moment)`` pair goes down one cascade — zone map,
-        selected runs, gathered values — taking the first stage that
-        answers.  The first two reduce the selection as a whole, so they
-        apply to the ungrouped query only; the zone map answers only a
-        fully-covered block, and a column whose kernel declines
-        (``selected_runs`` is ``None``) falls through to the gather.
-        Whatever is left shares a single gather with the group-key columns.
+        then gathered values.  The zone map reduces the selection as a
+        whole, so it answers only an ungrouped query over a fully-covered
+        block; whatever is left shares a single gather with the group-key
+        columns.
         """
         source = block  # zone maps are read off the (possibly out-of-core) original
         group_by = compiled.group_by
@@ -1141,33 +1125,18 @@ class QueryCompiler:
         # statistics answer without decoding anything.
         lift = not group_by and full
         pending = []
+        bounds: dict = {}
         for slot, (column, moment) in enumerate(pairs):
             if column is None:
                 continue
-            stats = source.column_statistics(column) if lift else None
-            if stats is not None:
+            stats = source.column_statistics(column)
+            if lift and stats is not None:
                 resolved[slot] = stats.aggregate_value(moment.name)
             if resolved[slot] is None:
                 pending.append(slot)
-        # max|x| off the zone map keeps Σx and Σx² exact without a pass over
-        # the data (None: the moment measures the values itself).
-        bounds: dict = {}
-        for slot in pending:
-            stats = source.column_statistics(pairs[slot][0])
-            bounds[pairs[slot][0]] = None if stats is None else stats.magnitude
-        if pending and not group_by:
-            # Run space: an RLE input hands back (run values, selected
-            # count per run) once per column; nothing is gathered.
-            block = resolve_block(block, columns=list(bounds))
-            runs = {name: self._kernels.selected_runs(block, name, mask) for name in bounds}
-            for slot in pending[:]:
-                column, moment = pairs[slot]
-                if runs[column] is not None:
-                    resolved[slot] = moment.from_runs(*runs[column], bounds[column])
-                    pending.remove(slot)
-            for answered in runs.values():
-                if answered is not None:
-                    partial.rows_kernel_aggregated += n_selected
+                # max|x| off the zone map keeps Σx and Σx² exact without a
+                # pass over the data (None: the moment measures the values).
+                bounds[column] = None if stats is None else stats.magnitude
         gathered: dict = {}
         if pending or gather_names:
             names = list(dict.fromkeys(gather_names + [pairs[slot][0] for slot in pending]))
@@ -1201,10 +1170,9 @@ class QueryCompiler:
     ) -> "tuple[list, np.ndarray, bool] | None":
         """``(keys, inverse, keys are heap slices)`` without gathering, or ``None``.
 
-        A single column whose kernel groups in its compressed domain: a
-        dictionary column by its distinct packed codes (string keys stay
-        raw heap byte slices — the caller owes one decode per distinct
-        group), an RLE column by its surviving run values.
+        A single dictionary column groups by its distinct packed codes
+        (string keys stay raw heap byte slices — the caller owes one decode
+        per distinct group).
         """
         if len(group_by) != 1:
             return None
@@ -1475,9 +1443,11 @@ class LazyQuery:
         """
         if not column:
             raise ValidationError("order_by() needs a column name")
+        if not isinstance(desc, bool):
+            raise ValidationError(f"order_by() desc must be a boolean, got {desc!r}")
         if self._spec.aggregates or self._spec.group_keys:
             raise ValidationError("order_by() cannot be combined with agg()/group_by()")
-        return self._chain(order_column=column, order_desc=bool(desc))
+        return self._chain(order_column=column, order_desc=desc)
 
     def limit(self, n: int) -> "LazyQuery":
         """Keep at most ``n`` output rows (applied before materialisation).

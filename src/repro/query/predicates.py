@@ -127,8 +127,8 @@ class Predicate(abc.ABC):
 
         ``Eq``/``Between``/``In`` decide each row from its value, and
         ``And``/``Or``/``Not`` preserve that, so such a subtree over one
-        column can run once per *distinct* value (per RLE run, per
-        dictionary entry) and fan out.  A node that does not say so may
+        column can run once per *distinct* value (per dictionary entry)
+        and fan out.  A node that does not say so may
         inspect positions or neighbours.
         """
         return False

@@ -22,10 +22,10 @@ queries with equal predicates skip the zone-map tests entirely.
 
 Blocks classified *scan* are evaluated by :func:`evaluate_block_predicate`,
 which offers every single-column subtree to the compressed-domain
-:class:`~repro.query.kernels.KernelRegistry` (dictionary code space, RLE run
-space, FOR/delta word space, frequency hot-value space) and decodes only
-what no kernel answers.  :class:`ScanMetrics` reports what the planner and
-the kernels achieved per query.
+:class:`~repro.query.kernels.KernelRegistry` (dictionary code space,
+FOR/delta word space) and decodes only what no kernel answers.
+:class:`ScanMetrics` reports what the planner and the kernels achieved
+per query.
 """
 
 from __future__ import annotations
@@ -210,23 +210,21 @@ class ScanMetrics:
     was answered from block statistics or in code space.
 
     ``rows_dict_evaluated`` counts rows answered in dictionary code space
-    (one increment of ``block.n_rows`` per subtree the dictionary or
-    frequency kernel answered), and ``string_heap_decodes`` counts string
-    values that *were* materialised from a dictionary string heap — per-row
-    values during predicate evaluation or projection, plus one entry per
-    distinct group when a group-by is answered in code space.  It is the
+    (one increment of ``block.n_rows`` per subtree the dictionary kernel
+    answered), and ``string_heap_decodes`` counts string values that
+    *were* materialised from a dictionary string heap — per-row values
+    during predicate evaluation or projection, plus one entry per distinct
+    group when a group-by is answered in code space.  It is the
     quantity the code-space paths drive to (near) zero.
 
     The kernel counters account the remaining compressed-domain paths:
-    ``rows_rle_evaluated`` rows answered in RLE run space (with
-    ``runs_evaluated`` the runs actually compared — the work really done),
     ``rows_for_evaluated`` rows answered by FOR/delta word-space
     comparisons, and ``rows_kernel_aggregated`` selected rows whose
-    aggregate, group-by or top-k was computed in run or code space instead
-    of gathered.  ``kernel_declines`` counts predicate subtrees a kernel was
-    offered but declined — an outlier-bearing diff column that cannot
-    dispatch, a non-monotonic delta column, a non-integer constant — i.e.
-    why a block fell off the fast path and decoded instead.
+    group-by keys were computed in code space instead of gathered.
+    ``kernel_declines`` counts predicate subtrees a kernel was offered but
+    declined — an outlier-bearing diff column that cannot dispatch, a
+    non-monotonic delta column, a non-integer constant — i.e. why a block
+    fell off the fast path and decoded instead.
     """
 
     n_blocks: int = 0
@@ -239,8 +237,6 @@ class ScanMetrics:
     rows_dict_evaluated: int = 0
     string_heap_decodes: int = 0
     rows_gathered: int = 0
-    rows_rle_evaluated: int = 0
-    runs_evaluated: int = 0
     rows_for_evaluated: int = 0
     rows_kernel_aggregated: int = 0
     kernel_declines: int = 0
@@ -262,8 +258,6 @@ class ScanMetrics:
         self.rows_dict_evaluated += other.rows_dict_evaluated
         self.string_heap_decodes += other.string_heap_decodes
         self.rows_gathered += other.rows_gathered
-        self.rows_rle_evaluated += other.rows_rle_evaluated
-        self.runs_evaluated += other.runs_evaluated
         self.rows_for_evaluated += other.rows_for_evaluated
         self.rows_kernel_aggregated += other.rows_kernel_aggregated
         self.kernel_declines += other.kernel_declines
@@ -289,7 +283,6 @@ class ScanMetrics:
             f"({self.blocks_pruned} pruned, {self.blocks_full} fully covered); "
             f"{self.rows_decoded:,}/{self.rows_total:,} rows decoded, "
             f"{self.rows_dict_evaluated:,} dict-evaluated, "
-            f"{self.rows_rle_evaluated:,} rle-evaluated, "
             f"{self.rows_for_evaluated:,} for-evaluated, "
             f"{self.rows_matched:,} matched; "
             f"{self.kernel_declines:,} kernel declines"
@@ -313,14 +306,14 @@ def evaluate_block_predicate(
     node, a single-column subtree is offered to the compressed-domain
     :class:`~repro.query.kernels.KernelRegistry` (``kernels``, defaulting to
     the standard registry): dictionary columns answer constant comparisons
-    over their packed codes without decoding any value, RLE columns answer
-    whole element-wise subtrees in run space, FOR/delta columns answer
-    constant comparisons in word space, frequency columns in hot-value
-    space.  ``Not`` nodes negate their child's mask, so a negated kernel
-    answer stays in its compressed domain.  Remaining leaves decode their
-    column once per block (a shared cache deduplicates columns used by
-    several leaves) and apply the generic vectorized kernel.  An empty
-    registry declines every subtree, so every leaf takes that decode path.
+    over their packed codes without decoding any value (an integer
+    dictionary also whole element-wise subtrees, once per entry), and
+    FOR/delta columns answer constant comparisons in word space.  ``Not``
+    nodes negate their child's mask, so a negated kernel answer stays in
+    its compressed domain.  Remaining leaves decode their column once per
+    block (a shared cache deduplicates columns used by several leaves) and
+    apply the generic vectorized kernel.  An empty registry declines every
+    subtree, so every leaf takes that decode path.
     ``metrics``, when given, receives the ``rows_decoded``,
     ``rows_dict_evaluated``, kernel-counter and ``string_heap_decodes``
     accounting (``rows_decoded`` is charged once per block, on the first
@@ -368,9 +361,9 @@ def evaluate_block_predicate(
         def walk(node: Predicate) -> np.ndarray:
             kernel_names = node.columns()
             if len(kernel_names) == 1:
-                # Kernel-first: RLE answers compound single-column subtrees in
-                # run space, so the offer happens before any recursion; the
-                # other kernels simply decline non-leaf nodes.
+                # Kernel-first: an integer dictionary answers compound
+                # single-column subtrees once per entry, so the offer happens
+                # before any recursion; the other kernels decline non-leaf nodes.
                 kernel_mask = registry.predicate_mask(block, kernel_names[0], node, metrics)
                 if kernel_mask is not None:
                     if tracer.enabled:

@@ -165,8 +165,6 @@ class ServerMetrics:
                     "rows_decoded": scan.rows_decoded,
                     "rows_gathered": scan.rows_gathered,
                     "rows_dict_evaluated": scan.rows_dict_evaluated,
-                    "rows_rle_evaluated": scan.rows_rle_evaluated,
-                    "runs_evaluated": scan.runs_evaluated,
                     "rows_for_evaluated": scan.rows_for_evaluated,
                     "rows_kernel_aggregated": scan.rows_kernel_aggregated,
                     "kernel_declines": scan.kernel_declines,
@@ -233,10 +231,8 @@ def prometheus_exposition(snapshot: dict, stages: "dict | None" = None) -> str:
         "rows_decoded": "Rows decompressed for predicate evaluation.",
         "rows_gathered": "Row values materialised for output/aggregation.",
         "rows_dict_evaluated": "Rows answered in dictionary code space.",
-        "rows_rle_evaluated": "Rows answered in RLE run space.",
-        "runs_evaluated": "RLE runs evaluated in run space.",
         "rows_for_evaluated": "Rows answered in FOR/delta word space.",
-        "rows_kernel_aggregated": "Rows aggregated inside compressed-domain kernels.",
+        "rows_kernel_aggregated": "Rows grouped by code-space group keys.",
         "kernel_declines": "Predicate subtrees a compressed-domain kernel declined.",
         "string_heap_decodes": "String values decoded from the shared heap.",
         # IOMetrics (under corra_table_io_*)

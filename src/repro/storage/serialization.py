@@ -194,8 +194,8 @@ def _write_object(out: BinaryIO, value) -> None:
     elif type(value).__name__ in _COLUMN_CLASSES or _is_registrable(value):
         out.write(bytes([_Tag.OBJECT]))
         _write_str(out, type(value).__name__)
-        # ``_cached`` attributes are query-time memos (run values, monotonicity
-        # flags, ...) rebuilt lazily on first use — never part of the format.
+        # ``_cached`` attributes are query-time memos (monotonicity flags,
+        # group usage, ...) rebuilt lazily on first use — never part of the format.
         state = {k: v for k, v in vars(value).items() if not k.startswith("_cached")}
         _write_object(out, state)
     else:

@@ -2,9 +2,9 @@
 
 Four contracts of :mod:`repro.query.aggregates`:
 
-* every moment's three entry points (gathered values, selected runs,
-  per-group scatter) equal a plain-Python reference, and ``merge`` is
-  associative and commutative — including values that overflow int64;
+* every moment's two entry points (gathered values, per-group scatter)
+  equal a plain-Python reference, and ``merge`` is associative and
+  commutative — including values that overflow int64;
 * an aggregate declared *outside* ``src/`` (``Range`` below) runs through
   every execution path with no compiler edit;
 * Σx and Σx² never wrap;
@@ -28,7 +28,6 @@ from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import (
-    DEFAULT_KERNELS,
     AggregateFunction,
     Avg,
     Between,
@@ -73,14 +72,6 @@ def relation_of(columns: dict, block_size: int, schemes: dict | None = None):
     for name in table.column_names:
         builder.vertical(name, (schemes or {}).get(name, "plain"))
     return TableCompressor(builder.build(), block_size=block_size).compress(table)
-
-
-def runs_of(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(run_values, selected count per run)`` of ``values`` under ``mask``."""
-    if values.size == 0:
-        return values, np.zeros(0, dtype=np.int64)
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(values)) + 1])
-    return values[starts], np.add.reduceat(mask.astype(np.int64), starts)
 
 
 REFERENCE = {
@@ -129,7 +120,6 @@ class TestMoments:
         want = REFERENCE[name]([int(v) for v in selected])
         zeros = np.zeros(selected.size, dtype=np.int64)
         assert moment.from_values(selected) == want
-        assert moment.from_runs(*runs_of(values, mask)) == want
         assert moment.scatter_by_group(selected, zeros, 1)[0] == want
         if name in ("min", "max") and want is None:
             return
@@ -252,16 +242,18 @@ class TestTestLocalAggregate:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_scanned_blocks(self, relation, workers):
-        # ``v`` has no kernel, so the selection is gathered and reduced.
+        # Neither ``v`` (plain) nor ``r`` (RLE) has a kernel, so the
+        # selection of both is gathered once and reduced.
         keep = (self.COLUMNS["g"] == 2) & (self.COLUMNS["ship"] >= 250)
         with Engine(EngineConfig(workers=workers)) as engine:
             result = (
                 engine.query(relation)
                 .where(Eq("g", 2), Between("ship", 250, None))
-                .agg(r=Range("v"), n=Count())
+                .agg(r=Range("v"), wide=Range("r"), n=Count())
                 .execute()
             )
         assert result.scalar("r") == self.spread("v", keep)
+        assert result.scalar("wide") == self.spread("r", keep)
         assert result.scalar("n") == int(keep.sum())
         assert result.metrics.rows_gathered == int(keep.sum())
 
@@ -272,16 +264,6 @@ class TestTestLocalAggregate:
         groups = sorted(set(self.COLUMNS["g"].tolist()))
         assert result.columns["g"] == groups
         assert result.columns["r"] == [self.spread("v", self.COLUMNS["g"] == g) for g in groups]
-
-    def test_rle_block_answers_in_run_space(self, relation):
-        keep = self.COLUMNS["g"] == 1
-        with Engine() as engine:
-            result = engine.query(relation).where(Eq("g", 1)).agg(r=Range("r")).execute()
-        assert result.scalar("r") == self.spread("r", keep)
-        assert result.metrics.rows_gathered == 0
-        # Both of Range's moments read one (run values, counts) pair: the
-        # selection is charged once per column per block.
-        assert result.metrics.rows_kernel_aggregated == int(keep.sum())
 
     def test_fully_covered_blocks_answer_from_the_zone_map(self, relation):
         keep = (self.COLUMNS["ship"] >= 1_000) & (self.COLUMNS["ship"] <= 2_999)
@@ -365,13 +347,6 @@ class TestExactSums:
         assert scanned.metrics.blocks_full == 0
         assert grouped.columns == {"g": [0, 1], "var": [1.0, 1.0]}
 
-    def test_variance_near_2_32_in_run_space(self):
-        relation = relation_of({"v": [2**32] * 500 + [2**32 + 2] * 500}, 1000, {"v": "rle"})
-        with Engine() as engine:
-            result = engine.query(relation).agg(var=Var("v")).execute()
-        assert result.scalar("var") == 1.0
-        assert result.metrics.rows_kernel_aggregated == 1000
-
     @pytest.mark.parametrize("scheme", ["plain", "rle"])
     @pytest.mark.parametrize(
         "make_engine", [Engine, oracle.decode_engine], ids=["kernels", "decode"]
@@ -412,18 +387,6 @@ class TestExactSums:
             small, delta_min=-1, delta_max=1, row_count=2, sum_value=13
         )
         assert derived.sum_value == 13
-
-    def test_selected_runs_without_a_mask_are_the_run_lengths(self):
-        relation = relation_of({"v": [7] * 5 + [9] * 3}, 8, {"v": "rle"})
-        block = relation.block(0)
-        values, counts = DEFAULT_KERNELS.selected_runs(block, "v", None)
-        assert values.tolist() == [7, 9] and counts.tolist() == [5, 3]
-        mask = np.asarray([1, 0, 0, 0, 0, 0, 1, 1], dtype=bool)
-        values, counts = DEFAULT_KERNELS.selected_runs(block, "v", mask)
-        assert counts.tolist() == [1, 2]
-        assert MOMENTS["sum"].from_runs(values, counts) == 7 + 18
-        assert DEFAULT_KERNELS.group_keys(block, "v", None)[0] == [7, 9]
-
 
 # -- (iv) no other module knows an aggregate by name ----------------------------------------
 

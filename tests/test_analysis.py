@@ -442,7 +442,7 @@ class TestKernelPurity:
         assert [f.rule for f in findings] == ["kernel-purity"]
         lines = seeded.splitlines()
         kernel_start = lines.index("class DictionaryKernel(ColumnKernel):") + 1
-        kernel_end = lines.index("class RleKernel(ColumnKernel):") + 1
+        kernel_end = lines.index("class ForKernel(ColumnKernel):") + 1
         assert kernel_start < findings[0].line < kernel_end
 
     def test_heap_materialisation_is_impure_but_code_space_probes_are_not(self, tmp_path):

@@ -86,6 +86,34 @@ class TestCompressionPlan:
             for ref in plan.column_plan(name).references:
                 assert not plan.column_plan(ref).is_horizontal
 
+    def test_from_suggestions_keeps_the_first_suggestion_per_target(self):
+        from repro.core import EncodingSuggestion
+
+        schema = Schema.from_pairs([("a", INT64), ("b", INT64), ("c", INT64)])
+        suggestions = [
+            EncodingSuggestion("non_hierarchical", "c", ("a",), 100, 0.5),
+            EncodingSuggestion("hierarchical", "c", ("b",), 10, 0.1),
+        ]
+        plan = CompressionPlan.from_suggestions(schema, suggestions)
+        assert plan.horizontal_columns() == ("c",)
+        assert plan.column_plan("c").encoding == "non_hierarchical"
+        assert plan.column_plan("c").references == ("a",)
+
+    def test_automatic_dmv_plan_keeps_the_larger_saving(self):
+        from repro.core import CorrelationDetector
+        from repro.datasets import dataset_by_name
+
+        table = dataset_by_name("dmv").generate(2_000, seed=1)
+        suggestions = CorrelationDetector().suggest(table)
+        # Both references are suggested for zip_code, the larger saving first.
+        assert [s.references for s in suggestions if s.target == "zip_code"][:2] == [
+            ("city",),
+            ("model_year",),
+        ]
+        plan = CompressionPlan.from_suggestions(table.schema, suggestions)
+        assert plan.column_plan("zip_code").encoding == "hierarchical"
+        assert plan.column_plan("zip_code").references == ("city",)
+
 
 class TestTableCompressor:
     def test_vertical_compression_roundtrip(self, small_int_table):

@@ -38,7 +38,6 @@ from repro.query import (
     Min,
     Project,
     QueryCompiler,
-    RleKernel,
     Scan,
     Sort,
     Std,
@@ -359,6 +358,11 @@ class TestPlanShapes:
         with pytest.raises(ValidationError):
             relation.query().order_by("")
 
+    @pytest.mark.parametrize("desc", ["no", 1, None, np.bool_(True)])
+    def test_order_by_rejects_a_non_bool_direction(self, relation, desc):
+        with pytest.raises(ValidationError, match="desc must be a boolean"):
+            relation.query().order_by("v", desc=desc)
+
     def test_having_requires_aggregation(self, relation):
         query = relation.query().having(Eq("n", 1)).select("v")
         with pytest.raises(ValidationError):
@@ -423,75 +427,27 @@ class TestFingerprints:
 
 
 class TestKernelDeclines:
-    def _rle_relation(self):
+    def _relation(self, scheme):
         values = np.repeat(np.arange(20, dtype=np.int64), 100)
         table = Table.from_columns([("x", INT64, values)])
         builder = CompressionPlan.builder(table.schema)
-        builder.vertical("x", "rle")
+        builder.vertical("x", scheme)
         return TableCompressor(builder.build(), block_size=256).compress(table)
 
     def test_opaque_predicate_over_rle_counts_declines(self):
-        relation = self._rle_relation()
+        relation = self._relation("rle")
         opaque = oracle.Opaque("x", lambda values: values % 2 == 0, "x is even")
         result = relation.query().where(opaque).select("x").execute()
         assert list(result.columns["x"]) == [v for v in range(0, 20, 2) for _ in range(100)]
-        assert result.metrics.kernel_declines > 0
-
-    def test_run_space_predicate_does_not_decline(self):
-        relation = self._rle_relation()
-        result = relation.query().where(Between("x", 3, 7)).select("x").execute()
+        # RLE has no kernel, so there was never a fast path to decline.
         assert result.metrics.kernel_declines == 0
-        assert result.metrics.rows_rle_evaluated > 0
 
     def test_declines_surface_in_explain_analyze(self):
-        relation = self._rle_relation()
+        # A FOR column has a kernel, which declines the opaque predicate.
+        relation = self._relation("for_bitpack")
         opaque = oracle.Opaque("x", lambda values: values % 2 == 0, "x is even")
         text = relation.query().where(opaque).select("x").limit(1).explain(analyze=True)
-        assert "kernel declines" in text
-
-
-# -- RLE run-space top-k ------------------------------------------------------
-
-
-class TestRleTopk:
-    def _column(self, values):
-        table = Table.from_columns([("x", INT64, np.asarray(values, dtype=np.int64))])
-        builder = CompressionPlan.builder(table.schema)
-        builder.vertical("x", "rle")
-        relation = TableCompressor(builder.build(), block_size=len(values)).compress(table)
-        block = relation.blocks[0]
-        return block.column("x")
-
-    def test_best_first_with_ascending_position_ties(self):
-        values = [5, 5, 1, 1, 9, 9, 5, 5]
-        column = self._column(values)
-        mask = np.ones(len(values), dtype=bool)
-        kernel = RleKernel()
-        out_values, positions = kernel.topk(column, mask, k=4, descending=True)
-        assert out_values.tolist() == [9, 9, 5, 5]
-        assert positions.tolist() == [4, 5, 0, 1]
-        out_values, positions = kernel.topk(column, mask, k=3, descending=False)
-        assert out_values.tolist() == [1, 1, 5]
-        assert positions.tolist() == [2, 3, 0]
-
-    def test_mask_restricts_candidates(self):
-        values = [5, 5, 1, 1, 9, 9]
-        column = self._column(values)
-        mask = np.array([False, True, True, False, False, True])
-        out_values, positions = RleKernel().topk(column, mask, k=10, descending=True)
-        assert out_values.tolist() == [9, 5, 1]
-        assert positions.tolist() == [5, 1, 2]
-
-    def test_empty_mask_returns_empty(self):
-        values = [5, 5, 1]
-        column = self._column(values)
-        mask = np.zeros(len(values), dtype=bool)
-        out_values, positions = RleKernel().topk(column, mask, k=2, descending=False)
-        assert out_values.size == 0
-        assert positions.size == 0
-
-    def test_non_rle_column_declines(self):
-        assert RleKernel().topk(object(), np.ones(1, dtype=bool), 1, False) is None
+        assert "; 8 kernel declines" in text  # one per block
 
 
 # -- HAVING and var/std -------------------------------------------------------

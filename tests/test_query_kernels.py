@@ -37,13 +37,14 @@ from repro.query import (
     Or,
     ScanMetrics,
     Sum,
+    Var,
     evaluate_block_predicate,
     materialize_columns,
 )
 from repro.storage import DiskRelation, Table, write_table
 
-#: Every vertical scheme a kernel serves, plus plain (no kernel at all) as
-#: the control.
+#: Every vertical scheme: the three a kernel serves, and RLE, frequency and
+#: plain, which have no kernel and take the decode path.
 SCHEMES = ("rle", "delta", "frequency", "for_bitpack", "dictionary", "plain")
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -325,47 +326,6 @@ class TestDictionaryKernel:
         assert grouped.metrics.string_heap_decodes == len(set(tags))
 
 
-class TestRleKernel:
-    @pytest.fixture
-    def relation(self):
-        values = np.repeat(np.arange(100, dtype=np.int64) % 7, 80)
-        return single_column_relation(values, "rle", block_size=1000)
-
-    def test_compound_predicate_answers_in_run_space(self, relation):
-        predicate = Or(Eq("x", 2), Not(Between("x", 0, 4)))
-        result = relation.query().where(predicate).agg(n=Count()).execute()
-        assert result.metrics.rows_decoded == 0
-        assert result.metrics.rows_rle_evaluated == relation.n_rows
-        # One comparison per run (80 rows, split at most once per block
-        # boundary), not per row.
-        assert 0 < result.metrics.runs_evaluated < relation.n_rows // 40
-
-    def test_run_weighted_aggregates_exactly_equal_decode(self, relation):
-        predicate = Between("x", 1, 5)
-        agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
-        got = relation.query().where(predicate).agg(**agg).execute()
-        with oracle.decode_engine() as decode:
-            want = decode.query(relation).where(predicate).agg(**agg).execute()
-        for name in agg:
-            assert got.scalar(name) == want.scalar(name)
-        assert got.metrics.rows_kernel_aggregated > 0
-        assert want.metrics.rows_kernel_aggregated == 0
-
-    def test_group_by_runs_in_run_space(self, relation):
-        query = relation.query().where(Not(Eq("x", 0))).group_by("x").agg(n=Count())
-        result = query.execute()
-        assert result.metrics.rows_decoded == 0
-        assert result.metrics.rows_kernel_aggregated > 0
-        assert result.columns["x"] == [1, 2, 3, 4, 5, 6]
-
-    def test_disabling_kernels_restores_decode_accounting(self, relation):
-        with oracle.decode_engine() as decode:
-            result = decode.query(relation).where(Eq("x", 3)).agg(n=Count()).execute()
-        assert result.metrics.rows_rle_evaluated == 0
-        assert result.metrics.runs_evaluated == 0
-        assert result.metrics.rows_decoded > 0
-
-
 class TestForKernel:
     def test_word_space_between_avoids_decoding(self):
         rng = np.random.default_rng(5)
@@ -436,21 +396,51 @@ class TestDeltaKernel:
         assert result.metrics.rows_decoded == values.size
 
 
-class TestFrequencyKernel:
-    def test_hot_value_evaluation_covers_exceptions(self):
-        rng = np.random.default_rng(11)
-        values = np.where(rng.random(3_000) < 0.9, 42, rng.integers(0, 500, 3_000)).astype(
-            np.int64
-        )
-        relation = single_column_relation(values, "frequency", block_size=3_000)
-        for predicate in (Eq("x", 42), Between("x", 40, 100), In("x", [41, 42, 43])):
-            got = relation.query().where(predicate).agg(n=Count()).execute()
-            with oracle.decode_engine() as decode:
-                want = decode.query(relation).where(predicate).agg(n=Count()).execute()
-            assert got.scalar("n") == want.scalar("n")
-        result = relation.query().where(Eq("x", 42)).agg(n=Count()).execute()
-        assert result.metrics.rows_decoded == 0
-        assert result.metrics.rows_dict_evaluated == values.size
+#: Run-heavy and skewed columns (the inputs RLE and frequency are built
+#: for), for the schemes that have no kernel.
+KERNELLESS_VALUES = {
+    "runs": np.repeat(np.arange(100, dtype=np.int64) % 7, 80),
+    "skewed": np.where(
+        np.random.default_rng(11).random(3_000) < 0.9,
+        42,
+        np.random.default_rng(12).integers(0, 500, 3_000),
+    ).astype(np.int64),
+}
+
+
+@pytest.mark.parametrize("shape", KERNELLESS_VALUES)
+@pytest.mark.parametrize("scheme", ["rle", "frequency"])
+def test_kernelless_schemes_answer_like_the_oracle(scheme, shape):
+    """RLE and frequency columns decode; every query shape matches the oracle."""
+    values = KERNELLESS_VALUES[shape]
+    table = Table.from_columns([("x", INT64, values)])
+    relation = compress(table, block_size=1_000, scheme=scheme)
+    assert relation.block(0).encoding_of("x") == scheme
+    agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"), v=Var("x"))
+    with oracle.decode_engine() as decode:
+        for predicate in (
+            Or(Eq("x", 2), Not(Between("x", 0, 4))),
+            Between("x", 1, 42),
+            In("x", [3, 42, 499]),
+            Not(In("x", [*range(7), 42])),  # selects no row of "runs"
+        ):
+            for chain in (relation.query(), decode.query(relation)):
+                chain = chain.where(predicate)
+                assert chain.count() == len(oracle.filter_rows(table, predicate))
+                assert chain.last_metrics.kernel_declines == 0
+                assert chain.agg(**agg).execute().columns == oracle.group_by(
+                    table, predicate, (), agg
+                )
+                grouped = chain.group_by("x").agg(n=Count(), s=Sum("x")).execute()
+                assert grouped.columns == oracle.group_by(
+                    table, predicate, ("x",), dict(n=Count(), s=Sum("x"))
+                )
+                for descending in (False, True):
+                    for k in (5, 100):
+                        top = chain.select("x").order_by("x", desc=descending).limit(k)
+                        assert top.execute().row_ids.tolist() == oracle.order_by(
+                            table, predicate, "x", descending, k
+                        )
 
 
 class TestParallelMaterialize:

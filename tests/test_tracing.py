@@ -59,7 +59,7 @@ def _build_relation(seed: int = 7):
     )
     plan = (
         CompressionPlan.builder(table.schema)
-        .vertical("grade", "rle")
+        .vertical("grade", "for_bitpack")
         .vertical("word", "for_bitpack")
         .build()
     )
@@ -208,7 +208,7 @@ class TestSpanTreeShape:
             for span in trace.spans
             if span.name == "predicate"
         }
-        assert "rle" in kernels  # the grade predicate ran in run space
+        assert "for_bitpack" in kernels  # the grade predicate ran in word space
 
     def test_trace_document_roundtrips_as_json(self, disk_engine):
         trace = self._trace(disk_engine)
