@@ -8,7 +8,7 @@ This walks through the logical-plan front door added in PR 3:
    it into blocks;
 2. compose a query lazily with ``relation.query()`` — nothing is decoded
    while the chain is being built;
-3. ``explain()`` the plan: the logical tree plus the planner's per-block
+3. ``explain()`` the plan: its operator chain plus the planner's per-block
    prune/full/scan decisions, before anything runs;
 4. execute aggregates that are answered from block statistics alone
    (``ScanMetrics.rows_decoded == 0``);

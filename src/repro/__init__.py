@@ -12,7 +12,7 @@ provides:
 * a block-based columnar storage layer with per-block zone maps, a
   single-file ``.corra`` table format served out-of-core through a
   byte-budgeted block cache, and a query engine with a structured predicate
-  IR, statistics-driven scan pruning, lazy logical plans and per-block
+  IR, statistics-driven scan pruning, lazy query plans and per-block
   parallelism on one worker pool (:mod:`repro.storage`, :mod:`repro.query`);
 * synthetic stand-ins for the paper's four datasets (:mod:`repro.datasets`);
 * baselines, including the independent C3 system (:mod:`repro.baselines`).

@@ -62,17 +62,8 @@ from .core import CompressionPlan, CorrelationDetector, TableCompressor
 from .core.rule_mining import mine_multi_reference_config
 from .datasets import available_datasets, dataset_by_name
 from .errors import CorraError
-from .query import (
-    And,
-    Between,
-    Engine,
-    EngineConfig,
-    Eq,
-    In,
-    Predicate,
-    resolve_workers,
-)
-from .query.aggregates import AGGREGATES, AggregateFunction, parse_aggregate
+from .query import Engine, EngineConfig, Plan, resolve_workers
+from .query.aggregates import AGGREGATES
 from .query.tracing import QueryTrace, Tracer
 from .storage import (
     DEFAULT_BLOCK_SIZE,
@@ -530,46 +521,71 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scalar(text: str):
-    """A CLI predicate operand: int when it parses as one, else string."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+def _request_body(args: argparse.Namespace) -> dict:
+    """The query flags as the JSON plan the query service reads.
 
+    ``corra query`` and ``POST /query`` share one grammar and one
+    validation (:meth:`~repro.query.plan.Plan.from_json`); only the flag
+    spellings are parsed here.  An operand that parses as an integer
+    compares as one.
+    """
 
-def _build_predicate(args: argparse.Namespace) -> Predicate | None:
-    terms: list[Predicate] = []
+    def operand(text: str) -> "int | str":
+        try:
+            return int(text)
+        except ValueError:
+            return text
+
+    nodes: list[dict] = []
     for spec in args.equals:
         column, _, value = spec.partition(":")
         if not value:
             raise CorraError(f"expected COLUMN:VALUE, got {spec!r}")
-        terms.append(Eq(column, _parse_scalar(value)))
+        nodes.append({"op": "eq", "column": column, "value": operand(value)})
     for spec in args.between:
         parts = spec.split(":")
         if len(parts) != 3:
             raise CorraError(f"expected COLUMN:LOW:HIGH, got {spec!r}")
         column, low, high = parts
-        terms.append(Between(
-            column,
-            _parse_scalar(low) if low else None,
-            _parse_scalar(high) if high else None,
-        ))
+        nodes.append({
+            "op": "between",
+            "column": column,
+            "lo": operand(low) if low else None,
+            "hi": operand(high) if high else None,
+        })
     for spec in args.is_in:
         column, _, values = spec.partition(":")
         if not values:
             raise CorraError(f"expected COLUMN:V1,V2,..., got {spec!r}")
-        terms.append(In(column, [_parse_scalar(v) for v in values.split(",")]))
-    if not terms:
-        return None
-    return terms[0] if len(terms) == 1 else And(*terms)
-
-
-def _parse_aggregate(spec: str) -> tuple[str, AggregateFunction]:
-    parts = spec.split(":")
-    if len(parts) not in (2, 3) or not all(parts):
-        raise CorraError(f"expected NAME:FUNC[:COLUMN], got {spec!r}")
-    return parts[0], parse_aggregate(parts[1].lower(), parts[2] if len(parts) == 3 else None)
+        candidates = [operand(v) for v in values.split(",")]
+        nodes.append({"op": "in", "column": column, "values": candidates})
+    body: dict = {}
+    if nodes:
+        body["where"] = nodes[0] if len(nodes) == 1 else {"op": "and", "children": nodes}
+    aggregates: dict[str, dict] = {}
+    for spec in args.agg:
+        parts = spec.split(":")
+        if len(parts) not in (2, 3) or not all(parts):
+            raise CorraError(f"expected NAME:FUNC[:COLUMN], got {spec!r}")
+        if parts[0] in aggregates:
+            raise CorraError(f"duplicate aggregate output name {parts[0]!r}")
+        aggregates[parts[0]] = {"fn": parts[1].lower()}
+        if len(parts) == 3:
+            aggregates[parts[0]]["column"] = parts[2]
+    if aggregates:
+        body["aggregates"] = aggregates
+    if args.group_by:
+        body["group_by"] = args.group_by.split(",")
+    if args.select:
+        body["select"] = args.select.split(",")
+    if args.order_by is not None:
+        column, _, suffix = args.order_by.partition(":")
+        if not column or suffix not in ("", "desc"):
+            raise CorraError(f"expected COLUMN or COLUMN:desc, got {args.order_by!r}")
+        body["order_by"] = {"column": column, "desc": suffix == "desc"}
+    if args.limit is not None:
+        body["limit"] = args.limit
+    return body
 
 
 def _print_metrics(metrics, workers: int) -> None:
@@ -700,51 +716,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _run_query(args: argparse.Namespace, engine: Engine, relation) -> int:
-    predicate = _build_predicate(args)
-    aggregates = {}
-    for spec in args.agg:
-        name, fn = _parse_aggregate(spec)
-        if name in aggregates:
-            raise CorraError(f"duplicate aggregate output name {name!r}")
-        aggregates[name] = fn
-    group_columns = args.group_by.split(",") if args.group_by else []
-    if group_columns and not aggregates:
-        raise CorraError("--group-by needs at least one --agg")
-    if aggregates and args.select:
-        raise CorraError(
-            "--select cannot be combined with --agg/--group-by; "
-            "aggregate outputs are named by --agg"
-        )
-    order_column, order_desc = None, False
-    if args.order_by is not None:
-        order_column, _, suffix = args.order_by.partition(":")
-        if not order_column or suffix not in ("", "desc"):
-            raise CorraError(f"expected COLUMN or COLUMN:desc, got {args.order_by!r}")
-        order_desc = suffix == "desc"
-        if aggregates:
-            raise CorraError("--order-by cannot be combined with --agg/--group-by")
-        if not args.select:
-            raise CorraError("--order-by needs --select (ordering a bare count is a no-op)")
-    if not predicate and not aggregates and not args.select:
+    body = _request_body(args)
+    if args.order_by is not None and not args.select:
+        raise CorraError("--order-by needs --select (ordering a bare count is a no-op)")
+    if not ({"where", "aggregates", "group_by", "select"} & set(body)):
         raise CorraError(
             "no predicate given; use --equals, --between and/or --in "
             "(or aggregate the whole relation with --agg/--group-by)"
         )
-
-    lazy = engine.query(relation)
+    plan = Plan.from_json(body)
+    lazy = engine.query(relation).with_plan(plan)
+    predicate = plan.predicate
     if predicate is not None:
-        lazy = lazy.where(predicate)
         print(f"query: {predicate.describe()}")
-    if aggregates:
-        if group_columns:
-            lazy = lazy.group_by(*group_columns)
-        lazy = lazy.agg(**aggregates)
-    elif args.select:
-        lazy = lazy.select(*args.select.split(","))
-    if order_column is not None:
-        lazy = lazy.order_by(order_column, desc=order_desc)
-    if args.limit is not None:
-        lazy = lazy.limit(args.limit)
 
     if args.explain or args.analyze:
         print(lazy.explain(analyze=args.analyze))
@@ -753,7 +737,7 @@ def _run_query(args: argparse.Namespace, engine: Engine, relation) -> int:
     tracer = Tracer() if args.trace is not None else None
     query_name = predicate.describe() if predicate is not None else args.name
     workers = resolve_workers(args.workers)
-    if aggregates or args.select:
+    if plan.aggregates or plan.projection is not None:
         result = lazy.execute(tracer=tracer)
         _print_result_rows(result.columns)
         if tracer is not None:

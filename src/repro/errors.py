@@ -71,3 +71,9 @@ class ConfigurationError(CorraError, ValueError):
 
 class SerializationError(CorraError):
     """A block or column could not be serialised or deserialised."""
+
+
+def expect(condition: bool, message: str) -> None:
+    """Raise :class:`ValidationError` with ``message`` unless ``condition`` holds."""
+    if not condition:
+        raise ValidationError(message)

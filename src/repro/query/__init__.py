@@ -1,8 +1,8 @@
 """Query engine over compressed relations: lazy plans on a pruned, parallel scan.
 
-The front door is the **lazy query API**: describe a query as a logical
-plan, then execute it — nothing is decoded while the query is being
-composed.  Start a chain with
+The front door is the **lazy query API**: describe a query as one
+:class:`Plan` record, then execute it — nothing is decoded while the query
+is being composed.  Start a chain with
 :meth:`Relation.query() <repro.storage.relation.Relation.query>`::
 
     result = (
@@ -22,7 +22,10 @@ Layers, bottom to top:
   ``In``/``And``/``Or``/``Not`` nodes that compile to vectorized kernels
   *and* test against per-block zone maps.  A leaf states what it compares
   (``comparison()``: a range or a candidate set) once, for every
-  compressed domain below.
+  compressed domain below; a combinator joins its children's masks
+  itself (``combine()``).  Every node reads and writes the JSON wire
+  grammar (``from_json``/``to_json``), and its fingerprint is the
+  canonical JSON text.
 * **Scan pipeline** (:mod:`~repro.query.scan`) — the memoizing
   :class:`ScanPlanner` classifies every block as pruned / fully covered /
   scan; surviving blocks offer each single-column subtree to the kernel
@@ -54,10 +57,13 @@ Layers, bottom to top:
   thread pool, whose shared queue hands the next block to whichever worker
   is idle; the NumPy kernels release the GIL, and results are
   bit-identical to serial execution.
-* **Logical plans** (:mod:`~repro.query.plan`) — ``Scan``/``Filter``/
-  ``Project``/``Aggregate``/``Sort``/``TopK``/``Limit`` nodes, the fluent
-  :class:`LazyQuery` builder, and the :class:`QueryCompiler`, which pushes
-  work down before anything is materialised: projections decode only
+* **Plans** (:mod:`~repro.query.plan`) — a query is one frozen
+  :class:`Plan` record (predicate, projection, group-by, aggregates,
+  having, order, limit) whose JSON form is the query service's wire
+  grammar and whose canonical JSON text is its fingerprint; the fluent
+  :class:`LazyQuery` builder, the JSON protocol and ``corra query`` all
+  produce one.  The :class:`QueryCompiler` validates a plan against the
+  schema and pushes work down before anything is materialised: projections decode only
   referenced columns, group-by on dictionary columns aggregates in code
   space (one heap decode per distinct group), limits truncate row ids
   before materialisation, and ``order_by().limit(k)`` fuses into a
@@ -97,27 +103,18 @@ from .kernels import (
 )
 from .parallel import parallel_map, resolve_workers
 from .plan import (
-    Aggregate,
     AggregateFunction,
     Avg,
-    CompiledQuery,
     Count,
-    Filter,
     LazyQuery,
-    Limit,
-    LogicalNode,
     Max,
     Min,
+    Plan,
     PlanResult,
-    Project,
     QueryCompiler,
-    Scan,
-    Sort,
     Std,
     Sum,
-    TopK,
     Var,
-    render_plan,
 )
 from .predicates import And, Between, Eq, In, Not, Or, Predicate
 from .scan import (
@@ -169,16 +166,7 @@ __all__ = [
     "Avg",
     "Var",
     "Std",
-    "LogicalNode",
-    "Scan",
-    "Filter",
-    "Project",
-    "Aggregate",
-    "Sort",
-    "TopK",
-    "Limit",
-    "render_plan",
-    "CompiledQuery",
+    "Plan",
     "PlanResult",
     "QueryCompiler",
     "LazyQuery",

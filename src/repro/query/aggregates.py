@@ -172,6 +172,12 @@ class AggregateFunction:
     def describe(self) -> str:
         return f"{self.kind}({self.column if self.column is not None else '*'})"
 
+    def to_json(self) -> dict:
+        """The wire form ``{"fn": kind, "column": ...}`` :func:`parse_aggregate` reads."""
+        if self.column is None:
+            return {"fn": self.kind}
+        return {"fn": self.kind, "column": self.column}
+
     def __repr__(self) -> str:
         return self.describe()
 

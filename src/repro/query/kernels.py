@@ -222,22 +222,20 @@ class KernelRegistry:
         """``node``'s row mask over ``block``'s encoded column, or ``None``.
 
         Charges the kernel's scan-metrics counters on success and
-        ``kernel_declines`` when a fast path existed but declined: a diff
-        column whose dependency blocks dispatch, or a kernel that inspected
-        the node and bowed out (non-integer constant, non-monotonic delta,
-        unsupported node shape).  Columns with no registered kernel charge
-        nothing — there was never a fast path to fall off.
+        ``kernel_declines`` when a fast path existed but a *leaf* fell off
+        it: a diff column whose dependency blocks dispatch, or a kernel that
+        inspected the leaf and bowed out (non-integer constant,
+        non-monotonic delta, no stated comparison).  A combinator a kernel
+        does not answer whole is no decline: its leaves are offered next
+        and charge for themselves.  Columns with no registered kernel
+        charge nothing — there was never a fast path to fall off.
         """
-        if block.dependency(name) is not None:
-            if metrics is not None:
-                metrics.kernel_declines += 1
-            return None
         kernel, column = self._lookup(block, name)
-        if kernel is None:
+        if kernel is None and block.dependency(name) is None:
             return None
-        mask = kernel.predicate_mask(name, column, node)
-        if mask is None:
-            if metrics is not None:
+        mask = None if kernel is None else kernel.predicate_mask(name, column, node)
+        if mask is None or kernel is None:
+            if metrics is not None and not node.children:
                 metrics.kernel_declines += 1
             return None
         if metrics is not None:

@@ -1,10 +1,8 @@
-"""Lazy logical query plans: builder, compiler, and aggregate pushdown.
+"""One query as data: the :class:`Plan` record, its builder and its compiler.
 
-This is the one front door of the query engine.  A query is *described*
-first — as a small tree of logical nodes (:class:`Scan`,
-:class:`Filter`, :class:`Project`, :class:`Aggregate`, :class:`Sort`,
-:class:`TopK`, :class:`Limit`) built with the fluent :class:`LazyQuery`
-API::
+A query is one frozen :class:`Plan` — predicate, projection, grouping,
+aggregates, having, order and limit — and every front end produces the
+same record: the fluent :class:`LazyQuery` builder::
 
     result = (
         relation.query()
@@ -13,18 +11,22 @@ API::
         .execute()
     )
 
-— and only executed when a terminal (:meth:`LazyQuery.execute`,
-:meth:`LazyQuery.count`) runs.  Nothing is decoded while the query is being
-composed, which is what lets the :class:`QueryCompiler` push work *down*
-before any value is materialised:
+the wire protocol (:meth:`Plan.from_json`, the JSON grammar the query
+service reads), and ``corra query``, which turns its flags into that JSON.
+:meth:`Plan.to_json` writes the grammar back in canonical form (predicate
+children and ``In`` values sorted, aggregates in output order), and the
+plan's :meth:`~Plan.fingerprint` — the result-cache key — is that JSON
+text.  Construction enforces the combination rules every front end shares.
+
+Nothing is decoded while a query is being composed, which is what lets the
+:class:`QueryCompiler` push work *down* before any value is materialised:
 
 * **predicate pushdown** — the filter is handed to the memoizing
   :class:`~repro.query.scan.ScanPlanner`, so zone maps prune blocks, and
   the surviving blocks are evaluated one per task on the engine's worker
   pool, where dictionary leaves run in code space;
-* **projection pushdown** — only the columns a node actually references
-  are ever decoded; a plan without a projection materialises nothing but
-  row ids;
+* **projection pushdown** — only the columns the plan references are ever
+  decoded;
 * **aggregation pushdown** — every aggregate is a finalisation over the
   exactly-mergeable moments of :mod:`~repro.query.aggregates`, and each
   moment is resolved per block through one cascade: the per-block
@@ -34,22 +36,23 @@ before any value is materialised:
   string-heap materialisation to one decode per distinct group;
 * **limit pushdown** — ``limit(k)`` truncates the row-id stream *before*
   the projection is materialised;
-* **top-k pushdown** — ``order_by(col).limit(k)`` compiles to a fused
-  :class:`TopK` that keeps a bounded set of ``k`` candidates per block
-  and visits blocks in zone-map bound order, stopping as soon as no
-  remaining block's bound can beat the current ``k``-th candidate — on a
-  clustered column most blocks are never touched, and on a
+* **top-k pushdown** — ``order_by(col).limit(k)`` executes as a fused top-k
+  that keeps a bounded set of ``k`` candidates per block and visits blocks
+  in zone-map bound order, stopping as soon as no remaining block's bound
+  can beat the current ``k``-th candidate — on a clustered column most
+  blocks are never touched, and on a
   :class:`~repro.storage.disk.DiskRelation` never even fetched.
 
-:meth:`LazyQuery.explain` renders the logical tree together with the
-planner's per-block prune/full/scan decisions, so the effect of every
-pushdown is visible before (or without) running the query.
+:meth:`LazyQuery.explain` renders the plan as the operator chain it
+executes (``Scan``, ``Filter``, ``Project``/``Aggregate``, ``Sort``/
+``TopK``, ``Limit``) together with the planner's per-block
+prune/full/scan decisions, so the effect of every pushdown is visible
+before (or without) running the query.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -57,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from ..encodings.dictionary import DictEncodedStringColumn
-from ..errors import UnknownColumnError, ValidationError
+from ..errors import UnknownColumnError, ValidationError, expect
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
 from .aggregates import (
@@ -72,10 +75,11 @@ from .aggregates import (
     Sum,
     Var,
     moment_slots,
+    parse_aggregate,
 )
 from .kernels import DEFAULT_KERNELS, KernelRegistry
 from .parallel import parallel_map
-from .predicates import And, Predicate
+from .predicates import And, Predicate, canonical_json
 from .scan import (
     BlockDecision,
     ScanMetrics,
@@ -99,16 +103,7 @@ __all__ = [
     "Avg",
     "Var",
     "Std",
-    "LogicalNode",
-    "Scan",
-    "Filter",
-    "Project",
-    "Aggregate",
-    "Sort",
-    "TopK",
-    "Limit",
-    "render_plan",
-    "CompiledQuery",
+    "Plan",
     "PlanResult",
     "QueryCompiler",
     "LazyQuery",
@@ -116,179 +111,112 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# logical plan nodes
+# the plan record
 # ---------------------------------------------------------------------------
 
-
-class LogicalNode:
-    """A node of the logical plan tree (a linear chain ending in a Scan)."""
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.describe()
+#: The keys of a plan in the wire grammar (``k`` is ``limit`` under ``order_by``).
+_PLAN_KEYS = {"where", "select", "group_by", "aggregates", "having", "order_by", "k", "limit"}
 
 
-@dataclass(frozen=True, repr=False)
-class Scan(LogicalNode):
-    """Leaf: read a compressed relation."""
-
-    relation: Relation
-
-    def describe(self) -> str:
-        relation = self.relation
-        return (
-            f"Scan [{len(relation.schema.names)} columns x {relation.n_rows:,} rows "
-            f"in {relation.n_blocks} block(s)]"
-        )
+def _names(body: dict, key: str) -> tuple[str, ...] | None:
+    """A non-empty JSON list of column names, or ``None`` when absent."""
+    names = body.get(key)
+    if names is None:
+        return None
+    expect(
+        isinstance(names, list) and len(names) > 0 and all(isinstance(c, str) and c for c in names),
+        f"{key!r} must be a non-empty list of column names",
+    )
+    return tuple(names)
 
 
-@dataclass(frozen=True, repr=False)
-class Filter(LogicalNode):
-    """Keep the child's rows satisfying a predicate."""
-
-    child: LogicalNode
-    predicate: Predicate
-
-    def describe(self) -> str:
-        return f"Filter [{self.predicate.describe()}]"
-
-
-@dataclass(frozen=True, repr=False)
-class Project(LogicalNode):
-    """Materialise only the named columns of the child's rows."""
-
-    child: LogicalNode
-    columns: tuple[str, ...]
-
-    def describe(self) -> str:
-        return f"Project [{', '.join(self.columns)}]"
-
-
-@dataclass(frozen=True, repr=False)
-class Aggregate(LogicalNode):
-    """Reduce the child's rows to named aggregates, optionally per group."""
-
-    child: LogicalNode
-    aggregates: AggregateSpec
-    group_by: tuple[str, ...] = ()
-
-    def describe(self) -> str:
-        parts = ", ".join(f"{name}={fn.describe()}" for name, fn in self.aggregates)
-        if self.group_by:
-            return f"Aggregate [{parts} group by {', '.join(self.group_by)}]"
-        return f"Aggregate [{parts}]"
-
-
-@dataclass(frozen=True, repr=False)
-class Sort(LogicalNode):
-    """Order the child's output rows by one column.
-
-    Ordering is total and deterministic: equal keys keep ascending global
-    row id, so every execution strategy (serial, parallel, out-of-core)
-    produces bit-identical output.
-    """
-
-    child: LogicalNode
-    column: str
-    descending: bool = False
-
-    def describe(self) -> str:
-        return f"Sort [{self.column} {'desc' if self.descending else 'asc'}]"
-
-
-@dataclass(frozen=True, repr=False)
-class TopK(LogicalNode):
-    """:class:`Sort` fused with :class:`Limit`: the ``k`` best rows by one column.
-
-    Semantically identical to ``Limit(Sort(...), k)`` but executed as a
-    bounded per-block candidate set merged across blocks, with zone-map
-    bounds ordering the block visits and terminating the scan early.
-    """
-
-    child: LogicalNode
-    column: str
-    k: int
-    descending: bool = False
-
-    def describe(self) -> str:
-        direction = "desc" if self.descending else "asc"
-        return f"TopK [{self.column} {direction}, k={self.k}]"
-
-
-@dataclass(frozen=True, repr=False)
-class Limit(LogicalNode):
-    """Keep at most ``n`` of the child's output rows."""
-
-    child: LogicalNode
-    n: int
-
-    def describe(self) -> str:
-        return f"Limit [{self.n}]"
-
-
-def render_plan(node: LogicalNode) -> str:
-    """The logical tree as an indented multi-line string (root first)."""
-    lines: list[str] = []
-    depth = 0
-    current: LogicalNode | None = node
-    while current is not None:
-        lines.append("  " * depth + current.describe())
-        current = getattr(current, "child", None)
-        depth += 1
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# compiled form and results
-# ---------------------------------------------------------------------------
+def _order(body: dict) -> tuple[str | None, Any]:
+    """``order_by`` as ``(column, desc)``: a column name or ``{"column", "desc"}``."""
+    order = body.get("order_by")
+    if order is None:
+        return None, False
+    if isinstance(order, str):
+        expect(order != "", "'order_by' column name must be non-empty")
+        return order, False
+    expect(
+        isinstance(order, dict) and not (set(order) - {"column", "desc"}),
+        "'order_by' must be a column name or {'column': ..., 'desc': bool}",
+    )
+    assert isinstance(order, dict)
+    column = order.get("column")
+    expect(isinstance(column, str) and column != "", "'order_by' needs a 'column' string")
+    return column, order.get("desc", False)
 
 
 @dataclass(frozen=True)
-class CompiledQuery:
-    """A validated, flattened logical plan ready for physical execution.
+class Plan:
+    """One query as data — the record every front end builds and the compiler runs.
 
-    ``projection=None`` means no :class:`Project` node was present: the
-    query materialises nothing but row ids (the lazy default for
-    ``filter``-style calls).
+    ``projection=None`` selects every column; an aggregating plan has no
+    projection (its outputs are the group keys and the aggregates, in
+    ``aggregates`` order).  ``having`` filters the aggregated rows by output
+    name.  ``order_by`` sorts the selected rows (ties keep ascending row
+    id); with a ``limit`` the pair executes as the fused top-k.
+
+    Construction enforces the combination rules every front end shares: a
+    projection or an order excludes an aggregation, ``limit`` is a
+    non-negative integer and ``descending`` a bool.  Rules only a finished
+    plan can meet (``group_by``/``having`` need aggregates) are
+    :meth:`check_complete`'s; :meth:`QueryCompiler.compile` adds the
+    schema's.
     """
 
-    relation: Relation
-    predicate: Predicate | None
-    projection: tuple[str, ...] | None
-    group_by: tuple[str, ...]
-    aggregates: AggregateSpec
-    limit: int | None
-    #: HAVING predicate, evaluated over the *aggregated* output rows — its
-    #: column names are aggregation output names, not physical columns.
+    predicate: Predicate | None = None
+    projection: tuple[str, ...] | None = None
+    group_by: tuple[str, ...] = ()
+    aggregates: AggregateSpec = ()
     having: Predicate | None = None
-    #: Sort column (physical), ``None`` for unordered plans.  With a
-    #: ``limit`` the pair executes as a fused zone-map-driven top-k.
     order_by: str | None = None
     descending: bool = False
+    limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.aggregates or self.group_by:
+            if self.projection is not None:
+                raise ValidationError(
+                    "select cannot be combined with group_by/aggregates; "
+                    "aggregate outputs are named by the aggregates"
+                )
+            if self.order_by is not None:
+                raise ValidationError(
+                    "order_by cannot be combined with group_by/aggregates; "
+                    "order the grouped output in the caller"
+                )
+        if not isinstance(self.descending, bool):
+            raise ValidationError(f"order_by desc must be a boolean, got {self.descending!r}")
+        if self.limit is not None:
+            limit = self.limit
+            if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool) or limit < 0:
+                raise ValidationError(f"limit must be a non-negative integer, got {limit!r}")
+            object.__setattr__(self, "limit", int(limit))
+
+    def check_complete(self) -> "Plan":
+        """This plan, once the rules only a finished chain can meet hold."""
+        expect(not self.group_by or bool(self.aggregates), "group_by needs at least one aggregate")
+        expect(self.having is None or bool(self.aggregates), "having needs an aggregation")
+        return self
 
     def referenced_columns(self) -> tuple[str, ...]:
-        """Every column the physical query will read, in first-use order.
+        """Every stored column the plan names, in first-use order.
 
         The HAVING predicate is deliberately absent: it references
-        aggregation *output* names, which are validated separately.
+        aggregation *output* names, which are validated separately.  So is
+        the whole schema a ``projection=None`` plan selects.
         """
-        seen: list[str] = []
         sources: list[str] = []
         if self.predicate is not None:
             sources.extend(self.predicate.columns())
         sources.extend(self.group_by)
-        for _, fn in self.aggregates:
-            if fn.column is not None:
-                sources.append(fn.column)
+        sources.extend(fn.column for _, fn in self.aggregates if fn.column is not None)
         if self.order_by is not None:
             sources.append(self.order_by)
         sources.extend(self.projection or ())
-        for name in sources:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(sources))
 
     def gather_columns(self) -> tuple[str, ...]:
         """The group-by and aggregate input columns, in first-use order.
@@ -298,41 +226,83 @@ class CompiledQuery:
         columns.  A column-granular table fetches only these columns'
         sub-segments for blocks whose aggregates statistics cannot answer.
         """
-        seen: list[str] = []
-        for name in self.group_by:
-            if name not in seen:
-                seen.append(name)
-        for _, fn in self.aggregates:
-            if fn.column is not None and fn.column not in seen:
-                seen.append(fn.column)
-        return tuple(seen)
+        inputs = [fn.column for _, fn in self.aggregates if fn.column is not None]
+        return tuple(dict.fromkeys([*self.group_by, *inputs]))
+
+    def to_json(self) -> dict:
+        """The plan in the wire grammar, canonical: :meth:`from_json` reads it back."""
+        body: dict = {}
+        if self.predicate is not None:
+            body["where"] = self.predicate.to_json()
+        if self.projection is not None:
+            body["select"] = list(self.projection)
+        if self.group_by:
+            body["group_by"] = list(self.group_by)
+        if self.aggregates:
+            body["aggregates"] = {name: fn.to_json() for name, fn in self.aggregates}
+        if self.having is not None:
+            body["having"] = self.having.to_json()
+        if self.order_by is not None:
+            body["order_by"] = {"column": self.order_by, "desc": self.descending}
+        if self.limit is not None:
+            body["limit"] = self.limit
+        return body
+
+    @classmethod
+    def from_json(cls, body: object) -> "Plan":
+        """Parse the wire grammar strictly; malformed input is a ValidationError.
+
+        ``k`` is the top-k row count: it needs ``order_by`` and replaces
+        ``limit``.  Aggregates keep their JSON object order, which is the
+        output column order.
+        """
+        expect(isinstance(body, dict), "a plan must be a JSON object")
+        assert isinstance(body, dict)
+        unknown = set(body) - _PLAN_KEYS
+        expect(not unknown, f"unknown request key(s): {sorted(unknown)}")
+
+        aggregates: list[tuple[str, AggregateFunction]] = []
+        raw = body.get("aggregates")
+        if raw is not None:
+            expect(
+                isinstance(raw, dict) and len(raw) > 0,
+                "'aggregates' must be a non-empty object of name -> {fn, column}",
+            )
+            assert isinstance(raw, dict)
+            for name, node in raw.items():
+                expect(isinstance(node, dict), f"aggregate {name!r} must be a JSON object")
+                try:
+                    aggregates.append((name, parse_aggregate(node.get("fn"), node.get("column"))))
+                except ValidationError as error:
+                    raise ValidationError(f"aggregate {name!r}: {error}") from None
+
+        order_by, descending = _order(body)
+        limit = body.get("limit")
+        if body.get("k") is not None:
+            expect(order_by is not None, "'k' needs 'order_by'")
+            expect(limit is None, "'k' replaces 'limit'; send one or the other")
+            limit = body["k"]
+        where, having = body.get("where"), body.get("having")
+        return cls(
+            predicate=None if where is None else Predicate.from_json(where),
+            projection=_names(body, "select"),
+            group_by=_names(body, "group_by") or (),
+            aggregates=tuple(aggregates),
+            having=None if having is None else Predicate.from_json(having),
+            order_by=order_by,
+            descending=descending,
+            limit=limit,
+        ).check_complete()
 
     def fingerprint(self) -> str:
-        """A stable cache key for the whole plan.
+        """The canonical JSON text of :meth:`to_json`: the result-cache key.
 
-        Combines the (canonical) predicate fingerprint with the projection,
-        grouping, aggregate and limit shape of the plan.  Two plans with
-        equal fingerprints over the same relation state (same
-        ``cache_token``) produce bit-identical results, which is what lets
-        the query service key its result cache on
-        ``(table, plan fingerprint)``.
+        Two plans with equal fingerprints over the same relation state
+        (same ``cache_token``) produce bit-identical results, so the query
+        service keys its result cache on ``(table, plan fingerprint)``.
+        Every name and constant is a JSON value, so no two plans collide.
         """
-        pred = "" if self.predicate is None else self.predicate.fingerprint()
-        having = "" if self.having is None else self.having.fingerprint()
-        projection = "*none*" if self.projection is None else ",".join(self.projection)
-        aggregates = ";".join(
-            f"{name}:{fn.kind}:{fn.column or ''}" for name, fn in self.aggregates
-        )
-        order = (
-            ""
-            if self.order_by is None
-            else f"{self.order_by}:{'desc' if self.descending else 'asc'}"
-        )
-        return (
-            f"Plan[pred={pred}|proj={projection}|group={','.join(self.group_by)}"
-            f"|aggs={aggregates}|having={having}|order={order}"
-            f"|limit={'' if self.limit is None else self.limit}]"
-        )
+        return canonical_json(self.to_json())
 
 
 @dataclass
@@ -345,7 +315,7 @@ class PlanResult:
     entry when there is no group-by).  ``row_ids`` carries the qualifying
     global row ids for non-aggregate plans (``None`` after an aggregation —
     rows were reduced away); they are ascending except under a
-    :class:`Sort`/:class:`TopK`, where they follow the requested order.
+    an ``order_by``, where they follow the requested order.
     """
 
     columns: dict[str, "np.ndarray | list"]
@@ -380,20 +350,9 @@ class PlanResult:
 # physical execution
 # ---------------------------------------------------------------------------
 
-def _combine_filters(predicates: list[Predicate]) -> Predicate | None:
-    """Stacked Filter nodes (root -> leaf order) as one conjunction.
-
-    Bottom-up order is kept, matching how the filters would have applied.
-    """
-    if not predicates:
-        return None
-    if len(predicates) == 1:
-        return predicates[0]
-    return And(*reversed(predicates))
-
 
 class QueryCompiler:
-    """Lower logical plans onto the ScanPlanner and per-block tasks.
+    """Validate plans and run them on the ScanPlanner and per-block tasks.
 
     One compiler serves one relation under one
     :class:`~repro.query.engine.EngineConfig`; it owns the memoizing
@@ -429,126 +388,20 @@ class QueryCompiler:
 
     # -- compilation -----------------------------------------------------------
 
-    def compile(self, plan: LogicalNode) -> CompiledQuery:
-        """Flatten and validate a logical plan against this relation."""
+    def compile(self, plan: Plan) -> Plan:
+        """Validate ``plan`` against this relation's schema; returns it unchanged.
+
+        Unknown columns, string inputs to integer aggregates, duplicate
+        output names and a ``having`` over a non-output column are
+        rejected here, before anything runs.
+        """
+        plan.check_complete()
         schema = self._relation.schema
-        where: list[Predicate] = []
-        having_parts: list[Predicate] = []
-        projection: tuple[str, ...] | None = None
-        group_by: tuple[str, ...] = ()
-        aggregates: AggregateSpec = ()
-        limit: int | None = None
-        order_by: str | None = None
-        descending = False
-        order_limit: int | None = None
-
-        # Flatten the chain root -> leaf first: a Filter's meaning depends
-        # on whether it sits above or below the Aggregate (HAVING over the
-        # aggregated rows vs WHERE over the stored rows), which a single
-        # forward walk cannot know yet.
-        nodes: list[LogicalNode] = []
-        node: LogicalNode = plan
-        while not isinstance(node, Scan):
-            nodes.append(node)
-            child = getattr(node, "child", None)
-            if child is None:
-                raise ValidationError(f"unsupported logical node {type(node).__name__}")
-            node = child
-        aggregate_position = next(
-            (i for i, n in enumerate(nodes) if isinstance(n, Aggregate)), None
-        )
-
-        # Walking root -> leaf, node kinds must come in canonical order —
-        # Limit(Sort|TopK(Filter*(Aggregate|Project(Filter*(Scan))))) — so
-        # the flattened form executes exactly the semantics the tree
-        # expresses.  Out-of-order chains (a Limit below an Aggregate, a
-        # Sort below a Project) would silently mean something else, so
-        # they are rejected.
-        ranks = {Limit: 5, Sort: 4, TopK: 4, Aggregate: 2, Project: 2}
-        previous_rank = 6
-        for position, current in enumerate(nodes):
-            if isinstance(current, Filter):
-                is_having = aggregate_position is not None and position < aggregate_position
-                rank = 3 if is_having else 1
-            else:
-                is_having = False
-                maybe_rank = ranks.get(type(current))
-                if maybe_rank is None:
-                    raise ValidationError(
-                        f"unsupported logical node {type(current).__name__}"
-                    )
-                rank = maybe_rank
-            if rank > previous_rank:
-                raise ValidationError(
-                    "logical nodes must nest as "
-                    "Limit(Sort|TopK(Filter*(Aggregate|Project(Filter*(Scan))))); "
-                    f"found {type(current).__name__} below a node it must enclose"
-                )
-            previous_rank = rank
-            if isinstance(current, Limit):
-                if limit is not None:
-                    raise ValidationError("a plan may contain at most one Limit node")
-                if current.n < 0:
-                    raise ValidationError("limit must be non-negative")
-                limit = current.n
-            elif isinstance(current, (Sort, TopK)):
-                if order_by is not None:
-                    raise ValidationError("a plan may contain at most one Sort or TopK node")
-                order_by = current.column
-                descending = current.descending
-                if isinstance(current, TopK):
-                    if current.k < 0:
-                        raise ValidationError("top-k needs a non-negative k")
-                    order_limit = current.k
-            elif isinstance(current, Aggregate):
-                if aggregates:
-                    raise ValidationError("a plan may contain at most one Aggregate node")
-                if not current.aggregates:
-                    raise ValidationError("Aggregate needs at least one aggregate function")
-                aggregates = current.aggregates
-                group_by = current.group_by
-            elif isinstance(current, Project):
-                if projection is not None:
-                    raise ValidationError("a plan may contain at most one Project node")
-                projection = current.columns
-            else:
-                assert isinstance(current, Filter)
-                (having_parts if is_having else where).append(current.predicate)
-        if node.relation is not self._relation:
-            raise ValidationError("plan scans a different relation than the compiler was built for")
-        if aggregates and projection is not None:
-            raise ValidationError("Project and Aggregate cannot appear in the same plan")
-        if group_by and not aggregates:
-            raise ValidationError("group_by needs at least one aggregate")
-        if order_by is not None and aggregates:
-            raise ValidationError(
-                "Sort/TopK cannot be combined with aggregation; order the grouped "
-                "output in the caller"
-            )
-        if order_limit is not None:
-            # A TopK is a fused Sort+Limit; an additional enclosing Limit
-            # keeps whichever bound is tighter.
-            limit = order_limit if limit is None else min(limit, order_limit)
-
-        predicate = _combine_filters(where)
-        having = _combine_filters(having_parts)
-
-        compiled = CompiledQuery(
-            relation=self._relation,
-            predicate=predicate,
-            projection=projection,
-            group_by=group_by,
-            aggregates=aggregates,
-            limit=limit,
-            having=having,
-            order_by=order_by,
-            descending=descending,
-        )
-        for name in compiled.referenced_columns():
+        for name in plan.referenced_columns():
             if name not in schema:
                 raise UnknownColumnError(name, schema.names)
-        output_names = list(group_by)
-        for name, fn in aggregates:
+        output_names = list(plan.group_by)
+        for name, fn in plan.aggregates:
             if name in output_names:
                 raise ValidationError(f"duplicate output column {name!r} in aggregation")
             output_names.append(name)
@@ -556,40 +409,68 @@ class QueryCompiler:
                 raise ValidationError(
                     f"{fn.kind}() needs an integer column, {fn.column!r} is a string"
                 )
-        if having is not None:
-            for name in having.columns():
+        if plan.having is not None:
+            for name in plan.having.columns():
                 if name not in output_names:
                     raise ValidationError(
                         f"having references {name!r}, which is not an output column "
                         "of the aggregation"
                     )
-        return compiled
+        return plan
+
+    def _projection(self, plan: Plan) -> tuple[str, ...]:
+        """The columns a non-aggregating plan materialises (``None``: all)."""
+        return plan.projection if plan.projection is not None else self._relation.schema.names
 
     # -- execution -------------------------------------------------------------
 
-    def execute(
-        self, plan: "LogicalNode | CompiledQuery", tracer: "Tracer | None" = None
-    ) -> PlanResult:
-        """Run a (logical or already compiled) plan and materialise its output.
+    def execute(self, plan: Plan, tracer: "Tracer | None" = None) -> PlanResult:
+        """Run a plan plan and materialise its output.
 
         ``tracer``, when given, becomes the ambient tracer for the whole
         execution (planner, workers, storage fetches included) and records
         the root ``execute`` span; otherwise the caller's ambient tracer —
         usually :data:`~repro.query.tracing.TRACE_DISABLED` — is kept.
         """
-        compiled = plan if isinstance(plan, CompiledQuery) else self.compile(plan)
         active: "Tracer | NullTracer" = tracer if tracer is not None else current_tracer()
         with activate(active):
             with active.span("execute") as root:
-                if compiled.aggregates:
-                    result = self._execute_aggregate(compiled)
+                if plan.aggregates:
+                    result = self._execute_aggregate(plan)
                 else:
-                    result = self._execute_select(compiled)
+                    result = self._execute_select(plan)
                 if active.enabled:
                     root.annotate(rows=result.n_rows)
                 return result
 
-    def explain(self, plan: LogicalNode, analyze: bool = False) -> str:
+    def _operators(self, plan: Plan) -> list[str]:
+        """The plan as the operator chain it executes, root first, indented."""
+        relation = self._relation
+        chain = [
+            f"Scan [{len(relation.schema.names)} columns x {relation.n_rows:,} rows "
+            f"in {relation.n_blocks} block(s)]"
+        ]
+        if plan.predicate is not None:
+            chain.append(f"Filter [{plan.predicate.describe()}]")
+        if plan.aggregates:
+            parts = ", ".join(f"{name}={fn.describe()}" for name, fn in plan.aggregates)
+            group = f" group by {', '.join(plan.group_by)}" if plan.group_by else ""
+            chain.append(f"Aggregate [{parts}{group}]")
+            if plan.having is not None:
+                chain.append(f"Filter [{plan.having.describe()}]")
+        else:
+            chain.append(f"Project [{', '.join(self._projection(plan))}]")
+        direction = "desc" if plan.descending else "asc"
+        if plan.order_by is not None and plan.limit is not None:
+            chain.append(f"TopK [{plan.order_by} {direction}, k={plan.limit}]")
+        else:
+            if plan.order_by is not None:
+                chain.append(f"Sort [{plan.order_by} {direction}]")
+            if plan.limit is not None:
+                chain.append(f"Limit [{plan.limit}]")
+        return ["  " * depth + line for depth, line in enumerate(reversed(chain))]
+
+    def explain(self, plan: Plan, analyze: bool = False) -> str:
         """Render ``plan`` plus the planner's per-block decisions.
 
         The physical section lists the columns the query could decode at
@@ -600,17 +481,19 @@ class QueryCompiler:
         time, rows and bytes plus the recorded span tree — the classic
         ``EXPLAIN ANALYZE``.
         """
-        compiled = self.compile(plan)
-        lines = ["== logical plan ==", render_plan(plan), "", "== physical scan =="]
-        referenced = compiled.referenced_columns()
+        plan = self.compile(plan)
+        lines = ["== logical plan ==", *self._operators(plan), "", "== physical scan =="]
+        referenced = plan.referenced_columns()
+        if not plan.aggregates:
+            referenced = tuple(dict.fromkeys(referenced + self._projection(plan)))
         lines.append(
             f"columns decoded at most: {', '.join(referenced) if referenced else '(none)'}"
         )
-        if compiled.predicate is None:
+        if plan.predicate is None:
             lines.append("predicate: (none — every block fully covered)")
         else:
-            lines.append(f"predicate: {compiled.predicate.describe()}")
-        scan_plan = self._planner.plan(compiled.predicate)
+            lines.append(f"predicate: {plan.predicate.describe()}")
+        scan_plan = self._planner.plan(plan.predicate)
         pruned = scan_plan.count_of(BlockDecision.PRUNE)
         full = scan_plan.count_of(BlockDecision.FULL)
         scanned = scan_plan.count_of(BlockDecision.SCAN)
@@ -625,7 +508,7 @@ class QueryCompiler:
             lines.append(f"  block {index:>4} rows {offset:>10,}..{end:<10,} {decision}")
             offset += n_rows
         if analyze:
-            lines.extend(self._explain_analyze(compiled))
+            lines.extend(self._explain_analyze(plan))
         return "\n".join(lines)
 
     #: Stage display order for ``EXPLAIN ANALYZE``; unknown stages follow
@@ -643,10 +526,10 @@ class QueryCompiler:
         "topk",
     )
 
-    def _explain_analyze(self, compiled: CompiledQuery) -> list[str]:
-        """Run ``compiled`` traced and render the per-stage analysis section."""
+    def _explain_analyze(self, plan: Plan) -> list[str]:
+        """Run ``plan`` traced and render the per-stage analysis section."""
         tracer = Tracer()
-        result = self.execute(compiled, tracer=tracer)
+        result = self.execute(plan, tracer=tracer)
         trace = QueryTrace.from_tracer(tracer)
         summary = trace.stage_summary()
         lines = ["", "== execution (analyze) =="]
@@ -667,7 +550,7 @@ class QueryCompiler:
         lines.append(trace.render_tree())
         return lines
 
-    def _execute_select(self, compiled: CompiledQuery) -> PlanResult:
+    def _execute_select(self, plan: Plan) -> PlanResult:
         """Row ids of a non-aggregating query, then its projection.
 
         ``order_by`` with a ``limit`` is a fused top-k: blocks are visited
@@ -678,36 +561,33 @@ class QueryCompiler:
         truncates the row-id stream before anything is materialised.
         """
         metrics: ScanMetrics | None
-        if compiled.order_by is not None and compiled.limit is not None:
-            row_ids, metrics = self._topk_row_ids(compiled)
+        if plan.order_by is not None and plan.limit is not None:
+            row_ids, metrics = self._topk_row_ids(plan)
         else:
-            if compiled.predicate is None:
+            if plan.predicate is None:
                 row_ids = np.arange(self._relation.n_rows, dtype=np.int64)
                 metrics = None
             else:
-                row_ids, metrics = self._scan_row_ids(compiled)
-            if compiled.order_by is not None:
-                row_ids = self._sorted_row_ids(compiled, row_ids)
-            if compiled.limit is not None:
+                row_ids, metrics = self._scan_row_ids(plan)
+            if plan.order_by is not None:
+                row_ids = self._sorted_row_ids(plan, row_ids)
+            if plan.limit is not None:
                 # Limit pushdown: truncate the row-id stream before any value
                 # of the projection is materialised.
-                row_ids = row_ids[: compiled.limit]
-        if compiled.projection is None:
-            columns: dict[str, "np.ndarray | list"] = {}
-        else:
-            columns = materialize_columns(
-                self._relation, compiled.projection, row_ids, pool=self._pool
-            )
+                row_ids = row_ids[: plan.limit]
+        columns = materialize_columns(
+            self._relation, self._projection(plan), row_ids, pool=self._pool
+        )
         return PlanResult(columns=columns, row_ids=row_ids, metrics=metrics)
 
-    def _scan_row_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, ScanMetrics]:
+    def _scan_row_ids(self, plan: Plan) -> tuple[np.ndarray, ScanMetrics]:
         """Ascending global row ids satisfying the plan's predicate, plus metrics."""
         tracer = current_tracer()
         with tracer.span("scan") as span:
-            tasks, metrics = self._classify_blocks(compiled.predicate)
-            prefetcher = self._make_prefetcher(compiled, tasks)
+            tasks, metrics = self._classify_blocks(plan.predicate)
+            prefetcher = self._make_prefetcher(plan, tasks)
             results = parallel_map(
-                lambda task: self._select_block(compiled.predicate, prefetcher, *task),
+                lambda task: self._select_block(plan.predicate, prefetcher, *task),
                 tasks,
                 self._pool,
             )
@@ -739,7 +619,7 @@ class QueryCompiler:
 
     # -- ordering and top-k ------------------------------------------------------
 
-    def _sorted_row_ids(self, compiled: CompiledQuery, row_ids: np.ndarray) -> np.ndarray:
+    def _sorted_row_ids(self, plan: Plan, row_ids: np.ndarray) -> np.ndarray:
         """``row_ids`` reordered by the sort column (full materialise-and-sort).
 
         The order criterion is total: equal keys keep ascending global row
@@ -749,23 +629,23 @@ class QueryCompiler:
         if row_ids.size <= 1:
             return row_ids
         with current_tracer().span("sort", rows=int(row_ids.size)):
-            assert compiled.order_by is not None
+            assert plan.order_by is not None
             keys = materialize_columns(
-                self._relation, (compiled.order_by,), row_ids, pool=self._pool
-            )[compiled.order_by]
+                self._relation, (plan.order_by,), row_ids, pool=self._pool
+            )[plan.order_by]
             if isinstance(keys, np.ndarray):
                 # ``~x`` (= ``-x - 1``) reverses int64 order without the
                 # overflow ``-x`` has at ``-2**63``.
-                sort_keys = ~keys if compiled.descending else keys
+                sort_keys = ~keys if plan.descending else keys
                 return row_ids[np.argsort(sort_keys, kind="stable")]
             # String keys: Python's sort is stable and ``reverse=True`` does
             # not reorder equal elements, so ties stay in row-id order.
             order = sorted(
-                range(len(keys)), key=lambda i: keys[i], reverse=compiled.descending
+                range(len(keys)), key=lambda i: keys[i], reverse=plan.descending
             )
             return row_ids[np.asarray(order, dtype=np.int64)]
 
-    def _topk_row_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, ScanMetrics]:
+    def _topk_row_ids(self, plan: Plan) -> tuple[np.ndarray, ScanMetrics]:
         """The ``k`` best row ids by the sort column, zone-map-driven.
 
         Blocks are visited in order of the sort column's min (ascending) or
@@ -778,12 +658,12 @@ class QueryCompiler:
         never visited are re-classified as pruned: on an out-of-core
         relation their data was never fetched.
         """
-        column = compiled.order_by
+        column = plan.order_by
         assert column is not None
-        k = compiled.limit if compiled.limit is not None else 0
+        k = plan.limit if plan.limit is not None else 0
         tracer = current_tracer()
         with tracer.span("topk", column=column, k=k) as span:
-            entries, metrics = self._classify_blocks(compiled.predicate)
+            entries, metrics = self._classify_blocks(plan.predicate)
             if k == 0 or not entries:
                 for index, _, full in entries:
                     self._reclassify_pruned(metrics, full)
@@ -796,12 +676,12 @@ class QueryCompiler:
                     return None
                 # Derived (non-exact) bounds still *contain* the true range,
                 # so ordering/stopping on them is safe — merely less tight.
-                return stats.max_value if compiled.descending else stats.min_value
+                return stats.max_value if plan.descending else stats.min_value
 
             bounds = [bound(index) for index, _, _ in entries]
             # Unknown bounds first (they must always be visited), then most
             # promising first.  The sign flip makes "promising" uniform.
-            sign = -1 if compiled.descending else 1
+            sign = -1 if plan.descending else 1
 
             def visit_key(position: int) -> "tuple[int, Any]":
                 b = bounds[position]
@@ -809,7 +689,7 @@ class QueryCompiler:
                     return (0, 0)
                 return (1, sign * b) if not isinstance(b, str) else (1, b)
 
-            if compiled.descending and any(isinstance(b, str) for b in bounds):
+            if plan.descending and any(isinstance(b, str) for b in bounds):
                 # String bounds cannot be sign-flipped; sort descending ones
                 # separately (None-first is preserved by the stable sort).
                 order = sorted(
@@ -829,20 +709,20 @@ class QueryCompiler:
                     next_bound = bounds[order[position]]
                     kth_key = candidates[-1][0]
                     if next_bound is not None and (
-                        next_bound < kth_key if compiled.descending else next_bound > kth_key
+                        next_bound < kth_key if plan.descending else next_bound > kth_key
                     ):
                         break
                 batch = order[position : position + wave]
                 position += len(batch)
                 results = parallel_map(
-                    lambda entry: self._topk_block(compiled, *entry, k),
+                    lambda entry: self._topk_block(plan, *entry, k),
                     [entries[p] for p in batch],
                     self._pool,
                 )
                 for pairs, partial in results:
                     metrics.merge(partial)
                     candidates.extend(pairs)
-                candidates = _topk_pairs(candidates, k, compiled.descending)
+                candidates = _topk_pairs(candidates, k, plan.descending)
             for p in order[position:]:
                 self._reclassify_pruned(metrics, entries[p][2])
             if tracer.enabled:
@@ -867,7 +747,7 @@ class QueryCompiler:
 
     def _topk_block(
         self,
-        compiled: CompiledQuery,
+        plan: Plan,
         index: int,
         offset: int,
         full: bool,
@@ -884,22 +764,22 @@ class QueryCompiler:
         """
         block = self._relation.block(index)
         partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
+        mask, n_selected = self._block_selection(block, plan.predicate, full, partial)
         if n_selected == 0:
             return [], partial
-        column = compiled.order_by
+        column = plan.order_by
         assert column is not None
         positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
         gathered = self._gather_inputs(block, (column,), positions, partial)
         keys = gathered[column]
         if isinstance(keys, np.ndarray):
-            best = _ranked_positions(keys, k, compiled.descending)
+            best = _ranked_positions(keys, k, plan.descending)
             return (
                 [(int(keys[i]), int(offset + positions[i])) for i in best],
                 partial,
             )
         pairs = list(zip(keys, (positions + offset).tolist()))
-        if compiled.descending:
+        if plan.descending:
             # ``nlargest`` with a key is documented equivalent to a stable
             # reverse sort, so ties keep ascending (row) input order.
             return heapq.nlargest(k, pairs, key=lambda pair: pair[0]), partial
@@ -971,7 +851,7 @@ class QueryCompiler:
             return materialize_block_columns(block, names, positions)
 
     def _make_prefetcher(
-        self, compiled: CompiledQuery, tasks: list[tuple[int, int, bool]]
+        self, plan: Plan, tasks: list[tuple[int, int, bool]]
     ) -> "Callable[[int], None] | None":
         """A per-block read-ahead hint for the select and aggregate paths.
 
@@ -986,9 +866,9 @@ class QueryCompiler:
         if prefetch is None or len(tasks) < 2:
             return None
         columns: list[str] = []
-        if compiled.predicate is not None:
-            columns.extend(compiled.predicate.columns())
-        for name in compiled.gather_columns():
+        if plan.predicate is not None:
+            columns.extend(plan.predicate.columns())
+        for name in plan.gather_columns():
             if name not in columns:
                 columns.append(name)
         required = tuple(columns)
@@ -1006,12 +886,12 @@ class QueryCompiler:
 
         return hint
 
-    def _execute_aggregate(self, compiled: CompiledQuery) -> PlanResult:
-        tasks, metrics = self._classify_blocks(compiled.predicate)
-        prefetcher = self._make_prefetcher(compiled, tasks)
-        pairs, slots = moment_slots(compiled.aggregates)
+    def _execute_aggregate(self, plan: Plan) -> PlanResult:
+        tasks, metrics = self._classify_blocks(plan.predicate)
+        prefetcher = self._make_prefetcher(plan, tasks)
+        pairs, slots = moment_slots(plan.aggregates)
         results = parallel_map(
-            lambda task: self._aggregate_block(compiled, pairs, task[0], task[2], prefetcher),
+            lambda task: self._aggregate_block(plan, pairs, task[0], task[2], prefetcher),
             tasks,
             self._pool,
         )
@@ -1029,37 +909,37 @@ class QueryCompiler:
                 else:
                     for slot, (_, moment) in enumerate(pairs):
                         existing[slot] = moment.merge(existing[slot], state[slot])
-        if not compiled.group_by and not merged:
+        if not plan.group_by and not merged:
             merged[()] = [moment.empty for _, moment in pairs]  # no row qualified
 
         keys = sorted(merged)
-        if compiled.having is None and compiled.limit is not None:
+        if plan.having is None and plan.limit is not None:
             # Without a HAVING the limit can truncate before any key is
             # decoded; a HAVING must see every group first.
-            keys = keys[: compiled.limit]
-        single = len(compiled.group_by) == 1
+            keys = keys[: plan.limit]
+        single = len(plan.group_by) == 1
         if (
             single
             and any_code_space
-            and self._relation.schema.dtype(compiled.group_by[0]).is_string
+            and self._relation.schema.dtype(plan.group_by[0]).is_string
         ):
             # The group keys travelled as raw heap byte slices; this is the
             # one decode per distinct group the code-space path deferred.
             metrics.string_heap_decodes += len(keys)
         columns: dict[str, "np.ndarray | list"] = {}
-        for position, name in enumerate(compiled.group_by):
+        for position, name in enumerate(plan.group_by):
             columns[name] = [_output_key(key if single else key[position]) for key in keys]
-        for (name, fn), wiring in zip(compiled.aggregates, slots):
+        for (name, fn), wiring in zip(plan.aggregates, slots):
             columns[name] = [fn.finalize(*[merged[key][slot] for slot in wiring]) for key in keys]
-        if compiled.having is not None:
-            columns = _apply_having(columns, compiled.having)
-            if compiled.limit is not None:
-                columns = {name: values[: compiled.limit] for name, values in columns.items()}
+        if plan.having is not None:
+            columns = _apply_having(columns, plan.having)
+            if plan.limit is not None:
+                columns = {name: values[: plan.limit] for name, values in columns.items()}
         return PlanResult(columns=columns, row_ids=None, metrics=metrics)
 
     def _aggregate_block(
         self,
-        compiled: CompiledQuery,
+        plan: Plan,
         pairs: "list[tuple[str | None, Moment]]",
         index: int,
         full: bool,
@@ -1072,12 +952,12 @@ class QueryCompiler:
                 prefetcher(index)
             block = self._relation.block(index)
             partial = ScanMetrics()
-            mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
+            mask, n_selected = self._block_selection(block, plan.predicate, full, partial)
             groups: dict = {}
             used_code_space = False
             if n_selected:
                 groups, used_code_space = self._reduce_block(
-                    compiled, pairs, block, mask, n_selected, full, partial
+                    plan, pairs, block, mask, n_selected, full, partial
                 )
             if tracer.enabled:
                 span.annotate(rows=partial.rows_matched, groups=len(groups))
@@ -1085,7 +965,7 @@ class QueryCompiler:
 
     def _reduce_block(
         self,
-        compiled: CompiledQuery,
+        plan: Plan,
         pairs: "list[tuple[str | None, Moment]]",
         block: CompressedBlock,
         mask: "np.ndarray | None",
@@ -1102,7 +982,7 @@ class QueryCompiler:
         columns.
         """
         source = block  # zone maps are read off the (possibly out-of-core) original
-        group_by = compiled.group_by
+        group_by = plan.group_by
         keys: list = []
         inverse: np.ndarray | None = None  # row -> group index; None: one group
         used_code_space = False
@@ -1111,7 +991,7 @@ class QueryCompiler:
             # Grouping always touches block data; materialise an out-of-core
             # proxy once — column-granular tables fetch only the group keys
             # and aggregate inputs.
-            block = resolve_block(block, columns=compiled.gather_columns())
+            block = resolve_block(block, columns=plan.gather_columns())
             grouping = self._compressed_group_keys(block, group_by, mask, n_selected, partial)
             if grouping is None:
                 gather_names = list(group_by)
@@ -1296,20 +1176,6 @@ def _output_key(key: object) -> object:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _QuerySpec:
-    """The accumulated state of a fluent chain (immutable between calls)."""
-
-    predicate: Predicate | None = None
-    projection: tuple[str, ...] | None = None
-    group_keys: tuple[str, ...] = ()
-    aggregates: AggregateSpec = ()
-    limit: int | None = None
-    order_column: str | None = None
-    order_desc: bool = False
-    having_predicate: Predicate | None = None
-
-
 def _check_predicates(method: str, predicates: Sequence[object]) -> None:
     if not predicates:
         raise ValidationError(f"{method}() needs at least one predicate")
@@ -1320,13 +1186,18 @@ def _check_predicates(method: str, predicates: Sequence[object]) -> None:
             )
 
 
-class LazyQuery:
-    """Fluent, lazy query builder over one compressed relation.
+def _conjoin(current: Predicate | None, predicates: Sequence[Predicate]) -> Predicate:
+    terms = ([] if current is None else [current]) + list(predicates)
+    return terms[0] if len(terms) == 1 else And(*terms)
 
-    Every chaining call returns a *new* ``LazyQuery``; nothing touches the
-    data until a terminal (:meth:`execute`, :meth:`count`) runs, and
-    :meth:`explain` shows the logical tree plus the planner's per-block
-    decisions without executing anything.  Typical use::
+
+class LazyQuery:
+    """Fluent, lazy builder of one :class:`Plan` over one compressed relation.
+
+    Every chaining call returns a *new* ``LazyQuery`` holding a new plan;
+    nothing touches the data until a terminal (:meth:`execute`,
+    :meth:`count`) runs, and :meth:`explain` shows the plan plus the
+    planner's per-block decisions without executing anything.  Typical use::
 
         top = (
             relation.query()
@@ -1347,54 +1218,37 @@ class LazyQuery:
     :attr:`last_metrics`.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        engine: "Engine",
-        _spec: _QuerySpec | None = None,
-    ) -> None:
+    def __init__(self, relation: Relation, engine: "Engine", plan: Plan | None = None) -> None:
         self._relation = relation
         self._engine = engine
-        self._spec = _spec if _spec is not None else _QuerySpec()
+        self._plan = plan if plan is not None else Plan()
         self._last_metrics: ScanMetrics | None = None
 
     # -- fluent chain ----------------------------------------------------------
 
+    def with_plan(self, plan: Plan) -> "LazyQuery":
+        """This chain's relation and engine running ``plan`` (the wire protocol's entry)."""
+        return LazyQuery(self._relation, self._engine, plan)
+
     def _chain(self, **changes: Any) -> "LazyQuery":
-        return LazyQuery(
-            self._relation,
-            engine=self._engine,
-            _spec=replace(self._spec, **changes),
-        )
+        return self.with_plan(replace(self._plan, **changes))
 
     def where(self, *predicates: Predicate) -> "LazyQuery":
         """Add filter predicates (AND-combined with any existing ones)."""
         _check_predicates("where", predicates)
-        terms = [self._spec.predicate] if self._spec.predicate is not None else []
-        terms.extend(predicates)
-        combined = terms[0] if len(terms) == 1 else And(*terms)
-        return self._chain(predicate=combined)
+        return self._chain(predicate=_conjoin(self._plan.predicate, predicates))
 
     def select(self, *columns: str) -> "LazyQuery":
         """Project the named columns (aggregating queries name outputs via agg)."""
         if not columns:
             raise ValidationError("select() needs at least one column")
-        if self._spec.aggregates or self._spec.group_keys:
-            raise ValidationError(
-                "select() cannot be combined with agg()/group_by(); "
-                "aggregate outputs are named by agg()"
-            )
         return self._chain(projection=tuple(columns))
 
     def group_by(self, *columns: str) -> "LazyQuery":
         """Group the aggregation by the named columns."""
         if not columns:
             raise ValidationError("group_by() needs at least one column")
-        if self._spec.projection is not None:
-            raise ValidationError("group_by() cannot be combined with select()")
-        if self._spec.order_column is not None:
-            raise ValidationError("group_by() cannot be combined with order_by()")
-        return self._chain(group_keys=tuple(columns))
+        return self._chain(group_by=tuple(columns))
 
     def agg(self, **aggregates: AggregateFunction) -> "LazyQuery":
         """Add named aggregate outputs, e.g. ``agg(n=Count(), hi=Max("v"))``."""
@@ -1406,11 +1260,7 @@ class LazyQuery:
                     "agg() values must be aggregate functions "
                     f"(Count/Sum/Min/Max/Avg/Var/Std), got {fn!r} for {name!r}"
                 )
-        if self._spec.projection is not None:
-            raise ValidationError("agg() cannot be combined with select()")
-        if self._spec.order_column is not None:
-            raise ValidationError("agg() cannot be combined with order_by()")
-        return self._chain(aggregates=self._spec.aggregates + tuple(aggregates.items()))
+        return self._chain(aggregates=self._plan.aggregates + tuple(aggregates.items()))
 
     def having(self, *predicates: Predicate) -> "LazyQuery":
         """Filter the *aggregated* output rows (AND-combined, like where()).
@@ -1423,31 +1273,20 @@ class LazyQuery:
         aggregation on the chain by the time a terminal runs.
         """
         _check_predicates("having", predicates)
-        terms = (
-            [self._spec.having_predicate]
-            if self._spec.having_predicate is not None
-            else []
-        )
-        terms.extend(predicates)
-        combined = terms[0] if len(terms) == 1 else And(*terms)
-        return self._chain(having_predicate=combined)
+        return self._chain(having=_conjoin(self._plan.having, predicates))
 
     def order_by(self, column: str, desc: bool = False) -> "LazyQuery":
         """Order the output rows by ``column`` (ties keep ascending row id).
 
-        Followed by :meth:`limit`, the pair compiles to a fused
-        :class:`TopK`: bounded per-block candidate heaps, block visits in
-        zone-map bound order, and an early exit that skips — and on disk
-        never fetches — blocks that cannot affect the answer.  Not
-        combinable with ``agg()``/``group_by()``.
+        Followed by :meth:`limit`, the pair executes as a fused top-k:
+        bounded per-block candidate heaps, block visits in zone-map bound
+        order, and an early exit that skips — and on disk never fetches —
+        blocks that cannot affect the answer.  Not combinable with
+        ``agg()``/``group_by()``.
         """
         if not column:
             raise ValidationError("order_by() needs a column name")
-        if not isinstance(desc, bool):
-            raise ValidationError(f"order_by() desc must be a boolean, got {desc!r}")
-        if self._spec.aggregates or self._spec.group_keys:
-            raise ValidationError("order_by() cannot be combined with agg()/group_by()")
-        return self._chain(order_column=column, order_desc=desc)
+        return self._chain(order_by=column, descending=desc)
 
     def limit(self, n: int) -> "LazyQuery":
         """Keep at most ``n`` output rows (applied before materialisation).
@@ -1455,46 +1294,12 @@ class LazyQuery:
         ``n`` is any non-negative integer (numpy integers included); a
         ``bool``, a float or a string is rejected here, not at execution.
         """
-        try:
-            count = operator.index(n)
-        except TypeError:
-            count = -1
-        if isinstance(n, bool) or count < 0:
-            raise ValidationError(f"limit must be a non-negative integer, got {n!r}")
-        return self._chain(limit=count)
+        expect(n is not None, "limit must be a non-negative integer, got None")
+        return self._chain(limit=n)
 
-    # -- plan assembly ---------------------------------------------------------
-
-    def logical_plan(self) -> LogicalNode:
-        """The logical tree this chain describes (Scan at the bottom)."""
-        spec = self._spec
-        node: LogicalNode = Scan(self._relation)
-        if spec.predicate is not None:
-            node = Filter(node, spec.predicate)
-        if spec.aggregates:
-            node = Aggregate(node, aggregates=spec.aggregates, group_by=spec.group_keys)
-            if spec.having_predicate is not None:
-                # A Filter above the Aggregate is the HAVING position.
-                node = Filter(node, spec.having_predicate)
-        elif spec.group_keys:
-            raise ValidationError("group_by() needs at least one aggregate; add .agg(...)")
-        elif spec.having_predicate is not None:
-            raise ValidationError("having() needs an aggregation; add .agg(...)")
-        else:
-            projection = spec.projection
-            if projection is None:
-                projection = self._relation.schema.names
-            node = Project(node, tuple(projection))
-        if spec.order_column is not None:
-            if spec.limit is not None:
-                # order_by().limit(k) fuses into a bounded-heap top-k.
-                return TopK(
-                    node, column=spec.order_column, k=spec.limit, descending=spec.order_desc
-                )
-            node = Sort(node, column=spec.order_column, descending=spec.order_desc)
-        if spec.limit is not None:
-            node = Limit(node, spec.limit)
-        return node
+    def logical_plan(self) -> Plan:
+        """The plan this chain describes, once it is complete."""
+        return self._plan.check_complete()
 
     def _compiler(self) -> QueryCompiler:
         return self._engine.compiler_for(self._relation)
@@ -1507,12 +1312,18 @@ class LazyQuery:
         return self._last_metrics
 
     def explain(self, analyze: bool = False) -> str:
-        """Render the logical tree plus per-block prune/full/scan decisions.
+        """Render the plan plus per-block prune/full/scan decisions.
 
         ``analyze=True`` also runs the query under a tracer and appends
         per-stage wall time, rows and bytes plus the span tree.
         """
-        return self._compiler().explain(self.logical_plan(), analyze=analyze)
+        return self._compiler().explain(self._plan, analyze=analyze)
+
+    def _run(self, plan: Plan, tracer: "Tracer | None") -> PlanResult:
+        compiler = self._compiler()
+        result = compiler.execute(compiler.compile(plan), tracer=tracer)
+        self._last_metrics = result.metrics
+        return result
 
     def execute(self, tracer: "Tracer | None" = None) -> PlanResult:
         """Compile and run the plan, materialising its output.
@@ -1520,9 +1331,7 @@ class LazyQuery:
         ``tracer``, when given, records the execution's span tree (see
         :mod:`repro.query.tracing`).
         """
-        result = self._compiler().execute(self.logical_plan(), tracer=tracer)
-        self._last_metrics = result.metrics
-        return result
+        return self._run(self._plan, tracer)
 
     def count(self, tracer: "Tracer | None" = None) -> int:
         """The number of qualifying rows, without materialising any output.
@@ -1534,16 +1343,11 @@ class LazyQuery:
         result, matching ``execute().n_rows``.  ``tracer`` records the
         execution's span tree, as for :meth:`execute`.
         """
-        if self._spec.aggregates or self._spec.group_keys or self._spec.having_predicate:
+        plan = self._plan
+        if plan.aggregates or plan.group_by or plan.having is not None:
             raise ValidationError("count() is for plain filter chains; use agg(n=Count())")
-        spec = self._spec
-        node: LogicalNode = Scan(self._relation)
-        if spec.predicate is not None:
-            node = Filter(node, spec.predicate)
-        node = Aggregate(node, aggregates=(("count", Count()),))
-        result = self._compiler().execute(node, tracer=tracer)
-        self._last_metrics = result.metrics
-        total = int(result.scalar("count"))
-        if spec.limit is not None:
-            total = min(total, spec.limit)
+        counted = Plan(predicate=plan.predicate, aggregates=(("count", Count()),))
+        total = int(self._run(counted, tracer).scalar("count"))
+        if plan.limit is not None:
+            total = min(total, plan.limit)
         return total

@@ -19,8 +19,25 @@ Nodes::
     Or(children...)              disjunction
     Not(child)                   negation
 
-``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations.  Every
-node has a canonical fingerprint, so every plan can be memoized and cached.
+``&``, ``|`` and ``~`` build conjunctions/disjunctions/negations.
+
+Every node has a JSON form, the wire grammar of the query service::
+
+    {"op": "eq", "column": c, "value": v}
+    {"op": "between", "column": c, "lo": low, "hi": high}   (null = open side)
+    {"op": "in", "column": c, "values": [v, ...]}
+    {"op": "and" | "or", "children": [node, node, ...]}      (two or more)
+    {"op": "not", "child": node}
+
+:meth:`Predicate.to_json` writes it in canonical form (``And``/``Or``
+children sorted by their canonical text, ``In`` values sorted, NumPy
+scalars as plain JSON numbers) and :meth:`Predicate.from_json` parses it
+strictly.  A node's fingerprint is that canonical JSON text, so equal
+predicates share planner memo entries and result-cache keys.
+
+``And``, ``Or`` and ``Not`` combine their children's masks themselves
+(:meth:`Predicate.combine`), so the scan walks a tree without knowing
+which combinator it holds.
 
 A leaf also states *what* it compares, once, for the compressed-domain
 kernels (:mod:`~repro.query.kernels`): :meth:`Predicate.comparison` is the
@@ -33,12 +50,14 @@ other module needs to know which predicate kind it is looking at.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Sequence
+import json
+from functools import reduce
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..encodings.base import int64_candidates
-from ..errors import ValidationError
+from ..errors import ValidationError, expect
 from ..storage.statistics import BlockStatistics
 
 __all__ = [
@@ -53,6 +72,23 @@ __all__ = [
 
 #: Decoded column values handed to ``evaluate``: int64 arrays or string lists.
 ColumnValues = Mapping[str, "np.ndarray | list[str]"]
+
+
+_CANONICAL = json.JSONEncoder(separators=(",", ":"))
+
+
+def canonical_json(node: object) -> str:
+    """The one text form of a JSON value: fingerprints are this string."""
+    return _CANONICAL.encode(node)
+
+
+def _json_scalar(value: Any) -> Any:
+    """A predicate constant as a plain JSON scalar (NumPy scalars unwrap)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is not None and not isinstance(value, (int, float, str)):
+        raise ValidationError(f"predicate constant {value!r} has no JSON form")
+    return value
 
 
 def _as_array(values) -> np.ndarray:
@@ -96,19 +132,47 @@ class Predicate(abc.ABC):
         """
         return False
 
-    def fingerprint(self) -> str:
-        """A stable cache key for planner memoization.
+    #: The sub-predicates a combinator joins; ``()`` for a leaf.
+    children: tuple["Predicate", ...] = ()
 
-        Two predicates with equal fingerprints must make identical zone-map
-        decisions on every block.  The fingerprint is *canonical*: it does
-        not depend on the process, on dict/set iteration order, or on the
-        order in which commutative children were supplied (``In`` sorts its
-        candidates at construction; ``And``/``Or`` sort their children's
-        fingerprints), so it is safe to use as a cross-process cache key —
-        the query service keys its result cache on it.  A subclass whose
-        ``describe()`` does not pin down its behaviour must override it.
+    def combine(
+        self, mask_of: Callable[["Predicate"], np.ndarray]
+    ) -> np.ndarray | None:
+        """This combinator's row mask from ``mask_of(child)`` per child.
+
+        ``None`` for a leaf, which the caller evaluates itself.
         """
-        return f"{type(self).__name__}:{self.describe()}"
+        return None
+
+    def to_json(self) -> dict:
+        """The node in the wire grammar, in canonical form.
+
+        A leaf outside the grammar writes its type and :meth:`describe`
+        text, which then must pin its behaviour down; it has a fingerprint
+        but does not parse back.
+        """
+        return {"op": type(self).__qualname__, "describe": self.describe()}
+
+    @staticmethod
+    def from_json(node: object) -> "Predicate":
+        """Parse one wire-grammar node; malformed input is a ValidationError."""
+        expect(isinstance(node, dict), "predicate nodes must be JSON objects")
+        assert isinstance(node, dict)
+        op = node.get("op")
+        expect(isinstance(op, str), "predicate nodes need an 'op' string")
+        kind = _OPS.get(op)
+        expect(kind is not None, f"unknown predicate op {op!r}")
+        return kind.parse(node)
+
+    def fingerprint(self) -> str:
+        """The canonical JSON text: a cross-process planner and cache key.
+
+        Two predicates with equal fingerprints make identical zone-map
+        decisions on every block and select the same rows.  It does not
+        depend on the process or on the order in which commutative
+        children or ``In`` candidates were supplied.
+        """
+        return canonical_json(self.to_json())
 
     def comparison(self) -> "tuple[tuple | None, tuple | None] | None":
         """What a leaf compares its column against: ``(bounds, candidates)``.
@@ -173,6 +237,27 @@ class _Leaf(Predicate):
             return None
         return statistics.column(self.column)
 
+    @staticmethod
+    def _column_of(node: dict) -> str:
+        column = node.get("column")
+        expect(
+            isinstance(column, str) and column != "",
+            f"{node['op']!r} predicate needs a 'column' string",
+        )
+        return column
+
+    @staticmethod
+    def _constant(node: dict, key: str, nullable: bool = False) -> "int | str | None":
+        expect(key in node, f"{node['op']!r} predicate needs {key!r}")
+        value = node[key]
+        expect(
+            (nullable and value is None)
+            or (isinstance(value, (int, str)) and not isinstance(value, bool)),
+            f"{node['op']!r} predicate {key!r} must be an integer or string"
+            + (" (or null)" if nullable else ""),
+        )
+        return value
+
 
 class Eq(_Leaf):
     """``column == value``."""
@@ -205,6 +290,13 @@ class Eq(_Leaf):
 
     def comparison(self) -> tuple[None, tuple]:
         return None, (self.value,)
+
+    def to_json(self) -> dict:
+        return {"op": "eq", "column": self.column, "value": _json_scalar(self.value)}
+
+    @classmethod
+    def parse(cls, node: dict) -> "Eq":
+        return cls(cls._column_of(node), cls._constant(node, "value"))
 
     def describe(self) -> str:
         return f"{self.column} == {self.value!r}"
@@ -246,6 +338,23 @@ class Between(_Leaf):
 
     def comparison(self) -> tuple[tuple, None]:
         return (self.low, self.high), None
+
+    def to_json(self) -> dict:
+        return {
+            "op": "between",
+            "column": self.column,
+            "lo": _json_scalar(self.low),
+            "hi": _json_scalar(self.high),
+        }
+
+    @classmethod
+    def parse(cls, node: dict) -> "Between":
+        # Both keys are required; ``null`` opens that side.
+        return cls(
+            cls._column_of(node),
+            cls._constant(node, "lo", nullable=True),
+            cls._constant(node, "hi", nullable=True),
+        )
 
     def describe(self) -> str:
         if self.low is None:
@@ -290,12 +399,38 @@ class In(_Leaf):
     def comparison(self) -> tuple[None, tuple]:
         return None, self.values
 
+    def to_json(self) -> dict:
+        return {
+            "op": "in",
+            "column": self.column,
+            "values": [_json_scalar(value) for value in self.values],
+        }
+
+    @classmethod
+    def parse(cls, node: dict) -> "In":
+        values = node.get("values")
+        expect(
+            isinstance(values, list) and len(values) > 0,
+            "'in' predicate needs a non-empty 'values' list",
+        )
+        assert isinstance(values, list)
+        for value in values:
+            expect(
+                isinstance(value, (int, str)) and not isinstance(value, bool),
+                "'in' predicate values must be integers or strings",
+            )
+        return cls(cls._column_of(node), values)
+
     def describe(self) -> str:
         return f"{self.column} IN {list(self.values)!r}"
 
 
 class _Compound(Predicate):
     """Conjunction/disjunction over child predicates."""
+
+    #: The wire op, and the ufunc that joins two children's masks.
+    op = ""
+    join: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __init__(self, *children: Predicate):
         if len(children) < 1:
@@ -320,22 +455,37 @@ class _Compound(Predicate):
     def elementwise(self) -> bool:
         return all(child.elementwise for child in self.children)
 
-    def fingerprint(self) -> str:
-        parts = [child.fingerprint() for child in self.children]
+    def combine(self, mask_of: Callable[[Predicate], np.ndarray]) -> np.ndarray:
+        return reduce(type(self).join, map(mask_of, self.children))
+
+    def evaluate(self, values: ColumnValues) -> np.ndarray:
+        return self.combine(lambda child: child.evaluate(values))
+
+    def to_json(self) -> dict:
+        if len(self.children) == 1:
+            return self.children[0].to_json()
         # And/Or are commutative and their zone-map tests are all()/any()
         # over the children, so child order never changes a decision —
         # sorting makes And(a, b) and And(b, a) share one cache entry.
-        return f"{type(self).__name__}:[{'; '.join(sorted(parts))}]"
+        nodes = sorted((child.to_json() for child in self.children), key=canonical_json)
+        return {"op": self.op, "children": nodes}
+
+    @classmethod
+    def parse(cls, node: dict) -> Predicate:
+        children = node.get("children")
+        expect(
+            isinstance(children, list) and len(children) >= 2,
+            f"{cls.op!r} predicate needs a 'children' list with at least two nodes",
+        )
+        assert isinstance(children, list)
+        return cls(*[Predicate.from_json(child) for child in children])
 
 
 class And(_Compound):
     """Every child predicate must hold."""
 
-    def evaluate(self, values: ColumnValues) -> np.ndarray:
-        mask = self.children[0].evaluate(values)
-        for child in self.children[1:]:
-            mask = mask & child.evaluate(values)
-        return mask
+    op = "and"
+    join = np.logical_and
 
     def might_match(self, statistics: BlockStatistics | None) -> bool:
         return all(child.might_match(statistics) for child in self.children)
@@ -350,11 +500,8 @@ class And(_Compound):
 class Or(_Compound):
     """At least one child predicate must hold."""
 
-    def evaluate(self, values: ColumnValues) -> np.ndarray:
-        mask = self.children[0].evaluate(values)
-        for child in self.children[1:]:
-            mask = mask | child.evaluate(values)
-        return mask
+    op = "or"
+    join = np.logical_or
 
     def might_match(self, statistics: BlockStatistics | None) -> bool:
         return any(child.might_match(statistics) for child in self.children)
@@ -380,6 +527,7 @@ class Not(Predicate):
 
     def __init__(self, child: Predicate):
         self.child = child
+        self.children = (child,)
 
     def columns(self) -> tuple[str, ...]:
         return self.child.columns()
@@ -388,8 +536,19 @@ class Not(Predicate):
     def elementwise(self) -> bool:
         return self.child.elementwise
 
+    def combine(self, mask_of: Callable[[Predicate], np.ndarray]) -> np.ndarray:
+        return ~np.asarray(mask_of(self.child), dtype=bool)
+
     def evaluate(self, values: ColumnValues) -> np.ndarray:
-        return ~np.asarray(self.child.evaluate(values), dtype=bool)
+        return self.combine(lambda child: child.evaluate(values))
+
+    def to_json(self) -> dict:
+        return {"op": "not", "child": self.child.to_json()}
+
+    @classmethod
+    def parse(cls, node: dict) -> "Not":
+        expect("child" in node, "'not' predicate needs a 'child' node")
+        return cls(Predicate.from_json(node["child"]))
 
     def might_match(self, statistics: BlockStatistics | None) -> bool:
         # Stays True unless the negated child is provably full: anything
@@ -402,12 +561,20 @@ class Not(Predicate):
         # so every row satisfies the negation.
         return statistics is not None and not self.child.might_match(statistics)
 
-    def fingerprint(self) -> str:
-        return f"Not:[{self.child.fingerprint()}]"
-
     def __invert__(self) -> Predicate:
         # ~~p is p: skip the double negation instead of stacking nodes.
         return self.child
 
     def describe(self) -> str:
         return f"NOT ({self.child.describe()})"
+
+
+#: Wire op -> the node kind that parses it.
+_OPS: dict[str, Any] = {
+    "eq": Eq,
+    "between": Between,
+    "in": In,
+    "and": And,
+    "or": Or,
+    "not": Not,
+}

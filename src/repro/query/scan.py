@@ -42,7 +42,7 @@ from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
 from .kernels import DEFAULT_KERNELS, KernelRegistry
 from .parallel import parallel_map
-from .predicates import And, Not, Or, Predicate
+from .predicates import Predicate
 from .selection import SelectionVector
 from .tracing import current_tracer
 
@@ -308,12 +308,13 @@ def evaluate_block_predicate(
     the standard registry): dictionary columns answer constant comparisons
     over their packed codes without decoding any value (an integer
     dictionary also whole element-wise subtrees, once per entry), and
-    FOR/delta columns answer constant comparisons in word space.  ``Not``
-    nodes negate their child's mask, so a negated kernel answer stays in
-    its compressed domain.  Remaining leaves decode their column once per
-    block (a shared cache deduplicates columns used by several leaves) and
-    apply the generic vectorized kernel.  An empty registry declines every
-    subtree, so every leaf takes that decode path.
+    FOR/delta columns answer constant comparisons in word space.  A
+    combinator joins its children's masks itself (``combine``), so a
+    negated kernel answer stays in its compressed domain.  Remaining leaves
+    decode their column once per block (a shared cache deduplicates
+    columns used by several leaves) and apply the generic vectorized
+    kernel.  An empty registry declines every subtree, so every leaf takes
+    that decode path.
     ``metrics``, when given, receives the ``rows_decoded``,
     ``rows_dict_evaluated``, kernel-counter and ``string_heap_decodes``
     accounting (``rows_decoded`` is charged once per block, on the first
@@ -363,22 +364,15 @@ def evaluate_block_predicate(
             if len(kernel_names) == 1:
                 # Kernel-first: an integer dictionary answers compound
                 # single-column subtrees once per entry, so the offer happens
-                # before any recursion; the other kernels decline non-leaf nodes.
+                # before any recursion; the other kernels answer leaves only.
                 kernel_mask = registry.predicate_mask(block, kernel_names[0], node, metrics)
                 if kernel_mask is not None:
                     if tracer.enabled:
                         paths.add("kernel")
                     return kernel_mask
-            if isinstance(node, Not):
-                return ~walk(node.child)
-            if isinstance(node, (And, Or)):
-                mask = walk(node.children[0])
-                for child in node.children[1:]:
-                    if isinstance(node, And):
-                        mask = mask & walk(child)
-                    else:
-                        mask = mask | walk(child)
-                return mask
+            combined = node.combine(walk)
+            if combined is not None:
+                return combined
             if tracer.enabled:
                 paths.add("decode")
             return np.asarray(

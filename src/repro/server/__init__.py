@@ -51,7 +51,7 @@ line, :class:`~repro.server.service.QueryService` +
 
 from .http import BackgroundServer, CorraHttpServer
 from .metrics import LatencyWindow, ServerMetrics
-from .protocol import QueryRequest, encode_result, parse_predicate, parse_request
+from .protocol import QueryRequest, encode_result, parse_request
 from .service import (
     CostLimitError,
     QueryService,
@@ -76,6 +76,5 @@ __all__ = [
     "ServiceConfig",
     "UnknownTableError",
     "encode_result",
-    "parse_predicate",
     "parse_request",
 ]

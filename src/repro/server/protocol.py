@@ -1,12 +1,13 @@
 """Wire protocol: JSON requests in, JSON-ready results out.
 
-The request body is a small JSON object that lowers 1:1 onto a
-:class:`~repro.query.plan.LazyQuery` chain::
+A request body is a query :class:`~repro.query.plan.Plan` in its JSON
+grammar (:meth:`Plan.from_json <repro.query.plan.Plan.from_json>`) plus the
+table it runs on and an optional trace flag::
 
     {
       "table": "trips",
       "where": {"op": "and", "children": [
-          {"op": "between", "column": "ship", "lo": 8100, "hi": 8200},
+          {"op": "between", "column": "ship", "lo": 8100, "hi": null},
           {"op": "not", "child": {"op": "eq", "column": "flag", "value": "R"}}
       ]},
       "group_by": ["tag"],
@@ -14,22 +15,25 @@ The request body is a small JSON object that lowers 1:1 onto a
       "limit": 100
     }
 
-``select`` (a list of column names) and ``aggregates``/``group_by`` are
-mutually exclusive, exactly as in the fluent API.  An aggregate's ``fn`` is
-one of ``count`` (which takes no ``column``), ``sum``, ``min``, ``max``,
-``avg``, ``var`` and ``std``.  ``order_by`` (a column
-name, or ``{"column": ..., "desc": true}``) orders the output rows; with
-``k`` (a row count that requires ``order_by`` and replaces ``limit``) the
-pair lowers onto the engine's fused top-k path.  ``having`` is a predicate
-over the aggregation's *output* columns.  All of these are
-fingerprint-canonical: two requests meaning the same query produce the
-same plan fingerprint, so the service's result cache keeps working.  An
-optional ``"trace": true`` flag asks the service to attach the executed
+Predicate nodes are ``eq`` (column, value), ``between`` (column, lo, hi —
+both keys required, ``null`` opens that side), ``in`` (column, values),
+``and``/``or`` (two or more children) and ``not`` (child); constants are
+integers or strings.  ``select`` (a list of column names) and
+``aggregates``/``group_by`` are mutually exclusive.  An aggregate's ``fn``
+is one of ``count`` (which takes no ``column``), ``sum``, ``min``, ``max``,
+``avg``, ``var`` and ``std``; the object's key order is the output column
+order.  ``order_by`` (a column name, or ``{"column": ..., "desc": true}``)
+orders the output rows; with ``k`` (a row count that requires ``order_by``
+and replaces ``limit``) the pair runs as the engine's fused top-k.
+``having`` is a predicate over the aggregation's *output* columns.
+
+The plan's fingerprint is its canonical JSON text, so two requests meaning
+the same query share a result-cache entry and no two different ones do.
+An optional ``"trace": true`` flag asks the service to attach the executed
 query's span tree (a :class:`~repro.query.tracing.QueryTrace` dict) to the
-response body.  Parsing is strict:
-unknown keys, unknown predicate ops and malformed shapes raise
-:class:`~repro.errors.ValidationError`, which the HTTP layer maps to 400 —
-the engine never sees a malformed request.
+response body.  Parsing is strict: unknown keys, unknown predicate ops and
+malformed shapes raise :class:`~repro.errors.ValidationError`, which the
+HTTP layer maps to 400 — the engine never sees a malformed request.
 """
 
 from __future__ import annotations
@@ -38,255 +42,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
-from ..query.aggregates import AggregateFunction, parse_aggregate
-from ..query.plan import LazyQuery, PlanResult
-from ..query.predicates import And, Between, Eq, In, Not, Or, Predicate
+from ..errors import expect
+from ..query.plan import LazyQuery, Plan, PlanResult
 
-__all__ = ["QueryRequest", "build_query", "encode_result", "parse_predicate", "parse_request"]
-
-_REQUEST_KEYS = {
-    "table",
-    "where",
-    "select",
-    "group_by",
-    "aggregates",
-    "having",
-    "order_by",
-    "k",
-    "limit",
-    "trace",
-}
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
-
-
-def _column_of(node: dict, op: str) -> str:
-    column = node.get("column")
-    _expect(isinstance(column, str) and column != "", f"{op!r} predicate needs a 'column' string")
-    assert isinstance(column, str)
-    return column
-
-
-def _scalar(node: dict, key: str, op: str) -> "int | str":
-    _expect(key in node, f"{op!r} predicate needs {key!r}")
-    value = node[key]
-    _expect(
-        isinstance(value, (int, str)) and not isinstance(value, bool),
-        f"{op!r} predicate {key!r} must be an integer or string",
-    )
-    assert isinstance(value, (int, str))
-    return value
-
-
-def parse_predicate(node: object) -> Predicate:
-    """A JSON predicate node as a :class:`~repro.query.predicates.Predicate`.
-
-    Ops: ``eq`` (column, value), ``between`` (column, lo, hi), ``in``
-    (column, values), ``and``/``or`` (children), ``not`` (child).
-    """
-    _expect(isinstance(node, dict), "predicate nodes must be JSON objects")
-    assert isinstance(node, dict)
-    op = node.get("op")
-    _expect(isinstance(op, str), "predicate nodes need an 'op' string")
-    if op == "eq":
-        return Eq(_column_of(node, op), _scalar(node, "value", op))
-    if op == "between":
-        return Between(_column_of(node, op), _scalar(node, "lo", op), _scalar(node, "hi", op))
-    if op == "in":
-        values = node.get("values")
-        _expect(
-            isinstance(values, list) and len(values) > 0,
-            "'in' predicate needs a non-empty 'values' list",
-        )
-        for value in values:
-            _expect(
-                isinstance(value, (int, str)) and not isinstance(value, bool),
-                "'in' predicate values must be integers or strings",
-            )
-        return In(_column_of(node, op), values)
-    if op in ("and", "or"):
-        children = node.get("children")
-        _expect(
-            isinstance(children, list) and len(children) >= 2,
-            f"{op!r} predicate needs a 'children' list with at least two nodes",
-        )
-        parsed = [parse_predicate(child) for child in children]
-        return And(*parsed) if op == "and" else Or(*parsed)
-    if op == "not":
-        _expect("child" in node, "'not' predicate needs a 'child' node")
-        return Not(parse_predicate(node["child"]))
-    raise ValidationError(f"unknown predicate op {op!r}")
-
-
-def _parse_aggregate(name: str, node: object) -> AggregateFunction:
-    _expect(isinstance(node, dict), f"aggregate {name!r} must be a JSON object")
-    assert isinstance(node, dict)
-    try:
-        return parse_aggregate(node.get("fn"), node.get("column"))
-    except ValidationError as error:
-        raise ValidationError(f"aggregate {name!r}: {error}") from None
+__all__ = ["QueryRequest", "build_query", "encode_result", "parse_request"]
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """A validated query request, ready to lower onto a ``LazyQuery``."""
+    """A validated query request: the table, its plan and the trace flag."""
 
     table: str
-    where: Predicate | None = None
-    select: tuple[str, ...] | None = None
-    group_by: tuple[str, ...] = ()
-    aggregates: tuple[tuple[str, AggregateFunction], ...] = ()
-    #: HAVING predicate over the aggregation's output columns.
-    having: Predicate | None = None
-    #: Sort column; ``k`` (the JSON top-k row count) folds into ``limit``,
-    #: so an ordered-and-limited request always takes the fused top-k path.
-    order_by: str | None = None
-    order_desc: bool = False
-    limit: int | None = None
+    plan: Plan
     #: Attach the per-request span tree to the response body.
     trace: bool = False
 
 
 def parse_request(payload: object) -> QueryRequest:
     """Validate a decoded JSON body into a :class:`QueryRequest`."""
-    _expect(isinstance(payload, dict), "request body must be a JSON object")
+    expect(isinstance(payload, dict), "request body must be a JSON object")
     assert isinstance(payload, dict)
-    unknown = set(payload) - _REQUEST_KEYS
-    _expect(not unknown, f"unknown request key(s): {sorted(unknown)}")
     table = payload.get("table")
-    _expect(isinstance(table, str) and table != "", "request needs a 'table' name")
-
-    where = None
-    if payload.get("where") is not None:
-        where = parse_predicate(payload["where"])
-
-    select: tuple[str, ...] | None = None
-    if payload.get("select") is not None:
-        raw_select = payload["select"]
-        _expect(
-            isinstance(raw_select, list)
-            and len(raw_select) > 0
-            and all(isinstance(c, str) and c for c in raw_select),
-            "'select' must be a non-empty list of column names",
-        )
-        select = tuple(raw_select)
-
-    group_by: tuple[str, ...] = ()
-    if payload.get("group_by") is not None:
-        raw_group = payload["group_by"]
-        _expect(
-            isinstance(raw_group, list)
-            and len(raw_group) > 0
-            and all(isinstance(c, str) and c for c in raw_group),
-            "'group_by' must be a non-empty list of column names",
-        )
-        group_by = tuple(raw_group)
-
-    aggregates: tuple[tuple[str, AggregateFunction], ...] = ()
-    if payload.get("aggregates") is not None:
-        raw_aggs = payload["aggregates"]
-        _expect(
-            isinstance(raw_aggs, dict) and len(raw_aggs) > 0,
-            "'aggregates' must be a non-empty object of name -> {fn, column}",
-        )
-        aggregates = tuple(
-            (name, _parse_aggregate(name, node)) for name, node in raw_aggs.items()
-        )
-
-    _expect(
-        not (select and (group_by or aggregates)),
-        "'select' cannot be combined with 'group_by'/'aggregates'",
-    )
-    _expect(not (group_by and not aggregates), "'group_by' needs 'aggregates'")
-
-    having = None
-    if payload.get("having") is not None:
-        _expect(bool(aggregates), "'having' needs 'aggregates'")
-        having = parse_predicate(payload["having"])
-
-    order_by: str | None = None
-    order_desc = False
-    if payload.get("order_by") is not None:
-        raw_order = payload["order_by"]
-        if isinstance(raw_order, str):
-            _expect(raw_order != "", "'order_by' column name must be non-empty")
-            order_by = raw_order
-        else:
-            _expect(
-                isinstance(raw_order, dict) and not (set(raw_order) - {"column", "desc"}),
-                "'order_by' must be a column name or {'column': ..., 'desc': bool}",
-            )
-            assert isinstance(raw_order, dict)
-            column = raw_order.get("column")
-            _expect(
-                isinstance(column, str) and column != "",
-                "'order_by' needs a 'column' string",
-            )
-            assert isinstance(column, str)
-            order_by = column
-            desc = raw_order.get("desc", False)
-            _expect(isinstance(desc, bool), "'order_by' 'desc' must be a boolean")
-            order_desc = bool(desc)
-        _expect(
-            not (group_by or aggregates),
-            "'order_by' cannot be combined with 'group_by'/'aggregates'",
-        )
-
-    limit = payload.get("limit")
-    if limit is not None:
-        _expect(
-            isinstance(limit, int) and not isinstance(limit, bool) and limit >= 0,
-            "'limit' must be a non-negative integer",
-        )
-
-    k = payload.get("k")
-    if k is not None:
-        _expect(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 0,
-            "'k' must be a non-negative integer",
-        )
-        _expect(order_by is not None, "'k' needs 'order_by'")
-        _expect(limit is None, "'k' replaces 'limit'; send one or the other")
-        limit = k
-
+    expect(isinstance(table, str) and table != "", "request needs a 'table' name")
     trace = payload.get("trace", False)
-    _expect(isinstance(trace, bool), "'trace' must be a boolean")
-    assert isinstance(trace, bool)
-    return QueryRequest(
-        table=table,
-        where=where,
-        select=select,
-        group_by=group_by,
-        aggregates=aggregates,
-        having=having,
-        order_by=order_by,
-        order_desc=order_desc,
-        limit=limit,
-        trace=trace,
-    )
+    expect(isinstance(trace, bool), "'trace' must be a boolean")
+    body = {key: value for key, value in payload.items() if key not in ("table", "trace")}
+    return QueryRequest(table=table, plan=Plan.from_json(body), trace=trace)
 
 
 def build_query(lazy: LazyQuery, request: QueryRequest) -> LazyQuery:
-    """Apply a validated request to a fresh ``LazyQuery`` chain."""
-    if request.where is not None:
-        lazy = lazy.where(request.where)
-    if request.select is not None:
-        lazy = lazy.select(*request.select)
-    if request.group_by:
-        lazy = lazy.group_by(*request.group_by)
-    if request.aggregates:
-        lazy = lazy.agg(**dict(request.aggregates))
-    if request.having is not None:
-        lazy = lazy.having(request.having)
-    if request.order_by is not None:
-        lazy = lazy.order_by(request.order_by, desc=request.order_desc)
-    if request.limit is not None:
-        lazy = lazy.limit(request.limit)
-    return lazy
+    """A fresh ``LazyQuery`` chain running the request's plan."""
+    return lazy.with_plan(request.plan)
 
 
 def _json_value(value: object) -> object:

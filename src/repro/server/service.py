@@ -16,12 +16,13 @@ semantics lives here:
   per-query limits (413 when over — metadata-only, so rejecting an
   expensive query costs microseconds);
 * **result caching** — results are memoized by ``(table, plan
-  fingerprint)`` and validated against the relation's ``cache_token``, so
-  a reopened/overwritten table can never serve stale rows.
+  fingerprint)`` — the plan's canonical JSON text — and validated
+  against the relation's ``cache_token``, so a reopened/overwritten
+  table can never serve stale rows.
 
 Execution itself is one shared :class:`~repro.query.engine.Engine`: every
-request thread lowers its request onto a
-:class:`~repro.query.plan.LazyQuery` bound to the engine, so concurrent
+request thread compiles its request's :class:`~repro.query.plan.Plan` on
+the engine's compiler for the table, so concurrent
 queries share the planner memos, the worker pool, the block cache and the
 prefetch pool.
 """
@@ -41,7 +42,7 @@ from ..query.scan import BlockDecision
 from ..query.tracing import TRACE_DISABLED, NullTracer, QueryTrace, Tracer, activate
 from ..storage.catalog import Catalog
 from .metrics import ServerMetrics
-from .protocol import build_query, encode_result, parse_request
+from .protocol import encode_result, parse_request
 
 __all__ = [
     "CostLimitError",
@@ -277,7 +278,7 @@ class QueryService:
         except ValidationError as exc:
             raise UnknownTableError(str(exc)) from exc
 
-    def _check_cost(self, compiler, compiled) -> None:
+    def _check_cost(self, compiler, plan) -> None:
         """Reject plans whose scan-classified blocks exceed the budget.
 
         Pure metadata: the shared planner's zone-map decisions plus the
@@ -288,11 +289,11 @@ class QueryService:
         cfg = self._config
         if cfg.max_rows_scanned is None and cfg.max_bytes_scanned is None:
             return
-        plan = compiler.planner.plan(compiled.predicate)
+        scan_plan = compiler.planner.plan(plan.predicate)
         rows = 0
         size = 0
         relation = compiler.relation
-        for index, decision in enumerate(plan.decisions):
+        for index, decision in enumerate(scan_plan.decisions):
             if decision != BlockDecision.SCAN:
                 continue
             block = relation.block(index)
@@ -327,10 +328,10 @@ class QueryService:
         engine = self._engine
         relation = self._open_table(engine, request.table)
         compiler = engine.compiler_for(relation)
-        compiled = compiler.compile(build_query(engine.query(relation), request).logical_plan())
-        self._check_cost(compiler, compiled)
+        plan = compiler.compile(request.plan)
+        self._check_cost(compiler, plan)
 
-        cache_key = (request.table, compiled.fingerprint())
+        cache_key = (request.table, plan.fingerprint())
         cached = self._result_cache.get(cache_key, relation.cache_token)
         if cached is not None:
             return cached, None, True
@@ -341,7 +342,7 @@ class QueryService:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise QueryTimeoutError("deadline passed before execution started")
-            result = compiler.execute(compiled, tracer=tracer)
+            result = compiler.execute(plan, tracer=tracer)
         finally:
             self._gate.release()
         if time.monotonic() > deadline:

@@ -232,14 +232,14 @@ class TestQueryCommand:
         assert main([
             "query", "taxi", "--rows", "1000", "--group-by", "passenger_count",
         ]) == 1
-        assert "--group-by needs at least one --agg" in capsys.readouterr().err
+        assert "group_by needs at least one aggregate" in capsys.readouterr().err
 
     def test_select_combined_with_agg_is_an_error(self, capsys):
         assert main([
             "query", "taxi", "--rows", "1000", "--agg", "n:count",
             "--select", "fare_amount",
         ]) == 1
-        assert "--select cannot be combined" in capsys.readouterr().err
+        assert "select cannot be combined with group_by/aggregates" in capsys.readouterr().err
 
     def test_duplicate_agg_names_are_an_error(self, capsys):
         assert main([

@@ -30,19 +30,16 @@ from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import (
-    Aggregate,
+    And,
     Between,
     Count,
     Eq,
-    Limit,
     Min,
-    Project,
+    Not,
+    Plan,
     QueryCompiler,
-    Scan,
-    Sort,
     Std,
     Sum,
-    TopK,
     Var,
 )
 from repro.query.plan import _ranked_positions
@@ -316,35 +313,17 @@ class TestEarlyExit:
 
 
 class TestPlanShapes:
-    def test_sort_below_project_is_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        plan = Project(Sort(Scan(relation), "v"), ("v",))
-        with pytest.raises(ValidationError):
-            compiler.compile(plan)
+    def test_sort_over_aggregate_is_rejected(self):
+        with pytest.raises(ValidationError, match="order_by cannot be combined"):
+            Plan(aggregates=(("n", Count()),), order_by="n")
+        with pytest.raises(ValidationError, match="order_by cannot be combined"):
+            Plan.from_json({"aggregates": {"n": {"fn": "count"}}, "order_by": "n"})
 
-    def test_two_sort_nodes_are_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        plan = Sort(Sort(Scan(relation), "v"), "tag")
-        with pytest.raises(ValidationError):
-            compiler.compile(plan)
-
-    def test_sort_over_aggregate_is_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        plan = Sort(Aggregate(Scan(relation), (("n", Count()),)), "n")
-        with pytest.raises(ValidationError):
-            compiler.compile(plan)
-
-    def test_topk_keeps_tighter_enclosing_limit(self, relation):
-        compiler = QueryCompiler(relation)
-        compiled = compiler.compile(Limit(TopK(Scan(relation), column="v", k=7), 3))
-        assert compiled.limit == 3
-        compiled = compiler.compile(Limit(TopK(Scan(relation), column="v", k=2), 9))
-        assert compiled.limit == 2
-
-    def test_negative_k_is_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        with pytest.raises(ValidationError):
-            compiler.compile(TopK(Scan(relation), column="v", k=-1))
+    def test_negative_k_is_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            Plan.from_json({"select": ["v"], "order_by": "v", "k": -1})
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            Plan(projection=("v",), order_by="v", limit=-1)
 
     def test_order_by_rejects_aggregate_chains(self, relation):
         with pytest.raises(ValidationError):
@@ -441,6 +420,31 @@ class TestKernelDeclines:
         assert list(result.columns["x"]) == [v for v in range(0, 20, 2) for _ in range(100)]
         # RLE has no kernel, so there was never a fast path to decline.
         assert result.metrics.kernel_declines == 0
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [Not(Between("x", 10, 20)), And(Between("x", 10, 60), Not(Eq("x", 30)))],
+        ids=["not", "and-not"],
+    )
+    def test_combinators_over_word_space_leaves_do_not_decline(self, predicate):
+        # FOR answers leaves only; a combinator offered whole is no decline
+        # when every leaf below it is then answered in word space.
+        values = np.arange(4_000, dtype=np.int64) % 100
+        table = Table.from_columns([("x", INT64, values)])
+        builder = CompressionPlan.builder(table.schema)
+        builder.vertical("x", "for_bitpack")
+        relation = TableCompressor(builder.build(), block_size=1_000).compress(table)
+        result = relation.query().where(predicate).select("x").execute()
+        expected = np.flatnonzero(predicate.evaluate({"x": values}))
+        assert np.array_equal(result.row_ids, expected)
+        metrics = result.metrics
+        assert metrics.blocks_scanned == 4
+        assert metrics.rows_decoded == 0
+        assert metrics.rows_for_evaluated > 0
+        assert metrics.kernel_declines == 0
+        # A leaf the kernel cannot answer still charges, once per block.
+        opaque = Not(oracle.Opaque("x", lambda v: v % 2 == 0, "x is even"))
+        assert relation.query().where(opaque).execute().metrics.kernel_declines == 4
 
     def test_declines_surface_in_explain_analyze(self):
         # A FOR column has a kernel, which declines the opaque predicate.
@@ -560,16 +564,16 @@ class TestHavingAndMoments:
 
 class TestProtocol:
     def test_order_by_string_and_object_forms(self):
-        request = parse_request({"table": "t", "select": ["v"], "order_by": "v"})
-        assert request.order_by == "v" and request.order_desc is False
-        request = parse_request({
+        plan = parse_request({"table": "t", "select": ["v"], "order_by": "v"}).plan
+        assert plan.order_by == "v" and plan.descending is False
+        plan = parse_request({
             "table": "t",
             "select": ["v"],
             "order_by": {"column": "v", "desc": True},
             "k": 3,
-        })
-        assert request.order_by == "v" and request.order_desc is True
-        assert request.limit == 3
+        }).plan
+        assert plan.order_by == "v" and plan.descending is True
+        assert plan.limit == 3
 
     def test_having_parses_over_aggregates(self):
         request = parse_request({
@@ -577,14 +581,14 @@ class TestProtocol:
             "aggregates": {"n": {"fn": "count"}},
             "having": {"op": "eq", "column": "n", "value": 3},
         })
-        assert request.having is not None
+        assert request.plan.having is not None
 
     def test_var_and_std_aggregates_parse(self):
         request = parse_request({
             "table": "t",
             "aggregates": {"v": {"fn": "var", "column": "x"}, "s": {"fn": "std", "column": "x"}},
         })
-        names = dict(request.aggregates)
+        names = dict(request.plan.aggregates)
         assert isinstance(names["v"], Var)
         assert isinstance(names["s"], Std)
 

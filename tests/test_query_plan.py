@@ -1,7 +1,7 @@
-"""Tests for the lazy query API: logical plans, builder, compiler, pushdowns.
+"""Tests for the lazy query API: the plan record, builder, compiler, pushdowns.
 
-The property-based section checks three-way parity — lazy API == the
-compiler's row-ids-only plan (no ``Project`` node) == a plain full-decode
+The property-based section checks three-way parity — lazy API == a
+:class:`Plan` record run on the compiler directly == a plain full-decode
 reference over the raw table values — and serial == parallel, for randomized predicates
 (including ``Not`` and string ``Between``) and randomized aggregates over
 a relation mixing vertical encodings (FOR/delta/dictionary/RLE candidates)
@@ -20,27 +20,23 @@ from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import DATE, INT64, STRING
 from repro.errors import UnknownColumnError, ValidationError
 from repro.query import (
-    Aggregate,
+    And,
     Avg,
     Between,
     Count,
     Engine,
     Eq,
-    Filter,
     In,
     LazyQuery,
-    Limit,
     Max,
     Min,
     Not,
     Or,
-    Project,
+    Plan,
     QueryCompiler,
-    Scan,
     ScanMetrics,
     Sum,
     evaluate_block_predicate,
-    render_plan,
 )
 from repro.storage import BlockStatistics, ColumnStatistics, Table
 from repro.storage.serialization import deserialize_block, serialize_block
@@ -172,7 +168,7 @@ class TestLazyParity:
     @given(predicate=_predicates)
     def test_filter_parity(self, relation, table, predicate):
         expected = np.flatnonzero(_reference_mask(table, predicate))
-        row_ids = QueryCompiler(relation).execute(Filter(Scan(relation), predicate)).row_ids
+        row_ids = QueryCompiler(relation).execute(Plan(predicate=predicate)).row_ids
         lazy = relation.query().where(predicate).execute()
         assert np.array_equal(row_ids, expected)
         assert np.array_equal(lazy.row_ids, expected)
@@ -333,12 +329,6 @@ class TestProjectionAndLimitPushdown:
         assert len(result.column("tag")) == 7
         assert np.array_equal(result.row_ids, np.arange(7))
 
-    def test_plan_without_projection_materialises_nothing(self, relation):
-        compiler = QueryCompiler(relation)
-        result = compiler.execute(Filter(Scan(relation), Between("ship", 8_100, 8_105)))
-        assert result.columns == {}
-        assert result.row_ids.size == 6
-
     def test_select_defaults_to_all_columns(self, relation, table):
         result = relation.query().where(Eq("ship", 8_123)).execute()
         assert set(result.columns) == set(table.column_names)
@@ -404,11 +394,6 @@ class TestBuilderValidation:
         with pytest.raises(ValidationError):
             relation.query().agg(n=42)
 
-    def test_compiler_rejects_foreign_relation(self, relation):
-        other = TableCompressor(block_size=100).compress(_reference_table(seed=5))
-        with pytest.raises(ValidationError):
-            QueryCompiler(relation).execute(Project(Scan(other), ("v",)))
-
     def test_scalar_requires_single_row(self, relation):
         result = relation.query().group_by("tag").agg(n=Count()).execute()
         with pytest.raises(ValidationError):
@@ -420,41 +405,11 @@ class TestBuilderValidation:
             result.column("nope")
 
     def test_duplicate_output_names_are_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        plan = Aggregate(Scan(relation), (("tag", Count()),), group_by=("tag",))
-        with pytest.raises(ValidationError):
-            compiler.compile(plan)
-
-    def test_duplicate_limit_nodes_are_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        plan = Limit(Limit(Project(Scan(relation), ("v",)), 3), 5)
-        with pytest.raises(ValidationError):
-            compiler.compile(plan)
-
-    def test_out_of_order_nodes_are_rejected(self, relation):
-        compiler = QueryCompiler(relation)
-        # A Limit below an Aggregate ("count the first 10 matches") is not
-        # what the flattened execution would compute, so it must not compile.
-        inner_limit = Aggregate(
-            Limit(Filter(Scan(relation), Eq("v", 1)), 10), (("n", Count()),)
-        )
-        with pytest.raises(ValidationError):
-            compiler.compile(inner_limit)
-        # A Filter above an Aggregate is HAVING: it compiles into the
-        # dedicated having slot, not the scan predicate.
-        having = Filter(Aggregate(Scan(relation), (("n", Count()),)), Eq("n", 1))
-        compiled = compiler.compile(having)
-        assert compiled.having is not None
-        assert compiled.having.describe() == Eq("n", 1).describe()
-        assert compiled.predicate is None
-        # A Filter above a Limit is above where the flattened execution
-        # could apply it.
-        with pytest.raises(ValidationError):
-            compiler.compile(Filter(Limit(Project(Scan(relation), ("v",)), 3), Eq("v", 1)))
-        # A Filter above a Project would be reordered below it too.
-        late_filter = Filter(Project(Scan(relation), ("v",)), Eq("v", 1))
-        with pytest.raises(ValidationError):
-            compiler.compile(late_filter)
+        query = relation.query().group_by("tag").agg(tag=Count())
+        with pytest.raises(ValidationError, match="duplicate output column"):
+            query.execute()
+        with pytest.raises(ValidationError, match="duplicate output column"):
+            relation.query().agg(n=Count()).agg(n=Sum("v")).execute()
 
     def test_chain_reuses_one_compiler_across_terminals(self, relation):
         base = relation.query()
@@ -482,11 +437,12 @@ class TestBuilderValidation:
         assert relation.query().where(Eq("ship", 8_123)).limit(10).count() == 1
 
     def test_stacked_filters_become_a_conjunction(self, relation, table):
-        compiler = QueryCompiler(relation)
-        plan = Filter(
-            Filter(Scan(relation), Between("ship", 8_100, 8_900)), Eq("tag", TAGS[0])
-        )
-        result = compiler.execute(plan)
+        query = relation.query().where(Between("ship", 8_100, 8_900)).where(Eq("tag", TAGS[0]))
+        plan = query.logical_plan()
+        assert plan.predicate.fingerprint() == And(
+            Between("ship", 8_100, 8_900), Eq("tag", TAGS[0])
+        ).fingerprint()
+        result = query.execute()
         ship, tags = table.column("ship"), table.column("tag")
         expected = [
             i for i in range(N_ROWS)
@@ -535,10 +491,11 @@ class TestExplainAndRendering:
         assert "columns decoded at most: ship" in text
 
     def test_render_plan_orders_root_first(self, relation):
-        plan = Limit(Aggregate(Scan(relation), (("n", Count()),)), 5)
-        rendered = render_plan(plan)
-        assert rendered.splitlines()[0].startswith("Limit")
-        assert rendered.splitlines()[-1].strip().startswith("Scan")
+        text = relation.query().agg(n=Count()).limit(5).explain()
+        rendered = text.split("== logical plan ==\n")[1].splitlines()
+        assert rendered[0] == "Limit [5]"
+        assert rendered[1] == "  Aggregate [n=count(*)]"
+        assert rendered[2].startswith("    Scan [")
 
     def test_engine_compiler_is_bound_to_relation(self, relation):
         with Engine() as engine:

@@ -1,5 +1,8 @@
 """Unit tests for the predicate IR, block statistics, and the scan planner."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -406,3 +409,44 @@ class TestAcceptanceSortedMillionRows:
             (ship >= stats.min_value + 1) & (ship <= stats.max_value - 1)
         )
         assert np.array_equal(row_ids, expected)
+
+
+# -- no other module dispatches on a predicate's kind --------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+NODE_KINDS = {"Eq", "Between", "In", "And", "Or", "Not"}
+
+
+def kind_checks(path: Path) -> list[str]:
+    """``isinstance`` calls in ``path`` that test against a predicate node kind."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        target = node.args[1]
+        kinds = target.elts if isinstance(target, ast.Tuple) else [target]
+        names = {getattr(kind, "attr", getattr(kind, "id", None)) for kind in kinds}
+        if names & NODE_KINDS:
+            found.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_predicates_py_tests_node_kinds():
+    paths = [path for path in SRC.rglob("*.py") if path != SRC / "query" / "predicates.py"]
+    assert len(paths) > 50
+    assert [hit for path in paths for hit in kind_checks(path)] == []
+
+
+def test_the_kind_walk_catches_every_spelling(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "a = isinstance(node, Not)\n"
+        "b = isinstance(node, (And, predicates.Or))\n"
+        "c = isinstance(node, Predicate)\n"
+    )
+    assert len(kind_checks(sample)) == 2

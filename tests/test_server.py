@@ -19,7 +19,7 @@ import pytest
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
-from repro.query import Between, Count, Eq, Sum
+from repro.query import Between, Count, Eq, Predicate, Sum
 from repro.query.engine import EngineConfig
 from repro.server import (
     BackgroundServer,
@@ -29,7 +29,6 @@ from repro.server import (
     QueueFullError,
     ServiceConfig,
     UnknownTableError,
-    parse_predicate,
     parse_request,
 )
 from repro.server.service import _AdmissionGate
@@ -75,7 +74,7 @@ class TestProtocol:
                 {"op": "not", "child": {"op": "eq", "column": "v", "value": 0}},
             ],
         }
-        predicate = parse_predicate(node)
+        predicate = Predicate.from_json(node)
         assert sorted(set(predicate.columns())) == ["ship", "tag", "v"]
 
     @pytest.mark.parametrize(
@@ -95,7 +94,7 @@ class TestProtocol:
     )
     def test_parse_predicate_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
-            parse_predicate(bad)
+            Predicate.from_json(bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -129,9 +128,9 @@ class TestProtocol:
             }
         )
         assert request.table == "trips"
-        assert request.group_by == ("tag",)
-        assert [name for name, _ in request.aggregates] == ["n", "s"]
-        assert request.limit == 10
+        assert request.plan.group_by == ("tag",)
+        assert [name for name, _ in request.plan.aggregates] == ["n", "s"]
+        assert request.plan.limit == 10
 
 
 class TestServiceConfig:
@@ -232,6 +231,24 @@ class TestQueryService:
             body = service.execute(payload)
         assert body["columns"]["n"] == list(serial.columns["n"])
         assert body["columns"]["s"] == list(serial.columns["s"])
+
+    def test_aggregate_names_do_not_collide_in_the_cache_key(self, tmp_path):
+        # The output name "x:sum:v;y" once spelled the same cache key as the
+        # two outputs x = sum(v) and y = count(*).
+        table = Table.from_columns([("v", INT64, np.arange(10, dtype=np.int64))])
+        relation = TableCompressor(CompressionPlan.vertical_only(table.schema)).compress(table)
+        Catalog(tmp_path / "cat").save("t", relation)
+        one_output = {"table": "t", "aggregates": {"x:sum:v;y": {"fn": "count"}}}
+        two_outputs = {
+            "table": "t",
+            "aggregates": {"x": {"fn": "sum", "column": "v"}, "y": {"fn": "count"}},
+        }
+        with QueryService(tmp_path / "cat") as service:
+            first = service.execute(one_output)
+            second = service.execute(two_outputs)
+            assert service.metrics.queries_cached == 0
+        assert first["columns"] == {"x:sum:v;y": [10]}
+        assert second["columns"] == {"x": [45], "y": [10]}
 
     def test_result_cache_hit_and_invalidation(self, tmp_path):
         catalog = Catalog(tmp_path / "cat")
