@@ -12,8 +12,8 @@ This walks through the logical-plan front door added in PR 3:
    prune/full/scan decisions, before anything runs;
 4. execute aggregates that are answered from block statistics alone
    (``ScanMetrics.rows_decoded == 0``);
-5. group by the dictionary-encoded tag in code space (one string-heap
-   decode per distinct group);
+5. group by the dictionary-encoded tag in code space (one dictionary
+   entry read per distinct group);
 6. project qualifying rows with a limit that is pushed below the
    materialisation.
 
@@ -73,13 +73,13 @@ def main(n_rows: int = 200_000) -> None:
         f"{metrics.blocks_scanned} scanned)"
     )
 
-    # 5. Group-by on the dictionary column aggregates in code space: the
-    #    string heap is touched once per distinct group, not per row.
+    # 5. Group-by on the dictionary column groups in code space: the rows
+    #    group by their packed codes and each group reads its tag once.
     grouped = relation.query().group_by("tag").agg(n=Count(), avg_base=Sum("fare")).execute()
     print(
         f"\ngroup-by tag: {grouped.n_rows} groups, "
-        f"{grouped.metrics.string_heap_decodes} heap decodes "
-        f"for {relation.n_rows:,} rows"
+        f"{grouped.metrics.rows_kernel_aggregated:,} of {relation.n_rows:,} rows "
+        f"grouped by dictionary code"
     )
     for i in range(min(3, grouped.n_rows)):
         print(

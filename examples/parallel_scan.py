@@ -10,8 +10,8 @@ This walks through parallel execution:
    ``EngineConfig(workers=...)``, whose one thread pool runs a task per
    block, verifying the results are identical and timing each run;
 4. run an ``Eq`` predicate over a dictionary-encoded string column in
-   dictionary code space, showing that no string is decoded from the heap
-   (``string_heap_decodes`` stays zero).
+   dictionary code space, showing that no row is decoded (``rows_decoded``
+   stays zero).
 
 Run with::
 
@@ -80,7 +80,7 @@ def main(n_rows: int = 400_000) -> None:
     metrics = query.last_metrics
     print(
         f"  code-space: {count:,} rows in {seconds * 1e3:6.2f} ms, "
-        f"{metrics.string_heap_decodes:,} heap decodes, "
+        f"{metrics.rows_decoded:,} rows decoded, "
         f"{metrics.rows_dict_evaluated:,} rows dict-evaluated"
     )
 

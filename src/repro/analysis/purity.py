@@ -22,8 +22,9 @@ from .framework import Finding, Project, Rule
 __all__ = ["KernelPurityRule"]
 
 #: Method calls that leave the encoded domain.  ``lookup_many`` and
-#: ``all_strings`` are :class:`StringHeap`'s materialising accessors; its
-#: code-space probes (``key_bytes``, ``find``, ``bisect_*``) stay allowed.
+#: ``all_strings`` are :class:`StringHeap`'s per-row and whole-heap
+#: accessors; reading one entry (``heap[code]``, once per group) and its
+#: binary-search probes (``find``, ``bisect_*``) stay allowed.
 _IMPURE_ATTR_CALLS = {
     "decode",
     "decode_column",

@@ -603,7 +603,6 @@ def _print_metrics(metrics, workers: int) -> None:
         ("rows for-evaluated", f"{metrics.rows_for_evaluated:,}"),
         ("rows kernel-aggregated", f"{metrics.rows_kernel_aggregated:,}"),
         ("kernel declines", f"{metrics.kernel_declines:,}"),
-        ("string heap decodes", f"{metrics.string_heap_decodes:,}"),
         ("scan workers", f"{workers:,}"),
     ]
     print(format_table(("scan metric", "value"), rows))

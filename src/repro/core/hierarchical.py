@@ -19,7 +19,9 @@ Layout (Fig. 3 of the paper):
 String dependents (e.g. IP addresses) are first dictionary-encoded into a
 flattened string heap whose size is charged to this column, matching the
 paper's "reducing the necessary bit-width for storing the unique IPs via a
-dict-encoding".
+dict-encoding".  String targets and references are factorised by the
+dictionary column's own :func:`~repro.encodings.dictionary.factorize_strings`,
+so both give the same codes and the same sorted domain.
 
 Decoding follows Algorithm 1: fetch the reference value, map it to its group,
 then read ``group_values[offsets[group] + local_code]``.  Groups are numbered
@@ -43,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from ..bitpack import BitPackedArray, packed_size_bytes, required_bits
-from ..encodings.dictionary import StringHeap
+from ..encodings.dictionary import StringHeap, factorize_strings
 from ..errors import DecodingError, EncodingError
 from .base import HorizontalEncodedColumn, ReferenceValues
 
@@ -81,15 +83,14 @@ def _to_codes(values) -> tuple[np.ndarray, np.ndarray | list[str], bool]:
 
     Returns ``(codes, domain, is_string)`` where ``domain[code]`` recovers the
     original value.  Integer domains come back as an ``int64`` array, string
-    domains as a list of strings.
+    domains as the sorted list :func:`factorize_strings` gives every string
+    dictionary.
     """
     if len(values) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), False
-    first = values[0]
-    if isinstance(first, str):
-        arr = np.asarray(values, dtype=object)
-        domain, codes = np.unique(arr, return_inverse=True)
-        return codes.astype(np.int64), [str(s) for s in domain], True
+    if isinstance(values[0], str):
+        codes, distinct = factorize_strings(values)
+        return codes, distinct, True
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise EncodingError(
@@ -105,9 +106,8 @@ class ColumnCodes:
     """One column factorised once: dense codes, domain size, string heap bytes.
 
     ``heap_bytes`` is what the column's distinct values cost as a hierarchical
-    target: a string domain is stored as a :class:`StringHeap` (UTF-8 payload
-    plus a 4-byte offset per entry and one terminating offset); an integer
-    domain costs nothing beyond ``group_values``.
+    target: the ``size_bytes`` of the :class:`StringHeap` a string domain is
+    stored as; an integer domain costs nothing beyond ``group_values``.
     """
 
     codes: np.ndarray
@@ -117,10 +117,7 @@ class ColumnCodes:
     @classmethod
     def of(cls, values) -> ColumnCodes:
         codes, domain, is_string = _to_codes(values)
-        heap_bytes = 0
-        if is_string:
-            payload = sum(len(s.encode("utf-8")) for s in domain)
-            heap_bytes = payload + 4 * (len(domain) + 1)
+        heap_bytes = StringHeap(domain).size_bytes if is_string else 0
         return cls(codes, len(domain), heap_bytes)
 
 
@@ -210,7 +207,7 @@ class HierarchicalEncodedColumn(HorizontalEncodedColumn):
 
         self._target_is_string = target_is_string
         if target_is_string:
-            self._target_heap: StringHeap | None = StringHeap(list(target_domain))
+            self._target_heap: StringHeap | None = StringHeap(target_domain)
             self._target_domain_ints: np.ndarray | None = None
         else:
             self._target_heap = None

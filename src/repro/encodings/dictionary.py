@@ -6,6 +6,12 @@ dictionary.  For strings, the distinct values are packed into a *flattened*
 character array with an offsets array ("we use Dict encoding and pack the
 distinct strings into a flattened array"), mirroring the paper's setup.
 
+A string column's sorted distinct values are computed in one place,
+:func:`factorize_strings`, which every string dictionary in the library
+uses.  A :class:`StringHeap` stores the flattened buffer and reads every
+entry from the decoded strings it holds alongside it, so decoding a column
+is one fancy index over the distinct strings, never a per-row UTF-8 decode.
+
 Random access stays O(1): fetch the packed code, then one dictionary lookup.
 
 Both dictionary columns additionally expose a *code-space* API used by the
@@ -14,9 +20,9 @@ codes, ``lookup_codes`` translates a small set of candidate values into the
 codes they map to (values absent from the dictionary simply translate to
 nothing), and ``lookup_code_range`` maps an inclusive value range to the
 contiguous half-open code interval covering it.  Because the dictionaries are
-kept sorted, every translation is a binary search — for strings this touches
-``O(log n_distinct)`` heap entries per candidate/bound and never materialises
-the per-row strings.  ``compare_values``/``compare_range`` — the contract FOR
+kept sorted, every translation is a binary search — for strings
+``O(log n_distinct)`` comparisons per candidate/bound, never a per-row
+string.  ``compare_values``/``compare_range`` — the contract FOR
 and delta columns also implement — put the two together: translate the
 constants, then compare the packed codes, so ``Eq``/``In``/``Between`` run as
 integer kernels without decoding the :class:`StringHeap`.
@@ -46,10 +52,28 @@ __all__ = [
     "DictEncodedIntColumn",
     "DictEncodedStringColumn",
     "StringHeap",
+    "factorize_strings",
 ]
 
 #: Per-column fixed metadata: counts, bit width, dictionary length.
 _METADATA_BYTES = 16
+
+
+def factorize_strings(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """A string column's sorted distinct values and each row's index into them.
+
+    One hash pass collects the distinct strings, only those are sorted, and
+    a second pass maps every row to its code — the same codes and domain as
+    ``np.unique(values, return_inverse=True)`` over an object array, at a
+    fraction of its cost (no ``O(n log n)`` sort of Python objects).  Every
+    string dictionary — the dictionary column's heap, a hierarchical target
+    or reference, the correlation detector's :class:`ColumnCodes` — is
+    factorised here.
+    """
+    distinct = sorted(set(values))
+    index = {s: i for i, s in enumerate(distinct)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, distinct
 
 
 class StringHeap:
@@ -57,64 +81,53 @@ class StringHeap:
 
     This is the physical layout the paper uses for string dictionaries; its
     size (payload + one 4-byte offset per distinct string) is charged to the
-    compressed column size.
+    compressed column size.  The flattened buffer is what is stored; every
+    read — one entry, many codes, a binary search — is answered from the
+    decoded strings held next to it, so no read decodes UTF-8.
     """
 
     def __init__(self, distinct: Sequence[str]):
         self._strings = list(distinct)
-        payload = bytearray()
-        offsets = [0]
-        for s in self._strings:
-            payload.extend(s.encode("utf-8"))
-            offsets.append(len(payload))
-        self._payload = bytes(payload)
-        self._offsets = np.asarray(offsets, dtype=np.int64)
+        self._payload = "".join(self._strings).encode("utf-8")
+        self._offsets = np.zeros(len(self._strings) + 1, dtype=np.int64)
+        np.cumsum([len(s.encode("utf-8")) for s in self._strings], out=self._offsets[1:])
 
     def __len__(self) -> int:
         return len(self._strings)
 
     def __getitem__(self, index: int) -> str:
-        return self.key_bytes(index).decode("utf-8")
-
-    def key_bytes(self, index: int) -> bytes:
-        """The raw UTF-8 payload slice of one entry, without decoding it.
-
-        UTF-8 byte order equals code-point order, so these slices compare
-        and hash exactly like the decoded strings — hash aggregation can
-        group on them and defer the actual string materialisation to one
-        decode per distinct group.
-        """
-        start, end = self._offsets[index], self._offsets[index + 1]
-        return self._payload[start:end]
+        return self._strings[index]
 
     def lookup_many(self, indices: np.ndarray) -> list[str]:
-        """Materialise the strings at the given dictionary indices."""
-        return [self[int(i)] for i in np.asarray(indices)]
+        """The strings at the given dictionary indices, as one fancy index.
+
+        The object array is a query-time memo built on first use (a
+        deserialised heap never runs ``__init__``); the ``_cached`` prefix
+        keeps it out of the serialised state.
+        """
+        strings = getattr(self, "_cached_strings", None)
+        if strings is None:
+            strings = self._cached_strings = np.array(self._strings, dtype=object)
+        return strings[np.asarray(indices, dtype=np.intp)].tolist()
 
     def find(self, value: str) -> int | None:
         """Binary-search the heap for ``value``; its index or ``None``.
 
         Requires the heap to have been built over sorted distinct strings
-        (which :class:`DictEncodedStringColumn` guarantees).  Only the
-        ``O(log n)`` probed entries are decoded — the heap is never
-        materialised in full.
+        (which :class:`DictEncodedStringColumn` guarantees).
         """
         index = self.bisect_left(value)
-        if index < len(self._strings) and self[index] == value:
+        if index < len(self._strings) and self._strings[index] == value:
             return index
         return None
 
     def bisect_left(self, value: str) -> int:
-        """Index of the first entry ``>= value`` (requires a sorted heap).
-
-        The heap implements the sequence protocol, so the stdlib search
-        probes (and decodes) only ``O(log n)`` entries.
-        """
-        return bisect.bisect_left(self, value)
+        """Index of the first entry ``>= value`` (requires a sorted heap)."""
+        return bisect.bisect_left(self._strings, value)
 
     def bisect_right(self, value: str) -> int:
         """Index one past the last entry ``<= value`` (requires a sorted heap)."""
-        return bisect.bisect_right(self, value)
+        return bisect.bisect_right(self._strings, value)
 
     @property
     def size_bytes(self) -> int:
@@ -122,7 +135,7 @@ class StringHeap:
         return len(self._payload) + 4 * (len(self._strings) + 1)
 
     def all_strings(self) -> list[str]:
-        return [self[i] for i in range(len(self._strings))]
+        return list(self._strings)
 
 
 class _CodeSpaceColumn(EncodedColumn):
@@ -192,10 +205,6 @@ class DictEncodedIntColumn(_CodeSpaceColumn):
         """Positional access to the raw dictionary codes (used by Corra)."""
         return self._codes.gather(positions)
 
-    def decode_codes(self) -> np.ndarray:
-        """Legacy alias of :meth:`codes`."""
-        return self.codes()
-
     # -- code-space API (dictionary-domain predicate evaluation) --------------
 
     def lookup_codes(self, values: Sequence) -> np.ndarray:
@@ -253,12 +262,7 @@ class DictEncodedStringColumn(_CodeSpaceColumn):
     encoding_name = "dictionary"
 
     def __init__(self, values: Sequence[str]):
-        strings = ensure_strings(values)
-        distinct = sorted(set(strings))
-        index = {s: i for i, s in enumerate(distinct)}
-        codes = np.fromiter(
-            (index[s] for s in strings), dtype=np.int64, count=len(strings)
-        )
+        codes, distinct = factorize_strings(ensure_strings(values))
         self._heap = StringHeap(distinct)
         width = required_bits(len(distinct) - 1) if distinct else 0
         self._codes = BitPackedArray.from_values(codes, width)
@@ -295,10 +299,6 @@ class DictEncodedStringColumn(_CodeSpaceColumn):
     def gather_codes(self, positions: np.ndarray) -> np.ndarray:
         """Positional access to the raw dictionary codes (used by Corra)."""
         return self._codes.gather(positions)
-
-    def decode_codes(self) -> np.ndarray:
-        """Legacy alias of :meth:`codes`."""
-        return self.codes()
 
     # -- code-space API (dictionary-domain predicate evaluation) --------------
 

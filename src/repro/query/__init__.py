@@ -65,7 +65,7 @@ Layers, bottom to top:
   produce one.  The :class:`QueryCompiler` validates a plan against the
   schema and pushes work down before anything is materialised: projections decode only
   referenced columns, group-by on dictionary columns aggregates in code
-  space (one heap decode per distinct group), limits truncate row ids
+  space (one dictionary entry read per distinct group), limits truncate row ids
   before materialisation, and ``order_by().limit(k)`` fuses into a
   zone-map-driven top-k that stops visiting (and fetching) blocks early.
 * **How an aggregate is computed** (:mod:`~repro.query.aggregates`) — the

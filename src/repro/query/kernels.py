@@ -9,7 +9,8 @@ physical layout; this module is the only thing that connects the two:
   ``O(log n_distinct)`` heap probes, no per-row string) and compared against
   the packed codes.  On an integer dictionary a whole element-wise subtree
   is decided once per dictionary entry and fanned out through a single
-  unpack of the codes.  Group-by keys are the distinct selected codes.
+  unpack of the codes.  Group-by groups are the distinct selected codes,
+  keyed by the dictionary entries at those codes.
 * **FOR/bit-packing — word space.**  Constant comparisons are shifted by the
   frame of reference and run directly over the packed words
   (:meth:`~repro.bitpack.BitPackedArray.compare_range`); machine lane widths
@@ -98,9 +99,10 @@ class ColumnKernel:
     def group_keys(self, column, mask: "np.ndarray | None"):
         """``(keys, inverse)`` for grouping the selected rows, or ``None``.
 
-        ``keys`` are the distinct selected values (sorted; Python ints, or
-        raw UTF-8 heap slices for strings) and ``inverse`` maps each selected
-        row — in ascending row order — to its index in ``keys``.
+        ``keys`` are the distinct selected values (sorted Python ints or
+        strs, exactly the keys a decoded column groups into) and ``inverse``
+        maps each selected row — in ascending row order — to its index in
+        ``keys``.
         """
         return None
 
@@ -132,8 +134,8 @@ class DictionaryKernel(ColumnKernel):
         return mask
 
     def group_keys(self, column, mask: "np.ndarray | None"):
-        """Groups are the distinct selected codes; string keys stay raw heap
-        byte slices, so no heap entry is decoded here at all."""
+        """Groups are the distinct selected codes; each key is the dictionary
+        entry at its code, read once per group (no per-row value)."""
         if not isinstance(column, _DICTIONARY_COLUMNS):
             return None
         codes = column.codes()
@@ -142,8 +144,8 @@ class DictionaryKernel(ColumnKernel):
         )
         if isinstance(column, DictEncodedStringColumn):
             heap = column.heap
-            return [heap.key_bytes(int(code)) for code in unique_codes], inverse
-        return [int(value) for value in column.dictionary[unique_codes]], inverse
+            return [heap[code] for code in unique_codes.tolist()], inverse
+        return column.dictionary[unique_codes].tolist(), inverse
 
     def charge(self, metrics, column) -> None:
         metrics.rows_dict_evaluated += column.n_values

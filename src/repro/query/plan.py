@@ -32,8 +32,8 @@ Nothing is decoded while a query is being composed, which is what lets the
   moment is resolved per block through one cascade: the per-block
   :class:`~repro.storage.statistics.ColumnStatistics` of a *fully covered*
   block (no row decoded), then gathered values; a group-by on a
-  dictionary-encoded column aggregates in code space, deferring the
-  string-heap materialisation to one decode per distinct group;
+  dictionary-encoded column aggregates in code space, reading one
+  dictionary entry per distinct group;
 * **limit pushdown** — ``limit(k)`` truncates the row-id stream *before*
   the projection is materialised;
 * **top-k pushdown** — ``order_by(col).limit(k)`` executes as a fused top-k
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from ..encodings.dictionary import DictEncodedStringColumn
+from ..encodings.dictionary import factorize_strings
 from ..errors import UnknownColumnError, ValidationError, expect
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
@@ -837,17 +837,13 @@ class QueryCompiler:
         """Materialise aggregate/group inputs at the selected positions.
 
         Charged to ``rows_gathered`` (``rows_decoded`` stays a pure
-        predicate-decode counter) plus ``string_heap_decodes`` per
-        dictionary-encoded string column actually materialised.  An
-        out-of-core proxy materialises only ``names`` (plus dependency
-        closure) — column-granular on format-v3 tables.
+        predicate-decode counter).  An out-of-core proxy materialises only
+        ``names`` (plus dependency closure) — column-granular on format-v3
+        tables.
         """
         with current_tracer().span("gather", rows=int(positions.size), columns=len(names)):
             block = resolve_block(block, columns=names)
             partial.rows_gathered += int(positions.size)
-            for name in names:
-                if isinstance(block.columns.get(name), DictEncodedStringColumn):
-                    partial.string_heap_decodes += int(positions.size)
             return materialize_block_columns(block, names, positions)
 
     def _make_prefetcher(
@@ -898,10 +894,8 @@ class QueryCompiler:
         # A group's state is one partial per (column, moment) pair; the
         # ungrouped query is the single group ``()``.
         merged: dict = {}
-        any_code_space = False
-        for groups, used_code_space, partial in results:
+        for groups, partial in results:
             metrics.merge(partial)
-            any_code_space = any_code_space or used_code_space
             for key, state in groups.items():
                 existing = merged.get(key)
                 if existing is None:
@@ -914,21 +908,13 @@ class QueryCompiler:
 
         keys = sorted(merged)
         if plan.having is None and plan.limit is not None:
-            # Without a HAVING the limit can truncate before any key is
-            # decoded; a HAVING must see every group first.
+            # Without a HAVING the limit can truncate before any group is
+            # finalised; a HAVING must see every group first.
             keys = keys[: plan.limit]
         single = len(plan.group_by) == 1
-        if (
-            single
-            and any_code_space
-            and self._relation.schema.dtype(plan.group_by[0]).is_string
-        ):
-            # The group keys travelled as raw heap byte slices; this is the
-            # one decode per distinct group the code-space path deferred.
-            metrics.string_heap_decodes += len(keys)
         columns: dict[str, "np.ndarray | list"] = {}
         for position, name in enumerate(plan.group_by):
-            columns[name] = [_output_key(key if single else key[position]) for key in keys]
+            columns[name] = keys if single else [key[position] for key in keys]
         for (name, fn), wiring in zip(plan.aggregates, slots):
             columns[name] = [fn.finalize(*[merged[key][slot] for slot in wiring]) for key in keys]
         if plan.having is not None:
@@ -944,7 +930,7 @@ class QueryCompiler:
         index: int,
         full: bool,
         prefetcher: "Callable[[int], None] | None",
-    ) -> tuple[dict, bool, ScanMetrics]:
+    ) -> tuple[dict, ScanMetrics]:
         """Worker body: one block's per-group moment partials plus metrics."""
         tracer = current_tracer()
         with tracer.span("aggregate", block=index) as span:
@@ -954,14 +940,11 @@ class QueryCompiler:
             partial = ScanMetrics()
             mask, n_selected = self._block_selection(block, plan.predicate, full, partial)
             groups: dict = {}
-            used_code_space = False
             if n_selected:
-                groups, used_code_space = self._reduce_block(
-                    plan, pairs, block, mask, n_selected, full, partial
-                )
+                groups = self._reduce_block(plan, pairs, block, mask, n_selected, full, partial)
             if tracer.enabled:
                 span.annotate(rows=partial.rows_matched, groups=len(groups))
-            return groups, used_code_space, partial
+            return groups, partial
 
     def _reduce_block(
         self,
@@ -972,7 +955,7 @@ class QueryCompiler:
         n_selected: int,
         full: bool,
         partial: ScanMetrics,
-    ) -> tuple[dict, bool]:
+    ) -> dict:
         """Every needed moment of one block's (non-empty) selection, per group.
 
         Each ``(column, moment)`` pair goes down one cascade — zone map,
@@ -985,7 +968,6 @@ class QueryCompiler:
         group_by = plan.group_by
         keys: list = []
         inverse: np.ndarray | None = None  # row -> group index; None: one group
-        used_code_space = False
         gather_names: list[str] = []
         if group_by:
             # Grouping always touches block data; materialise an out-of-core
@@ -996,7 +978,7 @@ class QueryCompiler:
             if grouping is None:
                 gather_names = list(group_by)
             else:
-                keys, inverse, used_code_space = grouping
+                keys, inverse = grouping
 
         # slot -> the group's partial (ungrouped) or one partial per group;
         # ``None`` marks "not answered yet" — no group is ever empty here.
@@ -1037,8 +1019,8 @@ class QueryCompiler:
                     values, inverse, len(keys), bounds.get(column)
                 )
         if inverse is None:
-            return {(): resolved}, False
-        return dict(zip(keys, map(list, zip(*resolved)))), used_code_space
+            return {(): resolved}
+        return dict(zip(keys, map(list, zip(*resolved))))
 
     def _compressed_group_keys(
         self,
@@ -1047,54 +1029,51 @@ class QueryCompiler:
         mask: "np.ndarray | None",
         n_selected: int,
         partial: ScanMetrics,
-    ) -> "tuple[list, np.ndarray, bool] | None":
-        """``(keys, inverse, keys are heap slices)`` without gathering, or ``None``.
+    ) -> "tuple[list, np.ndarray] | None":
+        """``(keys, inverse)`` without gathering, or ``None``.
 
-        A single dictionary column groups by its distinct packed codes
-        (string keys stay raw heap byte slices — the caller owes one decode
-        per distinct group).
+        A single dictionary column groups by its distinct packed codes,
+        keyed by its dictionary entries — the keys a decoded block of the
+        same column gives, so the two merge.
         """
         if len(group_by) != 1:
             return None
         grouping = self._kernels.group_keys(block, group_by[0], mask)
-        if grouping is None:
-            return None
-        keys, inverse = grouping
-        partial.rows_kernel_aggregated += n_selected
-        return keys, inverse, bool(keys) and isinstance(keys[0], bytes)
+        if grouping is not None:
+            partial.rows_kernel_aggregated += n_selected
+        return grouping
 
 
 def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list, np.ndarray]:
     """Hashable group keys + per-row group index from decoded group columns.
 
-    A single group column is vectorized: an integer column whose values
-    span fewer slots than it has rows is counted with ``np.bincount`` over
-    ``value - min`` (one linear pass), anything else goes through
-    ``np.unique``; both give ascending keys and the same inverse.  Only
-    multi-column grouping falls back to a per-row Python loop over key
-    tuples.  Single string columns normalise to UTF-8 bytes so keys merge
-    with the byte slices the code-space path produces for other blocks of
-    the same relation (per-block encodings may differ).
+    A single group column is vectorized: a string column (decoded as a
+    list) is factorised like every string dictionary, an integer column
+    whose values span fewer slots than it has rows is counted with
+    ``np.bincount`` over ``value - min`` (one linear pass), anything else
+    goes through ``np.unique``; all give ascending keys and the same
+    inverse.  Only multi-column grouping falls back to a per-row Python
+    loop over key tuples.  Keys are Python ints and strs — the keys the
+    dictionary kernel gives a code-space block of the same column (per-block
+    encodings may differ), so the blocks' groups merge.
     """
     if len(group_by) == 1:
         values = gathered[group_by[0]]
-        arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if arr.dtype.kind in ("i", "u") and arr.size:
-            low = int(arr.min())
-            if int(arr.max()) - low < arr.size:
-                offsets = (arr - low).astype(np.intp, copy=False)
+        if isinstance(values, list):
+            codes, distinct = factorize_strings(values)
+            return distinct, codes
+        if values.size:
+            low = int(values.min())
+            if int(values.max()) - low < values.size:
+                offsets = (values - low).astype(np.intp, copy=False)
                 present = np.flatnonzero(np.bincount(offsets))
                 slot = np.zeros(present[-1] + 1, dtype=np.intp)
                 slot[present] = np.arange(present.size)
                 return [low + offset for offset in present.tolist()], slot[offsets]
-        unique, inverse = np.unique(arr, return_inverse=True)
-        if arr.dtype.kind in ("U", "S"):
-            keys: list = [str(u).encode("utf-8") for u in unique]
-        else:
-            keys = [int(u) for u in unique]
-        return keys, inverse
+        unique, inverse = np.unique(values, return_inverse=True)
+        return unique.tolist(), inverse
     columns = [
-        gathered[name] if isinstance(gathered[name], np.ndarray) else list(gathered[name])
+        gathered[name].tolist() if isinstance(gathered[name], np.ndarray) else gathered[name]
         for name in group_by
     ]
     mapping: dict = {}
@@ -1160,15 +1139,6 @@ def _apply_having(
         mask = np.asarray(predicate.evaluate(sub), dtype=bool)
         keep = [i for i, flag in zip(keep, mask) if flag]
     return {name: [values[i] for i in keep] for name, values in columns.items()}
-
-
-def _output_key(key: object) -> object:
-    """A merged group key as an output value (bytes decode back to str)."""
-    if isinstance(key, bytes):
-        return key.decode("utf-8")
-    if isinstance(key, np.integer):
-        return int(key)
-    return key
 
 
 # ---------------------------------------------------------------------------

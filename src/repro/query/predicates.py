@@ -32,8 +32,10 @@ Every node has a JSON form, the wire grammar of the query service::
 :meth:`Predicate.to_json` writes it in canonical form (``And``/``Or``
 children sorted by their canonical text, ``In`` values sorted, NumPy
 scalars as plain JSON numbers) and :meth:`Predicate.from_json` parses it
-strictly.  A node's fingerprint is that canonical JSON text, so equal
-predicates share planner memo entries and result-cache keys.
+strictly (a tree nested deeper than :data:`MAX_PREDICATE_DEPTH` levels is
+malformed, like an unknown op).  A node's fingerprint is that canonical
+JSON text, so equal predicates share planner memo entries and result-cache
+keys.
 
 ``And``, ``Or`` and ``Not`` combine their children's masks themselves
 (:meth:`Predicate.combine`), so the scan walks a tree without knowing
@@ -69,6 +71,12 @@ __all__ = [
     "Or",
     "Not",
 ]
+
+#: The deepest wire tree :meth:`Predicate.from_json` accepts.  Parsing,
+#: fingerprints, zone-map tests and evaluation all walk a tree recursively,
+#: so the bound keeps a hostile body far from Python's recursion limit; a
+#: real predicate nests a handful of levels.
+MAX_PREDICATE_DEPTH = 64
 
 #: Decoded column values handed to ``evaluate``: int64 arrays or string lists.
 ColumnValues = Mapping[str, "np.ndarray | list[str]"]
@@ -155,14 +163,9 @@ class Predicate(abc.ABC):
 
     @staticmethod
     def from_json(node: object) -> "Predicate":
-        """Parse one wire-grammar node; malformed input is a ValidationError."""
-        expect(isinstance(node, dict), "predicate nodes must be JSON objects")
-        assert isinstance(node, dict)
-        op = node.get("op")
-        expect(isinstance(op, str), "predicate nodes need an 'op' string")
-        kind = _OPS.get(op)
-        expect(kind is not None, f"unknown predicate op {op!r}")
-        return kind.parse(node)
+        """Parse one wire-grammar tree; malformed input is a ValidationError."""
+        _check_depth(node)
+        return _parse_node(node)
 
     def fingerprint(self) -> str:
         """The canonical JSON text: a cross-process planner and cache key.
@@ -478,7 +481,7 @@ class _Compound(Predicate):
             f"{cls.op!r} predicate needs a 'children' list with at least two nodes",
         )
         assert isinstance(children, list)
-        return cls(*[Predicate.from_json(child) for child in children])
+        return cls(*[_parse_node(child) for child in children])
 
 
 class And(_Compound):
@@ -548,7 +551,7 @@ class Not(Predicate):
     @classmethod
     def parse(cls, node: dict) -> "Not":
         expect("child" in node, "'not' predicate needs a 'child' node")
-        return cls(Predicate.from_json(node["child"]))
+        return cls(_parse_node(node["child"]))
 
     def might_match(self, statistics: BlockStatistics | None) -> bool:
         # Stays True unless the negated child is provably full: anything
@@ -567,6 +570,35 @@ class Not(Predicate):
 
     def describe(self) -> str:
         return f"NOT ({self.child.describe()})"
+
+
+def _check_depth(node: object) -> None:
+    """Reject a wire tree deeper than :data:`MAX_PREDICATE_DEPTH`, level by
+    level rather than recursively."""
+    level = [node]
+    for _ in range(MAX_PREDICATE_DEPTH):
+        below = []
+        for parent in level:
+            if isinstance(parent, dict):
+                children = parent.get("children")
+                if isinstance(children, list):
+                    below.extend(children)
+                if "child" in parent:
+                    below.append(parent["child"])
+        if not below:
+            return
+        level = below
+    raise ValidationError(f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels")
+
+
+def _parse_node(node: object) -> Predicate:
+    expect(isinstance(node, dict), "predicate nodes must be JSON objects")
+    assert isinstance(node, dict)
+    op = node.get("op")
+    expect(isinstance(op, str), "predicate nodes need an 'op' string")
+    kind = _OPS.get(op)
+    expect(kind is not None, f"unknown predicate op {op!r}")
+    return kind.parse(node)
 
 
 #: Wire op -> the node kind that parses it.

@@ -36,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..encodings.dictionary import DictEncodedStringColumn
 from ..errors import UnknownColumnError, ValidationError
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
@@ -211,11 +210,9 @@ class ScanMetrics:
 
     ``rows_dict_evaluated`` counts rows answered in dictionary code space
     (one increment of ``block.n_rows`` per subtree the dictionary kernel
-    answered), and ``string_heap_decodes`` counts string values that
-    *were* materialised from a dictionary string heap — per-row values
-    during predicate evaluation or projection, plus one entry per distinct
-    group when a group-by is answered in code space.  It is the
-    quantity the code-space paths drive to (near) zero.
+    answered).  A dictionary string column that *is* read costs one fancy
+    index over its distinct strings, like an integer dictionary, so string
+    reads are counted by ``rows_decoded``/``rows_gathered`` like any other.
 
     The kernel counters account the remaining compressed-domain paths:
     ``rows_for_evaluated`` rows answered by FOR/delta word-space
@@ -235,7 +232,6 @@ class ScanMetrics:
     rows_decoded: int = 0
     rows_matched: int = 0
     rows_dict_evaluated: int = 0
-    string_heap_decodes: int = 0
     rows_gathered: int = 0
     rows_for_evaluated: int = 0
     rows_kernel_aggregated: int = 0
@@ -256,7 +252,6 @@ class ScanMetrics:
         self.rows_decoded += other.rows_decoded
         self.rows_matched += other.rows_matched
         self.rows_dict_evaluated += other.rows_dict_evaluated
-        self.string_heap_decodes += other.string_heap_decodes
         self.rows_gathered += other.rows_gathered
         self.rows_for_evaluated += other.rows_for_evaluated
         self.rows_kernel_aggregated += other.rows_kernel_aggregated
@@ -316,10 +311,9 @@ def evaluate_block_predicate(
     kernel.  An empty registry declines every subtree, so every leaf takes
     that decode path.
     ``metrics``, when given, receives the ``rows_decoded``,
-    ``rows_dict_evaluated``, kernel-counter and ``string_heap_decodes``
-    accounting (``rows_decoded`` is charged once per block, on the first
-    column actually materialised; blocks answered purely in an encoded
-    domain add nothing).  An out-of-core proxy is materialised with the
+    ``rows_dict_evaluated`` and kernel-counter accounting (``rows_decoded``
+    is charged once per block, on the first column actually materialised;
+    blocks answered purely in an encoded domain add nothing).  An out-of-core proxy is materialised with the
     predicate's column set only — on a column-granular table the
     non-predicate columns' bytes are never fetched.
     """
@@ -338,14 +332,11 @@ def evaluate_block_predicate(
             # reference decodes the reference once per block, not per leaf.
             if name not in decoded_cache:
                 nonlocal all_positions, rows_charged
-                if metrics is not None:
-                    if not rows_charged:
-                        # First materialisation for this block: these rows are
-                        # actually decoded (code-space-only blocks never are).
-                        rows_charged = True
-                        metrics.rows_decoded += block.n_rows
-                    if isinstance(block.columns.get(name), DictEncodedStringColumn):
-                        metrics.string_heap_decodes += block.n_rows
+                if metrics is not None and not rows_charged:
+                    # First materialisation for this block: these rows are
+                    # actually decoded (code-space-only blocks never are).
+                    rows_charged = True
+                    metrics.rows_decoded += block.n_rows
                 if all_positions is None:
                     all_positions = np.arange(block.n_rows, dtype=np.int64)
                 dependency = block.dependency(name)

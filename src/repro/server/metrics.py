@@ -168,7 +168,6 @@ class ServerMetrics:
                     "rows_for_evaluated": scan.rows_for_evaluated,
                     "rows_kernel_aggregated": scan.rows_kernel_aggregated,
                     "kernel_declines": scan.kernel_declines,
-                    "string_heap_decodes": scan.string_heap_decodes,
                 },
                 "latency": self.latency.snapshot(),
             }
@@ -234,7 +233,6 @@ def prometheus_exposition(snapshot: dict, stages: "dict | None" = None) -> str:
         "rows_for_evaluated": "Rows answered in FOR/delta word space.",
         "rows_kernel_aggregated": "Rows grouped by code-space group keys.",
         "kernel_declines": "Predicate subtrees a compressed-domain kernel declined.",
-        "string_heap_decodes": "String values decoded from the shared heap.",
         # IOMetrics (under corra_table_io_*)
         "bytes_read": "Bytes read from table files.",
         "blocks_read": "Block reads issued.",

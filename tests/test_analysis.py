@@ -451,7 +451,7 @@ class TestKernelPurity:
             {
                 "query/kernels.py": (
                     "def keys(heap, codes, value):\n"
-                    "    heap.key_bytes(0), heap.find(value)\n"
+                    "    heap[0], heap.find(value)\n"
                     "    heap.bisect_left(value), heap.bisect_right(value)\n"
                     "    return heap.lookup_many(codes), heap.all_strings()\n"
                 ),

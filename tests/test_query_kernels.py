@@ -320,10 +320,10 @@ class TestDictionaryKernel:
             assert count == int(predicate.evaluate({"t": tags}).sum())
             assert metrics.rows_dict_evaluated == relation.n_rows
             assert metrics.rows_decoded == 0
-            assert metrics.string_heap_decodes == 0
         grouped = relation.query().group_by("t").agg(n=Count()).execute()
         assert grouped.columns["t"] == sorted(set(tags))
-        assert grouped.metrics.string_heap_decodes == len(set(tags))
+        assert grouped.metrics.rows_kernel_aggregated == relation.n_rows
+        assert grouped.metrics.rows_gathered == 0
 
 
 class TestForKernel:

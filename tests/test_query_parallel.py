@@ -97,7 +97,6 @@ class TestParallelMatchesSerial:
                 "n_blocks", "blocks_scanned", "blocks_pruned",
                 "blocks_full", "rows_total", "rows_decoded",
                 "rows_matched", "rows_dict_evaluated",
-                "string_heap_decodes",
             ):
                 assert getattr(result.metrics, field) == getattr(expected.metrics, field)
 
@@ -129,7 +128,6 @@ class TestDictionaryDomain:
         query = relation.query().where(Eq("tag", "tag_07"))
         query.count()
         metrics = query.last_metrics
-        assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
         # Code-space-only blocks materialise nothing at all.
         assert metrics.rows_decoded == 0
@@ -140,14 +138,13 @@ class TestDictionaryDomain:
             query.count()
         metrics = query.last_metrics
         assert metrics.rows_dict_evaluated == 0
-        assert metrics.string_heap_decodes == relation.n_rows
         assert metrics.rows_decoded == relation.n_rows
 
     def test_absent_and_mistyped_values_match_nothing(self, relation):
         for predicate in (Eq("tag", "no_such_tag"), Eq("tag", 123), In("tag", ["nope", "x"])):
             query = relation.query().where(predicate)
             assert query.count() == 0
-            assert query.last_metrics.string_heap_decodes == 0
+            assert query.last_metrics.rows_decoded == 0
 
     def test_lookup_codes_string_column(self, relation):
         column = relation.block(0).column("tag")

@@ -21,6 +21,7 @@ from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
 from repro.query import Between, Count, Eq, Predicate, Sum
 from repro.query.engine import EngineConfig
+from repro.query.predicates import MAX_PREDICATE_DEPTH
 from repro.server import (
     BackgroundServer,
     CostLimitError,
@@ -62,6 +63,20 @@ def catalog_dir(tmp_path_factory):
 
 
 class TestProtocol:
+    def test_predicate_depth_is_bounded(self):
+        def nested(depth):
+            node = {"op": "eq", "column": "v", "value": 1}
+            for _ in range(depth - 1):
+                node = {"op": "not", "child": node}
+            return node
+
+        Predicate.from_json(nested(MAX_PREDICATE_DEPTH))
+        Predicate.from_json({"op": "and", "children": [nested(MAX_PREDICATE_DEPTH - 1)] * 2})
+        with pytest.raises(ValidationError, match="deeper than"):
+            Predicate.from_json(nested(MAX_PREDICATE_DEPTH + 1))
+        with pytest.raises(ValidationError, match="deeper than"):
+            Predicate.from_json({"op": "or", "children": [nested(1), nested(MAX_PREDICATE_DEPTH)]})
+
     def test_parse_predicate_all_ops(self):
         node = {
             "op": "and",
@@ -455,3 +470,28 @@ class TestHttpServer:
                     assert response.status == 400
                 finally:
                     conn.close()
+
+    @staticmethod
+    def _nested_not_body(depth: int) -> str:
+        """A count over ``depth`` nested ``not`` nodes, as raw JSON text."""
+        leaf = '{"op": "eq", "column": "v", "value": 7}'
+        where = '{"op": "not", "child": ' * (depth - 1) + leaf + "}" * (depth - 1)
+        return '{"table": "trips", "where": %s, "aggregates": {"n": {"fn": "count"}}}' % where
+
+    def test_deeply_nested_predicates_are_400_and_shallow_ones_run(self, catalog_dir):
+        with QueryService(catalog_dir) as service:
+            with BackgroundServer(service, port=0) as (host, port):
+                # 600 levels fail the predicate depth bound; 3,000 are too
+                # deep for the JSON parser itself.  Both are the client's
+                # fault, and the server keeps answering afterwards.
+                for depth, expected in ((600, 400), (3_000, 400), (10, 200)):
+                    conn = http.client.HTTPConnection(host, port, timeout=30)
+                    try:
+                        conn.request("POST", "/query", body=self._nested_not_body(depth))
+                        response = conn.getresponse()
+                        body = json.loads(response.read())
+                        assert response.status == expected, (depth, body)
+                    finally:
+                        conn.close()
+                # Nine ``not`` nodes negate the leaf.
+                assert body["columns"]["n"] == [N_ROWS - RELATION.query().where(Eq("v", 7)).count()]
